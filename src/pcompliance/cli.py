@@ -27,7 +27,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker process cap for parallel sweeps")
+                        help="worker process cap for capacity-sweep; "
+                             "other commands ignore it")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="seed override (recorded in output headers)")
 
@@ -122,7 +123,7 @@ def cmd_sweep_vanishing(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         capacity_resolution=job.capacity_resolution,
         bound_safety=job.bound_safety,
         divergence_samples=job.divergence_samples,
-        seed=cfg.seed, jobs=jobs)
+        seed=cfg.seed)
     header = ("n", "local_nodes", "crack_length", "flux_pnorm", "capacity",
               "bound_rhs", "penalized_value", "congruence_spread",
               "divergence_max_relative")

@@ -14,7 +14,6 @@ arbitrarily soft, which is the mechanism this module measures.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,9 +23,9 @@ from .capacity import CapacityResult, ScalingFit, scaling_fit, segment_capacity
 from .errors import ResolutionTooCoarse
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization, Segment,
                        axis_segment, rasterize, total_length)
-from .solver import (ComplianceReport, DivergenceCheck, SolverConfig,
-                     cell_means, divergence_residual, flux, flux_pnorm,
-                     gradient_pnorm, solve)
+from .solver import (ComplianceReport, DivergenceCheck, LinearOperators,
+                     SolverConfig, cell_means, divergence_residual, flux,
+                     flux_pnorm, gradient_pnorm, solve, solve_batch)
 from .sources import Constant, sample_on_grid
 
 
@@ -124,9 +123,19 @@ def local_solve(params: ConstructionParams, cube_center: Sequence[float],
     p-norm of its gradient, the cube's contribution to the global dual
     energy.
     """
-    if local_nodes is None:
-        local_nodes = required_local_nodes(params)
-    center = tuple(float(c) for c in cube_center)
+    return _solve_cubes(params, [cube_center], g, config, local_nodes)[0]
+
+
+def solve_all_cubes(params: ConstructionParams, g,
+                    config: Optional[SolverConfig] = None,
+                    local_nodes: Optional[int] = None) -> list[LocalSolveResult]:
+    """All (2n)^dim local solves, in fixed row-major cube order."""
+    return _solve_cubes(params, params.cube_centers(), g, config, local_nodes)
+
+
+def _cube_problem(params: ConstructionParams, center: tuple[float, ...],
+                  local_nodes: int) -> tuple[GridDiscretization, ConstraintMask]:
+    """The cube's grid and the mask pinning its centered crack only."""
     grid = GridDiscretization(local_nodes, params.cube_side / 2.0,
                               params.dim, center)
     span = params.crack_length / grid.h
@@ -137,34 +146,39 @@ def local_solve(params: ConstructionParams, cube_center: Sequence[float],
     start = np.asarray(center, dtype=float)
     start[0] -= params.crack_length / 2.0
     crack = axis_segment(tuple(start), 0, params.crack_length)
-    mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
-    g_values = sample_on_grid(g, grid)
-    u, report = solve(g_values, grid, mask, params.p, config,
-                      crack_length=params.crack_length,
-                      require_boundary=False)
-    return LocalSolveResult(
-        center=center, grid=grid, u=u,
-        energy_pnorm=gradient_pnorm(u, grid, params.p), report=report)
+    return grid, rasterize(CrackSet.of(crack), grid, include_boundary=False)
 
 
-def _cube_task(args) -> LocalSolveResult:
-    params, center, g, config, local_nodes = args
-    return local_solve(params, center, g, config, local_nodes)
+def _solve_cubes(params: ConstructionParams, centers, g,
+                 config: Optional[SolverConfig],
+                 local_nodes: Optional[int]) -> list[LocalSolveResult]:
+    """Local solves on congruent cubes, batched by rasterized mask.
 
-
-def solve_all_cubes(params: ConstructionParams, g,
-                    config: Optional[SolverConfig] = None,
-                    local_nodes: Optional[int] = None,
-                    jobs: int = 1) -> list[LocalSolveResult]:
-    """All (2n)^dim local solves, in fixed row-major cube order."""
+    Cubes whose masks match node for node share one batch, and so one
+    factorization at p = 2; all batches share one operator assembly.
+    """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)
-    tasks = [(params, tuple(c), g, config, local_nodes)
-             for c in params.cube_centers()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_cube_task, tasks, chunksize=8))
-    return [_cube_task(t) for t in tasks]
+    problems = [_cube_problem(params, tuple(float(c) for c in center), local_nodes)
+                for center in centers]
+    groups: dict[bytes, list[int]] = {}
+    for index, (_, mask) in enumerate(problems):
+        groups.setdefault(mask.pinned.tobytes(), []).append(index)
+    operators = LinearOperators(problems[0][0])
+    results: list[Optional[LocalSolveResult]] = [None] * len(problems)
+    for members in groups.values():
+        grid, mask = problems[members[0]]
+        sources = [sample_on_grid(g, problems[i][0]) for i in members]
+        solved = solve_batch(sources, grid, mask, params.p, config,
+                             crack_length=params.crack_length,
+                             require_boundary=False, operators=operators)
+        for i, (u, report) in zip(members, solved):
+            cube_grid = problems[i][0]
+            results[i] = LocalSolveResult(
+                center=cube_grid.center, grid=cube_grid, u=u,
+                energy_pnorm=gradient_pnorm(u, cube_grid, params.p),
+                report=report)
+    return results
 
 
 def assemble_flux(results: Sequence[LocalSolveResult], params: ConstructionParams,
@@ -243,8 +257,7 @@ def vanishing_sequence_experiment(
         config: Optional[SolverConfig] = None,
         local_nodes: Optional[int] = None, span_cells: float = 2.0,
         capacity_resolution: int = 4, bound_safety: float = 1.5,
-        divergence_samples: int = 0, seed: int = 0,
-        jobs: int = 1) -> VanishingSequenceReport:
+        divergence_samples: int = 0, seed: int = 0) -> VanishingSequenceReport:
     """Run the crack-grid pipeline over an increasing ladder of n.
 
     Emits one row per n; a ResolutionTooCoarse at some n aborts that and
@@ -266,7 +279,7 @@ def vanishing_sequence_experiment(
         nodes = (local_nodes if local_nodes is not None
                  else required_local_nodes(params, span_cells))
         try:
-            locals_ = solve_all_cubes(params, g, config, nodes, jobs=jobs)
+            locals_ = solve_all_cubes(params, g, config, nodes)
         except ResolutionTooCoarse:
             aborted_at = n
             break

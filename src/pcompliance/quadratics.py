@@ -117,25 +117,27 @@ def solve_pinned(
 ) -> tuple[np.ndarray, int]:
     """Solve matrix @ u = rhs on free entries with pinned entries fixed.
 
-    Returns the full flat solution and the iteration count (0 for a direct
+    rhs is one flat vector or an (n, k) block of k right-hand sides, which
+    share one factorization.  Returns the full solution, shaped like rhs,
+    and the iteration count summed over the columns (0 for a direct
     factorization).  Direct solves are used by default up to moderate sizes
     or in one and two dimensions, where the fill-in stays cheap; otherwise a
-    Jacobi-preconditioned conjugate gradient loop is tightened until the free
-    residual satisfies the max-norm tolerance.
+    Jacobi-preconditioned conjugate gradient loop is tightened, column by
+    column, until the free residual satisfies the max-norm tolerance.
     """
     n = matrix.shape[0]
     free = ~pinned_flat
     n_free = int(free.sum())
-    u = np.full(n, float(pin_value))
-    u[~free] = pin_value
+    # column-major, so the solution for each right-hand side is contiguous
+    u = np.full(rhs.shape, float(pin_value), order="F")
     if n_free == 0:
         return u, 0
     csr = matrix.tocsr()
     a_ff = csr[free][:, free].tocsc()
-    b = rhs[free].astype(float, copy=True)
+    b = rhs[free].astype(float, copy=False)
     if pin_value != 0.0:
-        coupling = csr[free][:, ~free]
-        b -= coupling @ np.full(n - n_free, float(pin_value))
+        coupling = csr[free][:, ~free] @ np.full(n - n_free, float(pin_value))
+        b -= coupling.reshape((n_free,) + (1,) * (b.ndim - 1))
     direct = prefer_direct
     if direct is None:
         direct = n_free <= 80_000
@@ -143,21 +145,32 @@ def solve_pinned(
         x = spla.splu(a_ff).solve(b)
         iterations = 0
     else:
-        diag = a_ff.diagonal()
-        precond = spla.LinearOperator(a_ff.shape, matvec=lambda v: v / diag)
-        x = np.zeros(n_free)
+        columns = b.reshape(n_free, -1)
+        x = np.empty_like(columns)
         iterations = 0
-        atol = max(0.3 * grad_tolerance, 1e-14 * float(np.linalg.norm(b)))
-        for _ in range(4):
-            counter = _IterationCounter()
-            x, info = spla.cg(a_ff, b, x0=x, rtol=0.0, atol=atol, maxiter=20 * n_free, M=precond, callback=counter)
-            iterations += counter.count
-            residual = np.abs(b - a_ff @ x).max()
-            if residual <= grad_tolerance or info != 0:
-                break
-            atol *= 0.05
+        for j in range(columns.shape[1]):
+            x[:, j], count = _pinned_cg(a_ff, columns[:, j], grad_tolerance)
+            iterations += count
+        x = x.reshape(b.shape)
     u[free] = x
     return u, iterations
+
+
+def _pinned_cg(a_ff, b: np.ndarray, grad_tolerance: float) -> tuple[np.ndarray, int]:
+    diag = a_ff.diagonal()
+    precond = spla.LinearOperator(a_ff.shape, matvec=lambda v: v / diag)
+    x = np.zeros(len(b))
+    iterations = 0
+    atol = max(0.3 * grad_tolerance, 1e-14 * float(np.linalg.norm(b)))
+    for _ in range(4):
+        counter = _IterationCounter()
+        x, info = spla.cg(a_ff, b, x0=x, rtol=0.0, atol=atol, maxiter=20 * len(b), M=precond, callback=counter)
+        iterations += counter.count
+        residual = np.abs(b - a_ff @ x).max()
+        if residual <= grad_tolerance or info != 0:
+            break
+        atol *= 0.05
+    return x, iterations
 
 
 class _IterationCounter:

@@ -77,16 +77,6 @@ def write_field(path, values: np.ndarray, seed: Optional[int] = None) -> Path:
     return write_csv(path, header, rows, seed=seed)
 
 
-def write_flux(path, sigma: np.ndarray, seed: Optional[int] = None) -> Path:
-    """Cell flux to CSV: one row per cell, index tuple then components."""
-    dim = sigma.shape[0]
-    header = tuple(f"i{k}" for k in range(dim)) + tuple(f"s{k}" for k in range(dim))
-    cells = sigma.shape[1:]
-    rows = (tuple(idx) + tuple(sigma[(k,) + idx] for k in range(dim))
-            for idx in np.ndindex(cells))
-    return write_csv(path, header, rows, seed=seed)
-
-
 _VIRIDIS = (
     (0.267, 0.005, 0.329),
     (0.283, 0.141, 0.458),

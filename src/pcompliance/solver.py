@@ -253,6 +253,30 @@ def flux_pnorm(sigma: FluxField, grid: GridDiscretization, p: float) -> float:
     return grid.cell_volume * float(np.sum(s ** (q / 2.0)))
 
 
+class LinearOperators:
+    """Stiffness and mass matrices of the p = 2 energy, assembled on first use.
+
+    Both depend on nodes_per_side, half_width and dim only, so every
+    translate of `grid` shares them.  Hand one instance to several
+    `solve_batch` calls to assemble once for all of them; the matrices
+    live as long as the instance.
+    """
+
+    def __init__(self, grid: GridDiscretization):
+        self.grid = grid
+        self._matrices = None
+
+    def matrices(self, grid: GridDiscretization):
+        """(stiffness, mass) for `grid`, which must be congruent to self.grid."""
+        if (grid.nodes_per_side, grid.half_width, grid.dim) != (
+                self.grid.nodes_per_side, self.grid.half_width, self.grid.dim):
+            raise ValueError("operators were assembled for a grid of another shape")
+        if self._matrices is None:
+            self._matrices = (quadratics.stiffness_matrix(self.grid),
+                              quadratics.mass_matrix(self.grid))
+        return self._matrices
+
+
 def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: float,
           config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
           length_penalty: float = 0.0, require_boundary: bool = True,
@@ -263,12 +287,32 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
     NonConvergence (with the partial report attached) when the iteration
     budget runs out above tolerance.
     """
+    return solve_batch([f], grid, mask, p, config, crack_length=crack_length,
+                       length_penalty=length_penalty,
+                       require_boundary=require_boundary)[0]
+
+
+def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
+                config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
+                length_penalty: float = 0.0, require_boundary: bool = True,
+                operators: Optional[LinearOperators] = None,
+                ) -> list[tuple[GridField, ComplianceReport]]:
+    """`solve` for several sources on one grid and mask.
+
+    The linear path (p = 2) factors the pinned stiffness block once and
+    back-substitutes all sources together; the descent path minimizes them
+    one after another.  Returns one (field, report) pair per source, in
+    order, and raises NonConvergence for the first source whose solve
+    misses the tolerance.  `operators` shares the p = 2 matrices with other
+    batches on congruent grids.
+    """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if config is None:
         config = SolverConfig()
-    if f.shape != grid.shape:
-        raise ValueError(f"source shape {f.shape} does not match grid {grid.shape}")
+    for f in fs:
+        if f.shape != grid.shape:
+            raise ValueError(f"source shape {f.shape} does not match grid {grid.shape}")
     if mask.grid != grid:
         raise ValueError("mask was built for a different grid")
     if require_boundary and not mask.pinned[grid.boundary_mask()].all():
@@ -278,10 +322,7 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
             "the pins admit a zero-energy mode with nonzero mean, so the "
             "energy is unbounded below; widen the crack or refine the grid")
 
-    eps = config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
-    f_bar = cell_means(f)
     pinned = mask.pinned
-
     method = config.method
     if method == "auto":
         method = "linear" if p == 2.0 else "descent"
@@ -293,17 +334,42 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
         # would misbehave, descent is immune
         method = "descent"
 
+    def eps_for(f: np.ndarray) -> float:
+        return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
+
+    def finish(u, f, f_bar, eps, iterations, evaluations, converged=True):
+        report = _build_report(u, f, f_bar, grid, pinned, p, eps,
+                               iterations, evaluations, method, crack_length,
+                               length_penalty)
+        if not converged:
+            raise NonConvergence(
+                f"no convergence in {iterations} iterations, "
+                f"residual {report.residual:.3e} > {config.grad_tolerance:.3e}",
+                report=report, field=u)
+        if report.residual > config.grad_tolerance:
+            raise NonConvergence(
+                f"linear path residual {report.residual:.3e} above "
+                f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
+        return u, report
+
     if method == "linear":
-        stiffness = quadratics.stiffness_matrix(grid)
-        rhs = quadratics.mass_matrix(grid) @ f.ravel()
+        if operators is None:
+            operators = LinearOperators(grid)
+        stiffness, mass = operators.matrices(grid)
+        rhs = mass @ np.stack([f.ravel() for f in fs], axis=1)
         u_flat, iterations = quadratics.solve_pinned(
             stiffness, rhs, pinned.ravel(),
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        u = u_flat.reshape(grid.shape)
-        evaluations = 0
-    else:
-        shape = grid.shape
+        fields = u_flat.T.reshape((len(fs),) + grid.shape)
+        return [finish(u, f, cell_means(f), eps_for(f), iterations, 0)
+                for u, f in zip(fields, fs)]
+
+    shape = grid.shape
+    solved = []
+    for f in fs:
+        eps = eps_for(f)
+        f_bar = cell_means(f)
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
             value, grad = energy_and_gradient(
@@ -319,23 +385,9 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
             armijo_c1=config.armijo_c1)
         u = result.x.reshape(shape)
         u[pinned] = 0.0
-        iterations = result.iterations
-        evaluations = result.evaluations
-        if not result.converged:
-            report = _build_report(u, f, f_bar, grid, pinned, p, eps, iterations,
-                                   evaluations, method, crack_length, length_penalty)
-            raise NonConvergence(
-                f"no convergence in {iterations} iterations, "
-                f"residual {report.residual:.3e} > {config.grad_tolerance:.3e}",
-                report=report, field=u)
-
-    report = _build_report(u, f, f_bar, grid, pinned, p, eps, iterations,
-                           evaluations, method, crack_length, length_penalty)
-    if report.residual > config.grad_tolerance:
-        raise NonConvergence(
-            f"linear path residual {report.residual:.3e} above "
-            f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
-    return u, report
+        solved.append(finish(u, f, f_bar, eps, result.iterations,
+                             result.evaluations, result.converged))
+    return solved
 
 
 def _build_report(u, f, f_bar, grid, pinned, p, eps, iterations, evaluations,

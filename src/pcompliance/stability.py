@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonConvergence
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
                        axis_segment, rasterize)
-from .solver import SolverConfig, cell_means, cell_gradients, solve
+from .solver import SolverConfig, cell_means, cell_gradients, solve_batch
 from .sources import random_smooth, sample_on_grid
 
 
@@ -100,8 +100,7 @@ def check_stability(f1, f2, cracks: CrackSet, p: float, grid: GridDiscretization
     q0 = source_exponent(p, grid.dim)
     v1 = sample_on_grid(f1, grid)
     v2 = sample_on_grid(f2, grid)
-    u1, rep1 = solve(v1, grid, mask, p, config)
-    u2, rep2 = solve(v2, grid, mask, p, config)
+    (u1, rep1), (u2, rep2) = solve_batch([v1, v2], grid, mask, p, config)
     gap = lq_norm(v1 - v2, grid, q0)
     norms = (lq_norm(v1, grid, q0), lq_norm(v2, grid, q0))
     z_value = z_modulus(gap, p, norms)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcompliance import quadratics
 from pcompliance.construction import (
     ConstructionParams,
     assemble_flux,
@@ -80,6 +81,32 @@ def test_congruent_cubes_give_identical_energies():
     energies = np.array([r.energy_pnorm for r in results])
     assert energies.shape == (16,)
     assert energies.max() - energies.min() <= 1e-10 * energies.max()
+
+
+def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
+    # a non-constant source gives every cube its own right-hand side, but
+    # the congruent masks still share one factorization per rung
+    params = ConstructionParams(n=2, epsilon=0.4, dim=2)
+    g = GaussianBump((0.3, -0.2), 0.5)
+    calls = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    results = solve_all_cubes(params, g, local_nodes=17)
+    assert len(calls) == 1
+    assert len(results) == 16
+    energies = [r.energy_pnorm for r in results]
+    assert max(energies) > 1.01 * min(energies)
+    for result in results:
+        alone = local_solve(params, result.center, g, local_nodes=17)
+        assert alone.grid == result.grid
+        scale = np.abs(alone.u).max()
+        assert np.abs(result.u - alone.u).max() <= 1e-12 * scale
+    assert len(calls) == 17
 
 
 def test_assembled_flux_norm_matches_local_energies():
