@@ -76,19 +76,22 @@ def _corner_gradient_squares(u: np.ndarray, grid: GridDiscretization,
     """|grad u|^2 of the multilinear interpolant at each cell corner.
 
     Returns per-corner squared gradients and the per-axis edge differences
-    they were built from (needed again when scattering the chain rule).
+    they were built from (needed again for the chain rule).
     """
     diffs = [np.diff(u, axis=k) / grid.h for k in range(grid.dim)]
+    edge_squares = [d * d for d in diffs]
     squares = []
-    for bits, node_slc in _corners(grid.dim):
+    for _, node_slc in _corners(grid.dim):
         s = np.full(grid.cells_shape, eps * eps)
-        for k in range(grid.dim):
-            e_slc = list(node_slc)
-            e_slc[k] = slice(None)
-            d = diffs[k][tuple(e_slc)]
-            s = s + d * d
+        for k, d2 in enumerate(edge_squares):
+            s += d2[_edge_slice(node_slc, k)]
         squares.append(s)
     return squares, diffs
+
+
+def _edge_slice(node_slc: tuple, axis: int) -> tuple:
+    """The axis-`axis` edges of every cell at the corner `node_slc` picks."""
+    return node_slc[:axis] + (slice(None),) + node_slc[axis + 1:]
 
 
 def _capacity_value(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
@@ -102,6 +105,12 @@ def _capacity_value(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
 
 def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
                        p: float, eps: float) -> tuple[float, np.ndarray]:
+    """Capacity objective and its projected node gradient.
+
+    Per axis, the corner weights of the p-density gather onto the edges
+    they were measured on; the gradient term is then the transposed edge
+    difference of weight times difference.
+    """
     dim = grid.dim
     vol = grid.cell_volume
     squares, diffs = _corner_gradient_squares(u, grid, eps)
@@ -110,19 +119,21 @@ def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarr
     value = vol * (sum(float(np.sum(s ** (p / 2.0))) for s in squares) / 2 ** dim
                    + float(np.sum(w_node * m ** (p / 2.0))))
     grad = vol * p * w_node * _weights(m, p) * u
+    weights = [_weights(s, p) for s in squares]
     scale = vol * p / (2 ** dim * grid.h)
-    for (bits, node_slc), s in zip(_corners(dim), squares):
-        ws = scale * _weights(s, p)
-        for k in range(dim):
-            e_slc = list(node_slc)
-            e_slc[k] = slice(None)
-            flux = ws * diffs[k][tuple(e_slc)]
-            high = list(node_slc)
-            high[k] = slice(1, None)
-            low = list(node_slc)
-            low[k] = slice(None, -1)
-            grad[tuple(high)] += flux
-            grad[tuple(low)] -= flux
+    for k, d in enumerate(diffs):
+        edge_w = np.zeros_like(d)
+        for (_, node_slc), w in zip(_corners(dim), weights):
+            edge_w[_edge_slice(node_slc, k)] += w
+        edge_w *= d
+        edge_w *= scale
+        # transposed difference along axis k: + at the high end, - at the low
+        high = [slice(None)] * dim
+        low = [slice(None)] * dim
+        high[k] = slice(1, None)
+        low[k] = slice(None, -1)
+        grad[tuple(high)] += edge_w
+        grad[tuple(low)] -= edge_w
     grad[pinned] = 0.0
     return value, grad
 
@@ -147,22 +158,19 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         raise DegenerateTarget(
             f"target captures no node at h = {grid.h:.4g}; refine the grid")
 
-    method = config.method
-    if method == "auto":
-        method = "linear" if p == 2.0 else "descent"
-    if method == "linear" and p != 2.0:
-        raise ValueError("the linear path only applies to p = 2")
-
+    method = config.resolve_method(p)
+    # the p = 2 minimizer of u^T(K+M)u is the linear path's answer and the
+    # descent's warm start: it already carries the right decay profile, so
+    # descent only corrects the p-dependent shape.  The linear path's
+    # nonlinear gradient is twice the row residual, hence the halved tolerance
+    matrix = (quadratics.edge_stiffness_matrix(grid)
+              + quadratics.node_mass_matrix(grid))
+    u_flat, iterations = quadratics.solve_pinned(
+        matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
+        grad_tolerance=0.5 * config.grad_tolerance if method == "linear" else 1e-10,
+        prefer_direct=config.prefer_direct)
+    u = u_flat.reshape(grid.shape)
     if method == "linear":
-        matrix = (quadratics.edge_stiffness_matrix(grid)
-                  + quadratics.node_mass_matrix(grid))
-        # stationarity of u^T(K+M)u under pinning; nonlinear gradient is
-        # twice the row residual, hence the halved tolerance
-        u_flat, iterations = quadratics.solve_pinned(
-            matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
-            grad_tolerance=0.5 * config.grad_tolerance,
-            prefer_direct=config.prefer_direct)
-        u = u_flat.reshape(grid.shape)
         _, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
     else:
@@ -181,16 +189,8 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps)
             return value, grad.ravel()
 
-        # the p = 2 minimizer is cheap and already carries the right
-        # decay profile, so descent only corrects the p-dependent shape
-        matrix = (quadratics.edge_stiffness_matrix(grid)
-                  + quadratics.node_mass_matrix(grid))
-        warm, _ = quadratics.solve_pinned(
-            matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
-            grad_tolerance=1e-10, prefer_direct=config.prefer_direct)
-        x0 = warm
         result = descent.minimize(
-            objective, x0,
+            objective, u_flat,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
             memory=config.memory,

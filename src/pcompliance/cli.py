@@ -12,15 +12,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import capacity as capacity_mod
 from . import construction, poincare, reporting, stability
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NonConvergence, ResolutionTooCoarse
 from .geometry import CrackSet, build_grid, load_segments, rasterize, total_length
 from .solver import solve
-from .sources import Constant, GaussianBump, named_source, sample_on_grid
+from .sources import GaussianBump, named_source, sample_on_grid
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .geometry import ProblemSpec
@@ -27,18 +27,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _parser_for(hint) -> Callable[[str], object]:
+    """Text parser for a field type: scalars, Optional[...] and tuple[T, ...].
 
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _optional(parser: Callable):
-    def parse(text: str):
-        return None if text.strip() == "" else parser(text)
-    return parse
+    Optional fields read an empty value as None; tuples take comma- or
+    space-separated items.
+    """
+    if hint is bool:
+        return _parse_bool
+    if hint in (int, float, str):
+        return hint
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        item = _parser_for(args[0])
+        return lambda text: tuple(item(x) for x in text.replace(",", " ").split())
+    if type(None) in args:
+        (inner,) = [a for a in args if a is not type(None)]
+        parse = _parser_for(inner)
+        return lambda text: None if text.strip() == "" else parse(text)
+    raise TypeError(f"no config parser for field type {hint!r}")
 
 
 @dataclass(frozen=True)
@@ -144,65 +151,19 @@ _SECTION_TYPES = {
     "stability": StabilityJob,
 }
 
-_KEY_PARSERS = {
-    ("problem", "p"): float,
-    ("problem", "dim"): int,
-    ("problem", "half_width"): float,
-    ("problem", "length_penalty"): float,
-    ("problem", "length_budget"): _optional(float),
-    ("problem", "source_exponent"): _optional(float),
-    ("solver", "grad_tolerance"): float,
-    ("solver", "max_iterations"): int,
-    ("solver", "regularization_eps"): _optional(float),
-    ("solver", "method"): str,
-    ("solver", "memory"): int,
-    ("solver", "armijo_factor"): float,
-    ("solver", "armijo_c1"): float,
-    ("solver", "prefer_direct"): _optional(_parse_bool),
-    ("solve", "nodes_per_side"): int,
-    ("solve", "source"): str,
-    ("solve", "cracks_file"): _optional(str),
-    ("solve", "heatmap"): _parse_bool,
-    ("capacity-sweep", "lengths"): _parse_floats,
-    ("capacity-sweep", "resolution"): int,
-    ("capacity-sweep", "box_half_width"): _optional(float),
-    ("capacity-sweep", "slope_tolerance"): float,
-    ("sweep-vanishing", "n_list"): _parse_ints,
-    ("sweep-vanishing", "epsilon"): float,
-    ("sweep-vanishing", "length_penalty"): float,
-    ("sweep-vanishing", "local_nodes"): _optional(int),
-    ("sweep-vanishing", "span_cells"): float,
-    ("sweep-vanishing", "capacity_resolution"): int,
-    ("sweep-vanishing", "divergence_samples"): int,
-    ("sweep-vanishing", "bound_safety"): float,
-    ("sweep-vanishing", "compare_baseline"): _parse_bool,
-    ("sweep-vanishing", "baseline_nodes"): int,
-    ("poincare", "deltas"): _parse_floats,
-    ("poincare", "relative_lengths"): _parse_floats,
-    ("poincare", "nodes_per_side"): int,
-    ("poincare", "with_capacity"): _parse_bool,
-    ("poincare", "capacity_resolution"): int,
-    ("poincare", "doubling_tolerance"): float,
-    ("stability", "pairs"): int,
-    ("stability", "calibration"): int,
-    ("stability", "nodes_per_side"): int,
-    ("stability", "calibration_safety"): float,
-    ("stability", "truncation_levels"): _parse_floats,
-    ("output", "seed"): int,
-    ("output", "directory"): str,
-}
+_OUTPUT_KEYS = ("seed", "directory")
 
 
 def _build_section(section: str, raw: dict[str, str]):
     cls = _SECTION_TYPES[section]
+    hints = get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     kwargs = {}
     for key, text in raw.items():
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        parser = _KEY_PARSERS[(section, key)]
         try:
-            kwargs[key] = parser(text)
+            kwargs[key] = _parser_for(hints[key])(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} in [{section}]: {exc}") from exc
     try:
@@ -226,8 +187,8 @@ def config_from_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     for section in parser.sections():
         raw = dict(parser.items(section))
         if section == "output":
-            for key, text_value in raw.items():
-                if ("output", key) not in _KEY_PARSERS:
+            for key in raw:
+                if key not in _OUTPUT_KEYS:
                     raise ConfigError(f"unknown key {key!r} in section [output]")
             if "seed" in raw:
                 try:

@@ -35,18 +35,13 @@ class ProblemSpec:
 
     p is the energy exponent (> 1), dim the ambient dimension (>= 2),
     half_width the half side length R of the box (-R, R)^dim.  length_penalty
-    is the weight on crack length in penalized objectives and length_budget an
-    optional cap for budgeted formulations.  source_exponent records (for
-    reporting only) the integrability exponent used for source norms; when
-    omitted, a default depending on p and dim is used.
+    is the weight on crack length in penalized objectives.
     """
 
     p: float
     dim: int = 2
     half_width: float = 1.0
     length_penalty: float = 0.0
-    length_budget: float | None = None
-    source_exponent: float | None = None
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -57,30 +52,10 @@ class ProblemSpec:
             raise ValueError("box half width must be positive")
         if self.length_penalty < 0.0:
             raise ValueError("length penalty must be nonnegative")
-        if self.length_budget is not None and not self.length_budget > 0.0:
-            raise ValueError("length budget must be positive when given")
-        if self.source_exponent is not None and not self.source_exponent >= 1.0:
-            raise ValueError("source exponent must be at least 1")
 
     @property
     def dual_exponent(self) -> float:
         return self.p / (self.p - 1.0)
-
-    def default_source_exponent(self) -> float:
-        """Natural integrability exponent for sources at this (p, dim).
-
-        Below the dimension the conjugate of the Sobolev exponent is forced;
-        at p == dim any exponent above one works and we pick two; above the
-        dimension plain integrability suffices.
-        """
-        if self.source_exponent is not None:
-            return self.source_exponent
-        if self.p < self.dim:
-            p_star = self.dim * self.p / (self.dim - self.p)
-            return p_star / (p_star - 1.0)
-        if self.p == self.dim:
-            return 2.0
-        return 1.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ not a continuum claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -22,8 +22,9 @@ from .capacity import CapacityResult, segment_capacity
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
                        axis_segment, rasterize)
-from .solver import (SolverConfig, _corners, _weights, cell_gradients,
-                     cell_means, zero_energy_gauge_free, zero_energy_unbounded)
+from .solver import (SolverConfig, _weights, cell_gradients,
+                     cell_gradients_adjoint, cell_means, cell_means_adjoint,
+                     zero_energy_gauge_free, zero_energy_unbounded)
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,9 @@ def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
         config = SolverConfig()
     _validate_mask(grid, mask)
 
-    method = config.method
-    if method == "auto":
-        method = "linear" if p == 2.0 and zero_energy_gauge_free(mask.pinned) else "descent"
+    method = config.resolve_method(
+        p, linear_ok=zero_energy_gauge_free(mask.pinned))
     if method == "linear":
-        if p != 2.0:
-            raise ValueError("the eigenvalue path only applies to p = 2")
-        if not zero_energy_gauge_free(mask.pinned):
-            raise ValueError("pinned stiffness block is singular; use descent")
         mu, iterations, residual = _largest_mass_over_stiffness(grid, mask.pinned)
         quotient = 1.0 / mu
     else:
@@ -114,43 +110,37 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     return mu, 0, residual
 
 
+def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
+                   p: float, eps: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """int|grad u|^p and int|u|^p (eps-regularized) with their node gradients.
+
+    The gradients are p vol G^T(w_s G u) and p vol M^T(w_m M u), zeroed
+    at pinned nodes, with w the weights of each p-density.
+    """
+    vol = grid.cell_volume
+    g = cell_gradients(u, grid.h)
+    s = (g * g).sum(axis=0) + eps * eps
+    u_bar = cell_means(u)
+    m = u_bar * u_bar + eps * eps
+    num = vol * float(np.sum(s ** (p / 2.0)))
+    den = vol * float(np.sum(m ** (p / 2.0)))
+    d_num = cell_gradients_adjoint((p * _weights(s, p)) * g, grid.h, scale=vol)
+    d_den = cell_means_adjoint((p * _weights(m, p)) * u_bar, scale=vol)
+    d_num[pinned] = 0.0
+    d_den[pinned] = 0.0
+    return num, d_num, den, d_den
+
+
 def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
                       config: SolverConfig) -> tuple[float, int, float]:
     """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields."""
     eps = config.resolve_eps(p, 1.0)
     shape = grid.shape
-    h = grid.h
-    dim = grid.dim
-    vol = grid.cell_volume
-    gscale = vol / (2 ** (dim - 1) * h)
-    mscale = vol / 2 ** dim
-
-    def forms(u: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
-        g = cell_gradients(u, h)
-        s = (g * g).sum(axis=0) + eps * eps
-        u_bar = cell_means(u)
-        m = u_bar * u_bar + eps * eps
-        num = vol * float(np.sum(s ** (p / 2.0)))
-        den = vol * float(np.sum(m ** (p / 2.0)))
-        wg = (p * _weights(s, p)) * g
-        wm = (p * _weights(m, p)) * u_bar
-        d_num = np.zeros_like(u)
-        d_den = np.zeros_like(u)
-        for bits, sl in _corners(dim):
-            contrib = None
-            for k in range(dim):
-                part = gscale * wg[k] if bits[k] else -gscale * wg[k]
-                contrib = part if contrib is None else contrib + part
-            d_num[sl] += contrib
-            d_den[sl] += mscale * wm
-        d_num[pinned] = 0.0
-        d_den[pinned] = 0.0
-        return num, d_num, den, d_den
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         norm = float(np.linalg.norm(x))
         xh = x / norm
-        num, d_num, den, d_den = forms(xh.reshape(shape))
+        num, d_num, den, d_den = quotient_forms(xh.reshape(shape), grid, pinned, p, eps)
         quotient = num / den
         grad = (d_num.ravel() - quotient * d_den.ravel()) / den
         grad -= float(np.dot(grad, xh)) * xh

@@ -18,9 +18,9 @@ report records the eps actually used.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class SolverConfig:
     grad_tolerance bounds the max-norm of the projected energy gradient at
     the returned field.  regularization_eps = None picks 0 for p >= 2 and
     1e-8 * max|f| otherwise; an explicit 0 is rejected for p < 2.  method
-    is "auto" (linear algebra for p = 2, descent otherwise), "descent", or
-    "linear".
+    is "auto", "descent", or "linear"; `resolve_method` turns it into the
+    path a solve takes.
     """
 
     grad_tolerance: float = 1e-8
@@ -65,6 +65,22 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (0 < self.armijo_factor < 1):
             raise ValueError("armijo_factor must lie in (0, 1)")
+
+    def resolve_method(self, p: float, linear_ok: bool = True) -> str:
+        """The solve path, "linear" or "descent", for exponent p.
+
+        "auto" picks linear algebra iff p = 2 and linear_ok, which callers
+        clear when the pinned p = 2 block is singular.  An explicit
+        "linear" that cannot apply raises ValueError with the reason.
+        """
+        if self.method == "auto":
+            return "linear" if p == 2.0 and linear_ok else "descent"
+        if self.method == "linear":
+            if p != 2.0:
+                raise ValueError("the linear path only applies to p = 2")
+            if not linear_ok:
+                raise ValueError("pinned stiffness block is singular; use descent")
+        return self.method
 
     def resolve_eps(self, p: float, f_scale: float) -> float:
         if self.regularization_eps is None:
@@ -148,14 +164,24 @@ def zero_energy_gauge_free(pinned: np.ndarray) -> bool:
 
 
 def cell_means(values: np.ndarray) -> np.ndarray:
+    """M: per-cell averages of the 2^dim corner values."""
     acc = None
     for _, sl in _corners(values.ndim):
         acc = values[sl].copy() if acc is None else acc + values[sl]
     return acc / 2 ** values.ndim
 
 
+def cell_means_adjoint(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * M^T v: each cell value spread evenly over its corner nodes."""
+    out = np.zeros(tuple(n + 1 for n in v.shape))
+    share = (scale / 2 ** v.ndim) * v
+    for _, sl in _corners(v.ndim):
+        out[sl] += share
+    return out
+
+
 def cell_gradients(values: np.ndarray, h: float) -> np.ndarray:
-    """Per-cell gradient vectors, shape (dim, *cells)."""
+    """G: per-cell gradient vectors, shape (dim, *cells)."""
     dim = values.ndim
     out = np.zeros((dim,) + tuple(s - 1 for s in values.shape))
     for bits, sl in _corners(dim):
@@ -166,6 +192,30 @@ def cell_gradients(values: np.ndarray, h: float) -> np.ndarray:
             else:
                 out[k] -= v
     out /= 2 ** (dim - 1) * h
+    return out
+
+
+def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0,
+                           means: Optional[np.ndarray] = None) -> np.ndarray:
+    """scale * (G^T g + M^T means): node field paired with cell vectors g.
+
+    g has shape (dim, *cells); the optional cell field `means` adds the
+    cell-mean transpose in the same pass.  Each corner's contribution is
+    summed in full before it reaches its nodes, which fixes the rounding
+    of the energy gradient and so the path of every descent built on it.
+    """
+    dim = g.shape[0]
+    out = np.zeros(tuple(n + 1 for n in g.shape[1:]))
+    gscale = scale / (2 ** (dim - 1) * h)
+    mscale = scale / 2 ** dim
+    for bits, sl in _corners(dim):
+        contrib = 0.0 if means is None else mscale * means
+        for k in range(dim):
+            if bits[k]:
+                contrib = contrib + gscale * g[k]
+            else:
+                contrib = contrib - gscale * g[k]
+        out[sl] += contrib
     return out
 
 
@@ -193,29 +243,17 @@ def energy_and_gradient(u: GridField, f_bar: np.ndarray, grid: GridDiscretizatio
                         pinned: np.ndarray, p: float, eps: float) -> tuple[float, np.ndarray]:
     """Energy value and its projected node gradient, one fused pass.
 
-    f_bar holds cell means of the source.  The gradient is exact for the
-    discrete energy; entries at pinned nodes are forced to 0.
+    f_bar holds cell means of the source.  The gradient is
+    vol * (G^T(w G u) - M^T f_bar), w the weights of the p-density, exact
+    for the discrete energy; entries at pinned nodes are forced to 0.
     """
-    h = grid.h
-    dim = grid.dim
-    g = cell_gradients(u, h)
+    g = cell_gradients(u, grid.h)
     s = (g * g).sum(axis=0) + eps * eps
-    u_bar = cell_means(u)
     vol = grid.cell_volume
     value = vol * (float(np.sum(s ** (p / 2.0))) / p
-                   - float(np.dot(f_bar.ravel(), u_bar.ravel())))
-    wg = _weights(s, p) * g
-    grad = np.zeros_like(u)
-    gscale = vol / (2 ** (dim - 1) * h)
-    mscale = vol / 2 ** dim
-    for bits, sl in _corners(dim):
-        contrib = -mscale * f_bar
-        for k in range(dim):
-            if bits[k]:
-                contrib = contrib + gscale * wg[k]
-            else:
-                contrib = contrib - gscale * wg[k]
-        grad[sl] += contrib
+                   - float(np.dot(f_bar.ravel(), cell_means(u).ravel())))
+    grad = cell_gradients_adjoint(_weights(s, p) * g, grid.h, scale=vol,
+                                  means=-f_bar)
     grad[pinned] = 0.0
     return value, grad
 
@@ -231,12 +269,6 @@ def gradient_pnorm(u: GridField, grid: GridDiscretization, p: float) -> float:
     g = cell_gradients(u, grid.h)
     s = (g * g).sum(axis=0)
     return grid.cell_volume * float(np.sum(s ** (p / 2.0)))
-
-
-def work_integral(u: GridField, f: np.ndarray, grid: GridDiscretization) -> float:
-    """int f u by midpoint quadrature."""
-    return grid.cell_volume * float(
-        np.dot(cell_means(f).ravel(), cell_means(u).ravel()))
 
 
 def flux(u: GridField, grid: GridDiscretization, p: float, eps: float = 0.0) -> FluxField:
@@ -323,22 +355,16 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             "energy is unbounded below; widen the crack or refine the grid")
 
     pinned = mask.pinned
-    method = config.method
-    if method == "auto":
-        method = "linear" if p == 2.0 else "descent"
-    if method == "linear" and p != 2.0:
-        raise ValueError("the linear path only applies to p = 2")
-    if (method == "linear" and not require_boundary
-            and not zero_energy_gauge_free(pinned)):
-        # pinned stiffness block is singular (pure-gauge modes); splu/CG
-        # would misbehave, descent is immune
-        method = "descent"
+    # pure-gauge modes make the pinned stiffness block singular, where
+    # splu/CG misbehave and descent is immune
+    method = config.resolve_method(
+        p, linear_ok=require_boundary or zero_energy_gauge_free(pinned))
 
     def eps_for(f: np.ndarray) -> float:
         return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
 
-    def finish(u, f, f_bar, eps, iterations, evaluations, converged=True):
-        report = _build_report(u, f, f_bar, grid, pinned, p, eps,
+    def finish(u, f_bar, eps, iterations, evaluations, converged=True):
+        report = _build_report(u, f_bar, grid, pinned, p, eps,
                                iterations, evaluations, method, crack_length,
                                length_penalty)
         if not converged:
@@ -362,7 +388,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         fields = u_flat.T.reshape((len(fs),) + grid.shape)
-        return [finish(u, f, cell_means(f), eps_for(f), iterations, 0)
+        return [finish(u, cell_means(f), eps_for(f), iterations, 0)
                 for u, f in zip(fields, fs)]
 
     shape = grid.shape
@@ -385,17 +411,18 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             armijo_c1=config.armijo_c1)
         u = result.x.reshape(shape)
         u[pinned] = 0.0
-        solved.append(finish(u, f, f_bar, eps, result.iterations,
+        solved.append(finish(u, f_bar, eps, result.iterations,
                              result.evaluations, result.converged))
     return solved
 
 
-def _build_report(u, f, f_bar, grid, pinned, p, eps, iterations, evaluations,
+def _build_report(u, f_bar, grid, pinned, p, eps, iterations, evaluations,
                   method, crack_length, length_penalty) -> ComplianceReport:
     value, grad = energy_and_gradient(u, f_bar, grid, pinned, p, eps)
     q = p / (p - 1.0)
     c_energy = gradient_pnorm(u, grid, p) / q
-    c_work = work_integral(u, f, grid) / q
+    c_work = grid.cell_volume * float(
+        np.dot(f_bar.ravel(), cell_means(u).ravel())) / q
     sigma = flux(u, grid, p, eps=0.0)
     return ComplianceReport(
         p=p,
@@ -489,8 +516,6 @@ def divergence_residual(sigma: FluxField, f: np.ndarray, grid: GridDiscretizatio
     Residuals are exact-quadrature mismatches, so they carry both the
     solver residual and the O(h^2) discretization error.
     """
-    from .geometry import _segment_node_distances
-
     centers = grid.node_coordinates()
     cell_centers = np.stack(
         [cell_means(centers[..., k]) for k in range(grid.dim)], axis=-1)

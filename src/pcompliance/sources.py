@@ -7,7 +7,7 @@ their own parameters for reproducible experiment records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

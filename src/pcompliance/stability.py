@@ -19,9 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence
-from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
-                       axis_segment, rasterize)
+from .geometry import CrackSet, GridDiscretization, axis_segment, rasterize
 from .solver import SolverConfig, cell_means, cell_gradients, solve_batch
 from .sources import random_smooth, sample_on_grid
 

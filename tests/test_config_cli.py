@@ -26,7 +26,6 @@ p = 1.5
 dim = 3
 half_width = 2.0
 length_penalty = 0.5
-length_budget =
 
 [solver]
 grad_tolerance = 1e-6
@@ -47,7 +46,6 @@ directory = results
 """)
     assert cfg.problem.p == 1.5
     assert cfg.problem.dim == 3
-    assert cfg.problem.length_budget is None
     assert cfg.solver.grad_tolerance == 1e-6
     assert cfg.solver.method == "descent"
     assert cfg.solver.prefer_direct is True
@@ -67,6 +65,8 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("[problem]\nexponent = 2\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_text("[problem]\nlength_budget = 1.0\n")
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("[output]\nfolder = x\n")
 

@@ -13,9 +13,9 @@ from pcompliance.construction import (
     vanishing_sequence_experiment,
 )
 from pcompliance.errors import ResolutionTooCoarse
-from pcompliance.geometry import total_length
-from pcompliance.solver import SolverConfig, flux_pnorm
-from pcompliance.sources import Constant, GaussianBump
+from pcompliance.geometry import GridDiscretization, total_length
+from pcompliance.solver import SolverConfig, cell_means, flux_pnorm
+from pcompliance.sources import Constant, GaussianBump, sample_on_grid
 
 
 def test_params_fix_total_length_across_n():
@@ -120,6 +120,20 @@ def test_assembled_flux_norm_matches_local_energies():
     assert sigma.shape == (2, 64, 64)
     with pytest.raises(ValueError):
         assemble_flux(results[:3], params)
+
+
+def test_cube_source_norms_sum_to_global_integral():
+    # the cube grids tile the box, so the per-cube int |g_bar|^p' add up to
+    # the midpoint sum on the global grid
+    params = ConstructionParams(n=2, epsilon=0.4, dim=2, p=3.0)
+    g = GaussianBump((0.3, -0.2), 0.5)
+    results = solve_all_cubes(params, g, local_nodes=17,
+                              config=SolverConfig(grad_tolerance=1e-6))
+    grid = GridDiscretization(4 * 16 + 1, params.half_width, params.dim)
+    g_bar = cell_means(sample_on_grid(g, grid))
+    expected = grid.cell_volume * float(np.sum(np.abs(g_bar) ** 1.5))
+    total = sum(r.source_dual_pnorm for r in results)
+    assert total == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_source_yields_zero_rows():

@@ -16,6 +16,7 @@ from pcompliance.poincare import (
     crack_cube,
     crack_poincare,
     mass_pnorm,
+    quotient_forms,
 )
 from pcompliance.solver import SolverConfig, gradient_pnorm
 
@@ -69,6 +70,37 @@ def test_descent_matches_eigen_path_for_p2():
     assert linear.method == "linear"
     assert descent.method == "descent"
     assert descent.best_constant == pytest.approx(linear.best_constant, rel=1e-5)
+
+
+@pytest.mark.parametrize("p,eps", [(1.5, 1e-3), (3.0, 0.0)])
+def test_quotient_gradient_matches_finite_differences(p, eps):
+    rng = np.random.default_rng(8)
+    cube = crack_cube(1.0, 0.5, 9)
+    pinned = cube.mask.pinned
+    u = rng.standard_normal(cube.grid.shape)
+    u[pinned] = 0.0
+
+    def forms(v):
+        num, d_num, den, d_den = quotient_forms(v, cube.grid, pinned, p, eps)
+        return (np.array([num, den, num / den]),
+                np.stack([d_num, d_den, (d_num - num / den * d_den) / den]))
+
+    _, grads = forms(u)
+    assert np.all(grads[:, pinned] == 0.0)
+    free = np.argwhere(~pinned)
+    step = 1e-6
+    for idx in map(tuple, free[rng.choice(len(free), 12, replace=False)]):
+        probe = np.zeros(cube.grid.shape)
+        probe[idx] = step
+        fd = (forms(u + probe)[0] - forms(u - probe)[0]) / (2.0 * step)
+        assert grads[(slice(None),) + idx] == pytest.approx(fd, rel=5e-5, abs=1e-9)
+
+
+def test_explicit_linear_method_needs_p2():
+    cube = crack_cube(1.0, 0.5, 17)
+    with pytest.raises(ValueError, match="p = 2"):
+        best_poincare_constant(cube.grid, cube.mask, 3.0,
+                               SolverConfig(method="linear"))
 
 
 @pytest.mark.parametrize("p,tol,rel", [(2.0, 1e-9, 1e-12), (3.0, 1e-7, 1e-6)])

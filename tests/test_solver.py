@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pcompliance import quadratics
+from pcompliance.capacity import variational_capacity
 from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
     ConstraintMask,
@@ -13,7 +15,9 @@ from pcompliance.solver import (
     ComplianceReport,
     SolverConfig,
     cell_gradients,
+    cell_gradients_adjoint,
     cell_means,
+    cell_means_adjoint,
     divergence_residual,
     energy,
     energy_gradient,
@@ -49,6 +53,39 @@ def test_cell_gradients_linear_exact():
     g = cell_gradients(u, grid.h)
     assert np.allclose(g[0], 2.0, atol=1e-13)
     assert np.allclose(g[1], -3.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 9), (3, 5)])
+def test_stencil_transposes_pair_with_their_stencils(dim, nodes):
+    rng = np.random.default_rng(dim)
+    grid = GridDiscretization(nodes, 1.0, dim)
+    u = rng.standard_normal(grid.shape)
+    g = rng.standard_normal((dim,) + grid.cells_shape)
+    v = rng.standard_normal(grid.cells_shape)
+    lhs = np.vdot(cell_gradients(u, grid.h), g)
+    assert np.vdot(u, cell_gradients_adjoint(g, grid.h)) == pytest.approx(lhs, rel=1e-12)
+    lhs = np.vdot(cell_means(u), v)
+    assert np.vdot(u, cell_means_adjoint(v)) == pytest.approx(lhs, rel=1e-12)
+    fused = cell_gradients_adjoint(g, grid.h, scale=3.0, means=v)
+    apart = 3.0 * (cell_gradients_adjoint(g, grid.h) + cell_means_adjoint(v))
+    assert np.abs(fused - apart).max() <= 1e-12 * np.abs(apart).max()
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 6), (3, 4)])
+def test_stencil_transposes_equal_sparse_operator_transposes(dim, nodes):
+    grid = GridDiscretization(nodes, 1.0, dim)
+    n_cells = int(np.prod(grid.cells_shape))
+    basis = np.eye(n_cells).reshape((n_cells,) + grid.cells_shape)
+    means_t = np.stack([cell_means_adjoint(e).ravel() for e in basis], axis=1)
+    expected = quadratics.mean_operator(grid).T.toarray()
+    assert np.abs(means_t - expected).max() <= 1e-15
+    for k in range(dim):
+        g = np.zeros((n_cells, dim) + grid.cells_shape)
+        g[:, k] = basis
+        grads_t = np.stack([cell_gradients_adjoint(e, grid.h).ravel() for e in g],
+                           axis=1)
+        expected = quadratics.gradient_operator(grid, k).T.toarray()
+        assert np.abs(grads_t - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -248,6 +285,28 @@ def test_solve_validation_errors():
                      grid, include_boundary=False)
     with pytest.raises(ValueError):
         solve(f, grid, bare, 2.0)
+
+
+def test_explicit_linear_method_that_cannot_apply_raises():
+    grid = GridDiscretization(9, 1.0, 2)
+    mask = rasterize(CrackSet.empty(), grid)
+    linear = SolverConfig(method="linear")
+    with pytest.raises(ValueError, match="p = 2"):
+        solve(np.ones(grid.shape), grid, mask, 3.0, linear)
+    with pytest.raises(ValueError, match="p = 2"):
+        variational_capacity(np.zeros(2), 3.0, grid, linear)
+    # four pins on one plane cover every parity of the other two axes: the
+    # energy stays bounded, but a pure-gauge mode leaves the p = 2 block
+    # singular, so only descent applies
+    cube = GridDiscretization(5, 1.0, 3)
+    pinned = np.zeros(cube.shape, dtype=bool)
+    pinned[1, 1:3, 1:3] = True
+    mask = ConstraintMask(cube, pinned)
+    f = np.ones(cube.shape)
+    with pytest.raises(ValueError, match="singular"):
+        solve(f, cube, mask, 2.0, linear, require_boundary=False)
+    _, report = solve(f, cube, mask, 2.0, require_boundary=False)
+    assert report.method == "descent"
 
 
 def test_solver_config_validation():
