@@ -161,16 +161,17 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     method = config.resolve_method(p)
     # the p = 2 minimizer of u^T(K+M)u is the linear path's answer and the
     # descent's warm start: it already carries the right decay profile, so
-    # descent only corrects the p-dependent shape.  The linear path's
-    # nonlinear gradient is twice the row residual, hence the halved tolerance
+    # descent only corrects the p-dependent shape
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
-    u_flat, iterations = quadratics.solve_pinned(
-        matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
-        grad_tolerance=0.5 * config.grad_tolerance if method == "linear" else 1e-10,
-        prefer_direct=config.prefer_direct)
-    u = u_flat.reshape(grid.shape)
     if method == "linear":
+        # the nonlinear gradient is twice the row residual, hence the
+        # halved tolerance
+        u_flat, iterations = quadratics.solve_pinned(
+            matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
+            grad_tolerance=0.5 * config.grad_tolerance,
+            prefer_direct=config.prefer_direct)
+        u = u_flat.reshape(grid.shape)
         _, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
     else:
@@ -184,6 +185,11 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         else:
             eps = 0.0
         shape = grid.shape
+        # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
+        # nodes for any pinning thanks to the mass term; its one factor
+        # gives the warm start and the descent's H0
+        factor = quadratics.PinnedFactor(2.0 * matrix, pinned.ravel())
+        u_flat = factor.solve(np.zeros(grid.n_nodes), pin_value=1.0)
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
             value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps)
@@ -195,15 +201,17 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             max_iterations=config.max_iterations,
             memory=config.memory,
             armijo_factor=config.armijo_factor,
-            armijo_c1=config.armijo_c1)
+            armijo_c1=config.armijo_c1,
+            precondition=factor.precondition)
         u = result.x.reshape(shape)
         u[pinned] = 1.0
         iterations = result.iterations
         residual = float(np.abs(result.gradient).max())
         if not result.converged:
             raise NonConvergence(
-                f"capacity minimization stalled at residual {residual:.3e} "
-                f"after {iterations} iterations", field=u)
+                f"capacity minimization stopped ({result.reason}) at residual "
+                f"{residual:.3e} after {iterations} iterations",
+                field=u, reason=result.reason)
 
     return CapacityResult(
         value=_capacity_value(u, grid, p),

@@ -24,7 +24,7 @@ from .errors import ResolutionTooCoarse
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
                        axis_segment, rasterize, total_length)
 from .solver import (ComplianceReport, LinearOperators, SolverConfig,
-                     cell_means, divergence_residual, flux, gradient_pnorm,
+                     cell_means, divergence_residual, flux,
                      solve, solve_batch)
 from .sources import Constant, sample_on_grid
 
@@ -178,7 +178,7 @@ def _solve_cubes(params: ConstructionParams, centers, g,
             cube_grid = problems[i][0]
             results[i] = LocalSolveResult(
                 center=cube_grid.center, grid=cube_grid, u=u,
-                energy_pnorm=gradient_pnorm(u, cube_grid, params.p),
+                energy_pnorm=report.flux_pnorm,
                 report=report,
                 source_dual_pnorm=cube_grid.cell_volume * float(
                     np.sum(np.abs(cell_means(source)) ** q)))

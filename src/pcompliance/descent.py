@@ -2,16 +2,23 @@
 
 All solver contracts in this package certify convergence through the max norm
 of the projected gradient, so this loop tracks exactly that quantity.  The
-search direction is the standard two-loop L-BFGS recursion; whenever it fails
-to be a descent direction (or the line search stalls on it) the memory is
-dropped and the step retried along the raw negative gradient.
+search direction is the standard two-loop L-BFGS recursion, optionally seeded
+with a preconditioner H0; whenever it fails to be a descent direction (or the
+line search stalls on it) the memory is dropped and the step retried along
+the (preconditioned) negative gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
+
+# why `minimize` stopped
+CONVERGED = "converged"
+ITERATION_CAP = "iteration cap"
+LINE_SEARCH_STALL = "line-search stall"
 
 
 @dataclass
@@ -20,19 +27,36 @@ class DescentResult:
     value: float
     gradient: np.ndarray
     iterations: int
-    converged: bool
     evaluations: int
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == CONVERGED
 
 
-def _two_loop_direction(grad, s_hist, y_hist, rho_hist):
+def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad=None, py_hist=None):
+    """-H grad by the two-loop recursion.
+
+    H0 is the scaled identity, or gamma * P for a preconditioner P given
+    through pgrad = P grad and py_hist = P y per stored pair; P q then
+    follows by linearity, with no further application of P.
+    """
     q = grad.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-    q *= gamma
+    sy = float(s_hist[-1] @ y_hist[-1])
+    if pgrad is None:
+        gamma = sy / float(y_hist[-1] @ y_hist[-1])
+        q *= gamma
+    else:
+        q = pgrad.copy()
+        for py, a in zip(reversed(py_hist), alphas):
+            q -= a * py
+        q *= sy / float(y_hist[-1] @ py_hist[-1])
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -65,43 +89,62 @@ def minimize(
     memory: int = 10,
     armijo_factor: float = 0.5,
     armijo_c1: float = 1e-4,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DescentResult:
     """Minimize fun(x) -> (value, gradient) to a max-norm gradient tolerance.
 
-    Stops when ||gradient||_inf <= grad_tolerance, when max_iterations is
-    reached, or when no Armijo step makes progress along either the
-    quasi-Newton or the steepest direction (numerical floor).
+    Stops when ||gradient||_inf <= grad_tolerance ("converged"), when
+    max_iterations is reached ("iteration cap"), or when no Armijo step
+    makes progress along either the quasi-Newton or the restart direction
+    ("line-search stall", a numerical floor).
+
+    precondition(v) applies an SPD approximation H0 of the inverse Hessian.
+    It seeds the two-loop recursion as gamma * H0, gamma = s.y / y.H0 y,
+    and the first step and restarts follow -H0 g.  H0 runs once per
+    accepted step, on the new gradient; every other H0 product follows by
+    linearity.  Without a preconditioner the first step and restarts follow
+    the normalised raw gradient and H0 is the scaled identity.
     """
     x = np.array(x0, dtype=float)
     value, grad = fun(x)
     evaluations = 1
     if x.size == 0:
-        return DescentResult(x, value, grad, 0, True, evaluations)
+        return DescentResult(x, value, grad, 0, evaluations, CONVERGED)
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
+    py_hist: list[np.ndarray] = []
+    pgrad = None if precondition is None else precondition(grad)
+
+    def restart_direction():
+        if pgrad is not None:
+            return -pgrad
+        # unscaled step; the backtracking line search fixes the size
+        return -grad / max(float(np.linalg.norm(grad)), 1e-300)
 
     iterations = 0
+    stalled = False
     gmax = float(np.max(np.abs(grad)))
     while gmax > grad_tolerance and iterations < max_iterations:
         if s_hist:
-            direction = _two_loop_direction(grad, s_hist, y_hist, rho_hist)
+            direction = _two_loop_direction(grad, s_hist, y_hist, rho_hist,
+                                            pgrad, py_hist)
         else:
-            # unscaled first step; the backtracking line search fixes the size
-            direction = -grad / max(float(np.linalg.norm(grad)), 1e-300)
+            direction = restart_direction()
         hit, evals = _backtrack(fun, x, value, grad, direction, armijo_factor, armijo_c1)
         evaluations += evals
         if hit is None and s_hist:
             # quasi-Newton direction unusable at this point; restart clean
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
-            direction = -grad / max(float(np.linalg.norm(grad)), 1e-300)
+            for hist in (s_hist, y_hist, rho_hist, py_hist):
+                hist.clear()
+            direction = restart_direction()
             hit, evals = _backtrack(fun, x, value, grad, direction, armijo_factor, armijo_c1)
             evaluations += evals
         if hit is None:
+            stalled = True
             break
         _, x_new, value_new, grad_new = hit
+        pgrad_new = None if precondition is None else precondition(grad_new)
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
@@ -109,12 +152,22 @@ def minimize(
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
+            if pgrad is not None:
+                py_hist.append(pgrad_new - pgrad)
             if len(s_hist) > memory:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
-        x, value, grad = x_new, value_new, grad_new
+                if py_hist:
+                    py_hist.pop(0)
+        x, value, grad, pgrad = x_new, value_new, grad_new, pgrad_new
         gmax = float(np.max(np.abs(grad)))
         iterations += 1
 
-    return DescentResult(x, value, grad, iterations, gmax <= grad_tolerance, evaluations)
+    if gmax <= grad_tolerance:
+        reason = CONVERGED
+    elif stalled:
+        reason = LINE_SEARCH_STALL
+    else:
+        reason = ITERATION_CAP
+    return DescentResult(x, value, grad, iterations, evaluations, reason)

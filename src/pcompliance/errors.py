@@ -2,16 +2,18 @@
 
 
 class NonConvergence(RuntimeError):
-    """Energy minimization hit the iteration cap above tolerance.
+    """A solve stopped above its tolerance.
 
     Carries the partially converged field and its report so callers can
-    inspect the last residual.
+    inspect the last residual, and the descent's stop reason ("iteration
+    cap" or "line-search stall"; None for a linear solve).
     """
 
-    def __init__(self, message, report=None, field=None):
+    def __init__(self, message, report=None, field=None, reason=None):
         super().__init__(message)
         self.report = report
         self.field = field
+        self.reason = reason
 
 
 class DegenerateTarget(ValueError):

@@ -157,8 +157,9 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
         armijo_c1=config.armijo_c1)
     if not result.converged:
         raise NonConvergence(
-            f"quotient descent stalled after {result.iterations} iterations "
-            f"at residual {np.abs(result.gradient).max():.3e}")
+            f"quotient descent stopped ({result.reason}) after "
+            f"{result.iterations} iterations at residual "
+            f"{np.abs(result.gradient).max():.3e}", reason=result.reason)
     return (1.0 / result.value, result.iterations,
             float(np.abs(result.gradient).max()))
 

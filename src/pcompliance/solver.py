@@ -42,7 +42,9 @@ class SolverConfig:
     the returned field.  regularization_eps = None picks 0 for p >= 2 and
     1e-8 * max|f| otherwise; an explicit 0 is rejected for p < 2.  method
     is "auto", "descent", or "linear"; `resolve_method` turns it into the
-    path a solve takes.
+    path a solve takes.  prefer_direct picks a sparse LU (True) or Jacobi
+    CG (False) for the p = 2 linear solves, None by size; capacity descent
+    always factors its p = 2 block.
     """
 
     grad_tolerance: float = 1e-8
@@ -363,15 +365,15 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     def eps_for(f: np.ndarray) -> float:
         return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
 
-    def finish(u, f_bar, eps, iterations, evaluations, converged=True):
+    def finish(u, f_bar, eps, iterations, evaluations, reason=descent.CONVERGED):
         report = _build_report(u, f_bar, grid, pinned, p, eps,
                                iterations, evaluations, method, crack_length,
                                length_penalty)
-        if not converged:
+        if reason != descent.CONVERGED:
             raise NonConvergence(
-                f"no convergence in {iterations} iterations, "
+                f"no convergence ({reason}) in {iterations} iterations, "
                 f"residual {report.residual:.3e} > {config.grad_tolerance:.3e}",
-                report=report, field=u)
+                report=report, field=u, reason=reason)
         if report.residual > config.grad_tolerance:
             raise NonConvergence(
                 f"linear path residual {report.residual:.3e} above "
@@ -412,7 +414,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         u = result.x.reshape(shape)
         u[pinned] = 0.0
         solved.append(finish(u, f_bar, eps, result.iterations,
-                             result.evaluations, result.converged))
+                             result.evaluations, result.reason))
     return solved
 
 
@@ -420,16 +422,18 @@ def _build_report(u, f_bar, grid, pinned, p, eps, iterations, evaluations,
                   method, crack_length, length_penalty) -> ComplianceReport:
     value, grad = energy_and_gradient(u, f_bar, grid, pinned, p, eps)
     q = p / (p - 1.0)
-    c_energy = gradient_pnorm(u, grid, p) / q
+    # the unregularized flux has |sigma|^p' = |grad u|^p cell by cell, so
+    # one p-norm serves both forms
+    pnorm = gradient_pnorm(u, grid, p)
+    c_energy = pnorm / q
     c_work = grid.cell_volume * float(
         np.dot(f_bar.ravel(), cell_means(u).ravel())) / q
-    sigma = flux(u, grid, p, eps=0.0)
     return ComplianceReport(
         p=p,
         energy=value,
         compliance_energy_form=c_energy,
         compliance_work_form=c_work,
-        flux_pnorm=flux_pnorm(sigma, grid, p),
+        flux_pnorm=pnorm,
         crack_length=crack_length,
         penalized_objective=c_energy + length_penalty * crack_length,
         iterations=iterations,

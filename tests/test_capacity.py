@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcompliance import quadratics
+from pcompliance import descent, quadratics
 from pcompliance.capacity import (
     CapacityResult,
     _capacity_gradient,
@@ -16,7 +16,7 @@ from pcompliance.capacity import (
     target_pins,
     variational_capacity,
 )
-from pcompliance.errors import DegenerateTarget
+from pcompliance.errors import DegenerateTarget, NonConvergence
 from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment
 from pcompliance.solver import SolverConfig
 
@@ -249,3 +249,66 @@ def test_capacity_rejects_bad_exponent():
     grid = GridDiscretization(9, 1.0, 2)
     with pytest.raises(ValueError):
         variational_capacity(axis_segment((-0.25, 0.0), 0, 0.5), 1.0, grid)
+
+
+@pytest.mark.parametrize("t,p,dim,box,max_iterations", [
+    (0.08, 1.5, 2, None, 200),   # 133^2 grid; 1871 iterations unpreconditioned
+    (0.5, 3.0, 3, 1.0, 60),      # 17^3 grid; 187 iterations unpreconditioned
+])
+def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iterations):
+    def run(tol):
+        config = SolverConfig(grad_tolerance=tol,
+                              regularization_eps=1e-3 if p < 2 else None)
+        return segment_capacity(t, p, dim, box_half_width=box, config=config)
+
+    result = run(1e-6)
+    assert result.iterations <= max_iterations
+    assert result.residual <= 1e-6
+    assert result.value == pytest.approx(run(1e-9).value, rel=1e-6)
+
+
+def test_capacity_descent_factors_once(monkeypatch):
+    calls = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    # prefer_direct only governs the linear path; descent always factors
+    config = SolverConfig(grad_tolerance=1e-7, prefer_direct=False)
+    segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
+    assert len(calls) == 1
+
+
+def test_capacity_sweep_process_pool_matches_serial():
+    ts = [0.25, 0.5]
+    config = SolverConfig(grad_tolerance=1e-7)
+    serial = capacity_sweep(ts, 1.5, box_half_width=1.0, config=config)
+    pooled = capacity_sweep(ts, 1.5, box_half_width=1.0, config=config, jobs=2)
+    assert [r.value for r in pooled] == [r.value for r in serial]
+    assert [r.iterations for r in pooled] == [r.iterations for r in serial]
+
+
+def test_capacity_nonconvergence_names_the_iteration_cap():
+    config = SolverConfig(grad_tolerance=1e-12, max_iterations=2)
+    with pytest.raises(NonConvergence, match="iteration cap") as err:
+        segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
+    assert err.value.reason == descent.ITERATION_CAP
+    assert err.value.field.shape == (17, 17)
+
+
+def test_capacity_nonconvergence_names_a_line_search_stall(monkeypatch):
+    minimize = descent.minimize
+
+    def stalling(fun, x0, **kwargs):
+        result = minimize(fun, x0, **{**kwargs, "max_iterations": 1})
+        result.reason = descent.LINE_SEARCH_STALL
+        return result
+
+    monkeypatch.setattr(descent, "minimize", stalling)
+    with pytest.raises(NonConvergence, match="line-search stall") as err:
+        segment_capacity(0.5, 3.0, box_half_width=1.0,
+                         config=SolverConfig(grad_tolerance=1e-12))
+    assert err.value.reason == descent.LINE_SEARCH_STALL

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pcompliance.errors import UnpinnedMask
+from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
     ConstraintMask,
     CrackSet,
@@ -166,3 +166,10 @@ def test_crack_cube_validation():
     with pytest.raises(ValueError):
         best_poincare_constant(
             crack_cube(1.0, 0.5, 9).grid, crack_cube(1.0, 0.5, 9).mask, 1.0)
+
+
+def test_quotient_descent_nonconvergence_names_the_iteration_cap():
+    config = SolverConfig(grad_tolerance=1e-12, max_iterations=2)
+    with pytest.raises(NonConvergence, match="iteration cap") as err:
+        crack_poincare(1.0, 0.5, 17, 3.0, config=config)
+    assert err.value.reason == "iteration cap"

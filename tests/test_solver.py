@@ -265,6 +265,8 @@ def test_nonconvergence_carries_partial_report():
     with pytest.raises(NonConvergence) as err:
         solve(f, grid, mask, 3.0, SolverConfig(grad_tolerance=1e-12, max_iterations=3))
     assert err.value.report.iterations == 3
+    assert err.value.reason == "iteration cap"
+    assert "iteration cap" in str(err.value)
     assert err.value.field.shape == grid.shape
 
 
