@@ -64,7 +64,12 @@ def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad=None, py_hist=None
 
 
 def _backtrack(fun, x, value, grad, direction, factor, c1, max_halvings=60):
-    """Armijo backtracking from unit step; returns None when no step works."""
+    """Armijo backtracking from unit step; returns None when no step works.
+
+    A trial point that rounds back to x fails the search: at that
+    rounding floor the Armijo test would accept an unchanged value, and
+    every shorter step rounds back to x too.
+    """
     slope = float(grad @ direction)
     if not np.isfinite(slope) or slope >= 0.0:
         return None, 0
@@ -72,6 +77,8 @@ def _backtrack(fun, x, value, grad, direction, factor, c1, max_halvings=60):
     evals = 0
     for _ in range(max_halvings):
         x_new = x + step * direction
+        if np.array_equal(x_new, x):
+            break
         value_new, grad_new = fun(x_new)
         evals += 1
         if np.isfinite(value_new) and value_new <= value + c1 * step * slope:

@@ -33,6 +33,11 @@ from .geometry import ConstraintMask, CrackSet, GridDiscretization
 GridField = np.ndarray
 FluxField = np.ndarray
 
+# node-mass multiple added to the stiffness block behind the descent
+# preconditioner when pure-gauge modes make that block singular; iteration
+# counts hardly move for any value from 1e-6 to 1e-1
+_GAUGE_SHIFT = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -43,8 +48,8 @@ class SolverConfig:
     1e-8 * max|f| otherwise; an explicit 0 is rejected for p < 2.  method
     is "auto", "descent", or "linear"; `resolve_method` turns it into the
     path a solve takes.  prefer_direct picks a sparse LU (True) or Jacobi
-    CG (False) for the p = 2 linear solves, None by size; capacity descent
-    always factors its p = 2 block.
+    CG (False) for the p = 2 linear solves, None by size; energy and
+    capacity descent always factor their p = 2 block.
     """
 
     grad_tolerance: float = 1e-8
@@ -334,19 +339,23 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     """`solve` for several sources on one grid and mask.
 
     The linear path (p = 2) factors the pinned stiffness block once and
-    back-substitutes all sources together; the descent path minimizes them
-    one after another.  Returns one (field, report) pair per source, in
-    order, and raises NonConvergence for the first source whose solve
-    misses the tolerance.  `operators` shares the p = 2 matrices with other
-    batches on congruent grids.
+    back-substitutes all sources together; the descent path factors the
+    same block once as the preconditioner of every source's L-BFGS and
+    minimizes the sources one after another.  Returns one (field, report)
+    pair per source, in order, and raises NonConvergence for the first
+    source whose solve misses the tolerance.  `operators` shares the p = 2
+    matrices with other batches on congruent grids.  Non-finite source
+    values raise ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if config is None:
         config = SolverConfig()
-    for f in fs:
+    for index, f in enumerate(fs):
         if f.shape != grid.shape:
             raise ValueError(f"source shape {f.shape} does not match grid {grid.shape}")
+        if not np.isfinite(f).all():
+            raise ValueError(f"source {index} of the batch holds non-finite values")
     if mask.grid != grid:
         raise ValueError("mask was built for a different grid")
     if require_boundary and not mask.pinned[grid.boundary_mask()].all():
@@ -359,8 +368,8 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     pinned = mask.pinned
     # pure-gauge modes make the pinned stiffness block singular, where
     # splu/CG misbehave and descent is immune
-    method = config.resolve_method(
-        p, linear_ok=require_boundary or zero_energy_gauge_free(pinned))
+    linear_ok = require_boundary or zero_energy_gauge_free(pinned)
+    method = config.resolve_method(p, linear_ok=linear_ok)
 
     def eps_for(f: np.ndarray) -> float:
         return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
@@ -380,10 +389,10 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
         return u, report
 
+    if operators is None:
+        operators = LinearOperators(grid)
+    stiffness, mass = operators.matrices(grid)
     if method == "linear":
-        if operators is None:
-            operators = LinearOperators(grid)
-        stiffness, mass = operators.matrices(grid)
         rhs = mass @ np.stack([f.ravel() for f in fs], axis=1)
         u_flat, iterations = quadratics.solve_pinned(
             stiffness, rhs, pinned.ravel(),
@@ -393,6 +402,13 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         return [finish(u, cell_means(f), eps_for(f), iterations, 0)
                 for u, f in zip(fields, fs)]
 
+    # K is the energy's Hessian at p = 2; scaled by the two-loop recursion
+    # its inverse is the H0 of every source's descent.  A small node mass
+    # lifts the pure-gauge modes that leave its pinned block singular.
+    block = stiffness
+    if not linear_ok:
+        block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
+    factor = quadratics.PinnedFactor(block, pinned.ravel())
     shape = grid.shape
     solved = []
     for f in fs:
@@ -410,7 +426,8 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             max_iterations=config.max_iterations,
             memory=config.memory,
             armijo_factor=config.armijo_factor,
-            armijo_c1=config.armijo_c1)
+            armijo_c1=config.armijo_c1,
+            precondition=factor.precondition)
         u = result.x.reshape(shape)
         u[pinned] = 0.0
         solved.append(finish(u, f_bar, eps, result.iterations,

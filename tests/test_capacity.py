@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,17 @@ def test_capacity_nonconvergence_names_the_iteration_cap():
         segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
     assert err.value.reason == descent.ITERATION_CAP
     assert err.value.field.shape == (17, 17)
+
+
+def test_capacity_descent_at_the_rounding_floor_stalls():
+    # no tolerance is reachable: once steps round back to the same point the
+    # descent must report a stall, not spin until the iteration cap
+    config = SolverConfig(grad_tolerance=1e-300, max_iterations=1500)
+    with pytest.raises(NonConvergence, match="line-search stall") as err:
+        segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
+    assert err.value.reason == descent.LINE_SEARCH_STALL
+    iterations = int(re.search(r"after (\d+) iterations", str(err.value)).group(1))
+    assert iterations < 500
 
 
 def test_capacity_nonconvergence_names_a_line_search_stall(monkeypatch):

@@ -190,13 +190,16 @@ def test_divergence_residual_certifies_flux():
 
 def test_flux_ladder_decay_rate_p3():
     # supercritical exponent: the dual energy must fall at least like
-    # n^(-1.2); the frozen values pin the whole ladder for regressions
+    # n^(-1.2).  The frozen values are the converged discrete fluxes
+    # (unpreconditioned L-BFGS at grad_tolerance 1e-10), so they pin the
+    # ladder's solution, not the path a descent takes to it; at 1e-8 every
+    # rung lies within 1e-7 of them
     report = vanishing_sequence_experiment(
-        [1, 2, 4, 8], 0.25, 3.0, config=SolverConfig(grad_tolerance=1e-6))
+        [1, 2, 4, 8], 0.25, 3.0, config=SolverConfig(grad_tolerance=1e-8))
     fluxes = [r.flux_pnorm for r in report.rows]
     assert fluxes == pytest.approx(
-        [1.0311651393911183, 0.44704146788180743,
-         0.1804011026551937, 0.06853391147135454], rel=1e-6)
+        [1.0311330058134756, 0.4470590683137417,
+         0.1804164968022045, 0.06857909699838714], rel=1e-6)
     assert report.decay is not None
     assert report.decay.slope <= -1.2
     assert report.decay.r_squared >= 0.99

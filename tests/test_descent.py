@@ -74,6 +74,20 @@ def test_line_search_stall_is_reported():
     np.testing.assert_array_equal(result.x, np.ones(4))
 
 
+def test_step_that_rounds_to_no_move_stalls():
+    # at x = 1e20 every step rounds back to x, where the Armijo test would
+    # accept the unchanged value; the search fails instead of looping to the
+    # iteration cap on a point that never moves
+    def fun(x):
+        return float(x.sum()), np.ones_like(x)
+
+    result = descent.minimize(fun, np.full(4, 1e20), grad_tolerance=1e-8,
+                              max_iterations=100)
+    assert result.reason == descent.LINE_SEARCH_STALL
+    assert result.iterations == 0
+    assert result.evaluations == 1
+
+
 @pytest.mark.parametrize("precondition", [None, lambda v: 0.5 * v])
 def test_empty_problem_converges(precondition):
     result = descent.minimize(lambda x: (0.0, x), np.zeros(0),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcompliance import quadratics
+from pcompliance import descent, quadratics
 from pcompliance.capacity import variational_capacity
 from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
@@ -20,15 +20,17 @@ from pcompliance.solver import (
     cell_means_adjoint,
     divergence_residual,
     energy,
+    energy_and_gradient,
     energy_gradient,
     flux,
     flux_pnorm,
     gradient_pnorm,
     solve,
+    solve_batch,
     zero_energy_gauge_free,
     zero_energy_unbounded,
 )
-from pcompliance.sources import GaussianBump, random_smooth, sample_on_grid
+from pcompliance.sources import GaussianBump, named_source, random_smooth, sample_on_grid
 
 
 def bump_source(grid, center=(0.0, 0.0), width=0.3, value=1.0):
@@ -309,6 +311,83 @@ def test_explicit_linear_method_that_cannot_apply_raises():
         solve(f, cube, mask, 2.0, linear, require_boundary=False)
     _, report = solve(f, cube, mask, 2.0, require_boundary=False)
     assert report.method == "descent"
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_non_finite_source_rejected_up_front(p):
+    # p = 2 takes the linear path, p = 3 the descent path
+    grid = GridDiscretization(9, 1.0, 2)
+    mask = rasterize(CrackSet.empty(), grid)
+    good = bump_source(grid)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[4, 4] = bad_value
+        with pytest.raises(ValueError, match="source 1 .*non-finite"):
+            solve_batch([good, bad], grid, mask, p)
+        with pytest.raises(ValueError, match="source 0 .*non-finite"):
+            solve(bad, grid, mask, p)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_preconditioned_energy_descent_converges_fast(p):
+    # the 129^2 solves of the single-solves benchmark workload; unpreconditioned
+    # L-BFGS took 1350 (p = 1.5) and 549 (p = 3) iterations here
+    grid = GridDiscretization(129, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
+    f = sample_on_grid(named_source("bump", 2, 1.0), grid)
+    _, report = solve(f, grid, mask, p, SolverConfig(grad_tolerance=1e-8))
+    assert report.residual <= 1e-8
+    assert report.iterations <= 200
+    _, tight = solve(f, grid, mask, p, SolverConfig(grad_tolerance=1e-10))
+    assert report.compliance_energy_form == pytest.approx(
+        tight.compliance_energy_form, rel=1e-6)
+
+
+def test_energy_descent_factors_once_per_batch(monkeypatch):
+    calls = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    grid = GridDiscretization(33, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
+    sources = [bump_source(grid, center=c) for c in
+               [(0.0, 0.0), (0.3, -0.4), (-0.2, 0.5), (0.5, 0.5)]]
+    config = SolverConfig(grad_tolerance=1e-8)
+    batch = solve_batch(sources, grid, mask, 3.0, config)
+    assert len(calls) == 1
+    for f, (u, report) in zip(sources, batch):
+        assert report.method == "descent" and report.residual <= 1e-8
+        alone, _ = solve(f, grid, mask, 3.0, config)
+        np.testing.assert_array_equal(u, alone)
+
+
+def test_gauge_mask_descent_matches_unpreconditioned_energy():
+    # the 3-d pins of test_explicit_linear_method_that_cannot_apply_raises:
+    # a pure-gauge mode leaves the stiffness block singular, so the
+    # preconditioner factors it with a small node mass added
+    cube = GridDiscretization(5, 1.0, 3)
+    pinned = np.zeros(cube.shape, dtype=bool)
+    pinned[1, 1:3, 1:3] = True
+    mask = ConstraintMask(cube, pinned)
+    f = np.ones(cube.shape)
+    _, report = solve(f, cube, mask, 3.0, SolverConfig(grad_tolerance=1e-10),
+                      require_boundary=False)
+    assert report.method == "descent" and report.residual <= 1e-10
+    f_bar = cell_means(f)
+
+    def objective(x):
+        value, grad = energy_and_gradient(x.reshape(cube.shape), f_bar, cube,
+                                          pinned, 3.0, 0.0)
+        return value, grad.ravel()
+
+    plain = descent.minimize(objective, np.zeros(cube.n_nodes),
+                             grad_tolerance=1e-10, max_iterations=50_000)
+    assert plain.converged
+    assert report.energy == pytest.approx(plain.value, rel=1e-9)
 
 
 def test_solver_config_validation():
