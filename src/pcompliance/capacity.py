@@ -31,8 +31,8 @@ from scipy.optimize import minimize_scalar
 
 from . import descent, quadratics
 from .errors import DegenerateTarget, NonConvergence
-from .geometry import (CrackSet, GridDiscretization, Segment,
-                       _segment_node_distances, axis_segment)
+from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
+                       rasterize)
 from .solver import SolverConfig, _corners, _weights
 
 
@@ -51,22 +51,19 @@ class CapacityResult:
 def target_pins(target, grid: GridDiscretization) -> np.ndarray:
     """Boolean node mask for a CrackSet, Segment, or point target.
 
-    Segments pin nodes within h/2; a bare point pins its nearest node, so
-    point targets never degenerate.
+    Segments pin the nodes `rasterize` pins, those within h/2; a bare
+    point pins its nearest node, so point targets never degenerate.
     """
-    coords = grid.node_coordinates()
-    pinned = np.zeros(grid.shape, dtype=bool)
     if isinstance(target, Segment):
         target = CrackSet.of(target)
     if isinstance(target, CrackSet):
-        for seg in target:
-            pinned |= _segment_node_distances(coords, seg) <= 0.5 * grid.h * (1 + 1e-9)
-        return pinned
+        return rasterize(target, grid, include_boundary=False).pinned
     point = np.asarray(target, dtype=float)
     if point.shape != (grid.dim,):
         raise ValueError(f"target must be a CrackSet, Segment, or point of dim {grid.dim}")
-    offsets = coords - point
+    offsets = grid.node_coordinates() - point
     dist_sq = (offsets * offsets).sum(axis=-1)
+    pinned = np.zeros(grid.shape, dtype=bool)
     pinned[np.unravel_index(np.argmin(dist_sq), grid.shape)] = True
     return pinned
 
@@ -199,9 +196,6 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             objective, u_flat,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            memory=config.memory,
-            armijo_factor=config.armijo_factor,
-            armijo_c1=config.armijo_c1,
             precondition=factor.precondition)
         u = result.x.reshape(shape)
         u[pinned] = 1.0

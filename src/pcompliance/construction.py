@@ -19,13 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import ScalingFit, scaling_fit, segment_capacity
+from . import quadratics
+from .capacity import (ScalingFit, centered_segment, scaling_fit,
+                       segment_capacity)
 from .errors import ResolutionTooCoarse
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
                        axis_segment, rasterize, total_length)
-from .solver import (ComplianceReport, LinearOperators, SolverConfig,
-                     cell_means, divergence_residual, flux,
-                     solve, solve_batch)
+from .solver import (ComplianceReport, SolverConfig, cell_means,
+                     divergence_residual, flux, solve, solve_batch)
 from .sources import Constant, sample_on_grid
 
 
@@ -144,9 +145,7 @@ def _cube_problem(params: ConstructionParams, center: tuple[float, ...],
         raise ResolutionTooCoarse(
             f"crack spans {span:.2f} cells at {local_nodes} nodes per cube "
             f"side (n = {params.n}); need >= 2")
-    start = np.asarray(center, dtype=float)
-    start[0] -= params.crack_length / 2.0
-    crack = axis_segment(tuple(start), 0, params.crack_length)
+    crack = centered_segment(params.crack_length, grid)
     return grid, rasterize(CrackSet.of(crack), grid, include_boundary=False)
 
 
@@ -156,7 +155,7 @@ def _solve_cubes(params: ConstructionParams, centers, g,
     """Local solves on congruent cubes, batched by rasterized mask.
 
     Cubes whose masks match node for node share one batch, and so one
-    factorization at p = 2; all batches share one operator assembly.
+    factorization; all batches share one stiffness assembly.
     """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)
@@ -165,7 +164,7 @@ def _solve_cubes(params: ConstructionParams, centers, g,
     groups: dict[bytes, list[int]] = {}
     for index, (_, mask) in enumerate(problems):
         groups.setdefault(mask.pinned.tobytes(), []).append(index)
-    operators = LinearOperators(problems[0][0])
+    stiffness = quadratics.stiffness_matrix(problems[0][0])
     q = params.p / (params.p - 1.0)
     results: list[Optional[LocalSolveResult]] = [None] * len(problems)
     for members in groups.values():
@@ -173,7 +172,7 @@ def _solve_cubes(params: ConstructionParams, centers, g,
         sources = [sample_on_grid(g, problems[i][0]) for i in members]
         solved = solve_batch(sources, grid, mask, params.p, config,
                              crack_length=params.crack_length,
-                             require_boundary=False, operators=operators)
+                             require_boundary=False, stiffness=stiffness)
         for i, source, (u, report) in zip(members, sources, solved):
             cube_grid = problems[i][0]
             results[i] = LocalSolveResult(
@@ -351,8 +350,7 @@ def connected_baseline(epsilon: float, p: float, g=None,
     if g is None:
         g = Constant(1.0)
     grid = GridDiscretization(nodes_per_side, half_width, dim)
-    seg = axis_segment((-length / 2.0,) + (0.0,) * (dim - 1), 0, length)
-    cracks = CrackSet.of(seg)
+    cracks = CrackSet.of(centered_segment(length, grid))
     mask = rasterize(cracks, grid, include_boundary=True)
     u, report = solve(sample_on_grid(g, grid), grid, mask, p, config,
                       crack_length=total_length(cracks),

@@ -20,6 +20,11 @@ CONVERGED = "converged"
 ITERATION_CAP = "iteration cap"
 LINE_SEARCH_STALL = "line-search stall"
 
+# Armijo backtracking: each failed trial halves the step, and a step is
+# accepted once it gains this fraction of the first-order decrease
+_STEP_FACTOR = 0.5
+_ARMIJO_C1 = 1e-4
+
 
 @dataclass
 class DescentResult:
@@ -63,7 +68,7 @@ def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad=None, py_hist=None
     return -q
 
 
-def _backtrack(fun, x, value, grad, direction, factor, c1, max_halvings=60):
+def _backtrack(fun, x, value, grad, direction, max_halvings=60):
     """Armijo backtracking from unit step; returns None when no step works.
 
     A trial point that rounds back to x fails the search: at that
@@ -81,9 +86,9 @@ def _backtrack(fun, x, value, grad, direction, factor, c1, max_halvings=60):
             break
         value_new, grad_new = fun(x_new)
         evals += 1
-        if np.isfinite(value_new) and value_new <= value + c1 * step * slope:
+        if np.isfinite(value_new) and value_new <= value + _ARMIJO_C1 * step * slope:
             return (step, x_new, value_new, grad_new), evals
-        step *= factor
+        step *= _STEP_FACTOR
     return None, evals
 
 
@@ -93,9 +98,7 @@ def minimize(
     *,
     grad_tolerance: float,
     max_iterations: int,
-    memory: int = 10,
-    armijo_factor: float = 0.5,
-    armijo_c1: float = 1e-4,
+    memory: int = 12,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> DescentResult:
     """Minimize fun(x) -> (value, gradient) to a max-norm gradient tolerance.
@@ -103,7 +106,8 @@ def minimize(
     Stops when ||gradient||_inf <= grad_tolerance ("converged"), when
     max_iterations is reached ("iteration cap"), or when no Armijo step
     makes progress along either the quasi-Newton or the restart direction
-    ("line-search stall", a numerical floor).
+    ("line-search stall", a numerical floor).  memory is the number of
+    (s, y) pairs the two-loop recursion keeps.
 
     precondition(v) applies an SPD approximation H0 of the inverse Hessian.
     It seeds the two-loop recursion as gamma * H0, gamma = s.y / y.H0 y,
@@ -138,14 +142,14 @@ def minimize(
                                             pgrad, py_hist)
         else:
             direction = restart_direction()
-        hit, evals = _backtrack(fun, x, value, grad, direction, armijo_factor, armijo_c1)
+        hit, evals = _backtrack(fun, x, value, grad, direction)
         evaluations += evals
         if hit is None and s_hist:
             # quasi-Newton direction unusable at this point; restart clean
             for hist in (s_hist, y_hist, rho_hist, py_hist):
                 hist.clear()
             direction = restart_direction()
-            hit, evals = _backtrack(fun, x, value, grad, direction, armijo_factor, armijo_c1)
+            hit, evals = _backtrack(fun, x, value, grad, direction)
             evaluations += evals
         if hit is None:
             stalled = True

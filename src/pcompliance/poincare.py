@@ -18,13 +18,15 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import descent, quadratics
-from .capacity import CapacityResult, segment_capacity
+from .capacity import CapacityResult, centered_segment, segment_capacity
 from .errors import NonConvergence, UnpinnedMask
-from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
-                       axis_segment, rasterize)
+from .geometry import ConstraintMask, CrackSet, GridDiscretization, rasterize
 from .solver import (SolverConfig, _weights, cell_gradients,
                      cell_gradients_adjoint, cell_means, cell_means_adjoint,
                      zero_energy_gauge_free, zero_energy_unbounded)
+
+# largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from eigsh
+_EIG_RELATIVE_RESIDUAL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,15 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     values, vectors = spla.eigsh(m_ff, k=1, M=k_ff, which="LA", v0=v0)
     mu = float(values[0])
     v = vectors[:, 0]
-    residual = float(np.abs(m_ff @ v - mu * (k_ff @ v)).max())
+    mv = m_ff @ v
+    kv = k_ff @ v
+    residual = float(np.abs(mv - mu * kv).max())
+    relative = residual / (float(np.abs(mv).max()) + mu * float(np.abs(kv).max()))
+    # a singular stiffness block lets eigsh return a spurious huge mu
+    if not relative <= _EIG_RELATIVE_RESIDUAL:
+        raise NonConvergence(
+            f"eigsh returned mu = {mu:.6g} at relative residual "
+            f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}")
     return mu, 0, residual
 
 
@@ -151,10 +161,7 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
     result = descent.minimize(
         objective, x0,
         grad_tolerance=config.grad_tolerance,
-        max_iterations=config.max_iterations,
-        memory=config.memory,
-        armijo_factor=config.armijo_factor,
-        armijo_c1=config.armijo_c1)
+        max_iterations=config.max_iterations)
     if not result.converged:
         raise NonConvergence(
             f"quotient descent stopped ({result.reason}) after "
@@ -181,9 +188,7 @@ def crack_cube(delta: float, relative_length: float, nodes_per_side: int,
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = GridDiscretization(nodes_per_side, delta / 2.0, dim)
-    length = relative_length * delta
-    seg = axis_segment((-length / 2.0,) + (0.0,) * (dim - 1), 0, length)
-    cracks = CrackSet.of(seg)
+    cracks = CrackSet.of(centered_segment(relative_length * delta, grid))
     mask = rasterize(cracks, grid, include_boundary=False)
     return CrackCube(grid, mask, cracks, delta, relative_length)
 

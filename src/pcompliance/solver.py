@@ -41,24 +41,23 @@ _GAUGE_SHIFT = 1e-3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping and regularization knobs for the energy minimizer.
+    """Stopping and regularization knobs shared by every solve.
 
-    grad_tolerance bounds the max-norm of the projected energy gradient at
-    the returned field.  regularization_eps = None picks 0 for p >= 2 and
-    1e-8 * max|f| otherwise; an explicit 0 is rejected for p < 2.  method
-    is "auto", "descent", or "linear"; `resolve_method` turns it into the
-    path a solve takes.  prefer_direct picks a sparse LU (True) or Jacobi
-    CG (False) for the p = 2 linear solves, None by size; energy and
-    capacity descent always factor their p = 2 block.
+    grad_tolerance bounds the max-norm of the projected gradient at the
+    returned field, and max_iterations caps each L-BFGS descent.
+    regularization_eps = None picks 0 for p >= 2 and 1e-8 * max|f|
+    otherwise; an explicit 0 is rejected for p < 2.  method is "auto",
+    "descent", or "linear"; `resolve_method` turns it into the path a
+    solve takes.  prefer_direct picks a sparse LU (True) or Jacobi CG
+    (False) for the p = 2 linear solves, None by size; energy and
+    capacity descent always factor their p = 2 block.  The L-BFGS memory
+    and line search are fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
     max_iterations: int = 50_000
     regularization_eps: Optional[float] = None
     method: str = "auto"
-    memory: int = 12
-    armijo_factor: float = 0.5
-    armijo_c1: float = 1e-4
     prefer_direct: Optional[bool] = None
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class SolverConfig:
             raise ValueError("regularization_eps must be >= 0")
         if self.method not in ("auto", "descent", "linear"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (0 < self.armijo_factor < 1):
-            raise ValueError("armijo_factor must lie in (0, 1)")
 
     def resolve_method(self, p: float, linear_ok: bool = True) -> str:
         """The solve path, "linear" or "descent", for exponent p.
@@ -292,30 +289,6 @@ def flux_pnorm(sigma: FluxField, grid: GridDiscretization, p: float) -> float:
     return grid.cell_volume * float(np.sum(s ** (q / 2.0)))
 
 
-class LinearOperators:
-    """Stiffness and mass matrices of the p = 2 energy, assembled on first use.
-
-    Both depend on nodes_per_side, half_width and dim only, so every
-    translate of `grid` shares them.  Hand one instance to several
-    `solve_batch` calls to assemble once for all of them; the matrices
-    live as long as the instance.
-    """
-
-    def __init__(self, grid: GridDiscretization):
-        self.grid = grid
-        self._matrices = None
-
-    def matrices(self, grid: GridDiscretization):
-        """(stiffness, mass) for `grid`, which must be congruent to self.grid."""
-        if (grid.nodes_per_side, grid.half_width, grid.dim) != (
-                self.grid.nodes_per_side, self.grid.half_width, self.grid.dim):
-            raise ValueError("operators were assembled for a grid of another shape")
-        if self._matrices is None:
-            self._matrices = (quadratics.stiffness_matrix(self.grid),
-                              quadratics.mass_matrix(self.grid))
-        return self._matrices
-
-
 def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: float,
           config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
           length_penalty: float = 0.0, require_boundary: bool = True,
@@ -334,8 +307,7 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
 def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
                 length_penalty: float = 0.0, require_boundary: bool = True,
-                operators: Optional[LinearOperators] = None,
-                ) -> list[tuple[GridField, ComplianceReport]]:
+                stiffness=None) -> list[tuple[GridField, ComplianceReport]]:
     """`solve` for several sources on one grid and mask.
 
     The linear path (p = 2) factors the pinned stiffness block once and
@@ -343,9 +315,11 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     same block once as the preconditioner of every source's L-BFGS and
     minimizes the sources one after another.  Returns one (field, report)
     pair per source, in order, and raises NonConvergence for the first
-    source whose solve misses the tolerance.  `operators` shares the p = 2
-    matrices with other batches on congruent grids.  Non-finite source
-    values raise ValueError before any work.
+    source whose solve misses the tolerance.  `stiffness` is the grid's
+    assembled `quadratics.stiffness_matrix`; it depends on nodes_per_side,
+    half_width and dim only, so batches on translates of one grid can
+    share it, and None assembles it here.  Non-finite source values raise
+    ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -358,6 +332,9 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             raise ValueError(f"source {index} of the batch holds non-finite values")
     if mask.grid != grid:
         raise ValueError("mask was built for a different grid")
+    if stiffness is not None and stiffness.shape != (grid.n_nodes, grid.n_nodes):
+        raise ValueError(f"stiffness of shape {stiffness.shape} does not "
+                         f"match a grid of {grid.n_nodes} nodes")
     if require_boundary and not mask.pinned[grid.boundary_mask()].all():
         raise ValueError("mask must pin the whole outer boundary")
     if not require_boundary and zero_energy_unbounded(mask.pinned):
@@ -389,11 +366,16 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
         return u, report
 
-    if operators is None:
-        operators = LinearOperators(grid)
-    stiffness, mass = operators.matrices(grid)
+    if stiffness is None:
+        stiffness = quadratics.stiffness_matrix(grid)
     if method == "linear":
-        rhs = mass @ np.stack([f.ravel() for f in fs], axis=1)
+        # the load vol * M^T f_bar is the p = 2 mass matrix applied to f.
+        # Column by column: holding every cube's f_bar or load at once
+        # raised a ladder's peak RSS by 8 MB
+        rhs = np.empty((grid.n_nodes, len(fs)))
+        for column, f in enumerate(fs):
+            load = cell_means_adjoint(cell_means(f), grid.cell_volume)
+            rhs[:, column] = load.ravel()
         u_flat, iterations = quadratics.solve_pinned(
             stiffness, rhs, pinned.ravel(),
             grad_tolerance=config.grad_tolerance,
@@ -424,9 +406,6 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             objective, np.zeros(grid.n_nodes),
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            memory=config.memory,
-            armijo_factor=config.armijo_factor,
-            armijo_c1=config.armijo_c1,
             precondition=factor.precondition)
         u = result.x.reshape(shape)
         u[pinned] = 0.0

@@ -69,6 +69,10 @@ def test_unknown_key_rejected():
         config_from_text("[problem]\nlength_budget = 1.0\n")
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("[output]\nfolder = x\n")
+    # the L-BFGS memory and line search are fixed in `descent`
+    for key in ("memory", "armijo_factor", "armijo_c1"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            config_from_text(f"[solver]\n{key} = 0.5\n")
 
 
 def test_bad_values_carry_section_context():

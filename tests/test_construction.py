@@ -109,6 +109,23 @@ def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
     assert len(calls) == 17
 
 
+def test_rung_assembles_stiffness_once_and_no_mass(monkeypatch):
+    calls = []
+    for name in ("stiffness_matrix", "mass_matrix"):
+        assemble = getattr(quadratics, name)
+
+        def counting(grid, _name=name, _assemble=assemble):
+            calls.append(_name)
+            return _assemble(grid)
+
+        monkeypatch.setattr(quadratics, name, counting)
+    for p in (2.0, 3.0):
+        calls.clear()
+        solve_all_cubes(ConstructionParams(n=2, epsilon=0.4, p=p),
+                        GaussianBump((0.3, -0.2), 0.5), local_nodes=17)
+        assert calls == ["stiffness_matrix"]
+
+
 def test_assembled_flux_norm_matches_local_energies():
     params = ConstructionParams(n=2, epsilon=0.4, dim=2, p=2.5)
     results = solve_all_cubes(params, Constant(1.0), local_nodes=17,

@@ -12,6 +12,7 @@ from pcompliance.geometry import (
 )
 from pcompliance.poincare import (
     PoincareResult,
+    _largest_mass_over_stiffness,
     best_poincare_constant,
     crack_cube,
     crack_poincare,
@@ -173,3 +174,15 @@ def test_quotient_descent_nonconvergence_names_the_iteration_cap():
     with pytest.raises(NonConvergence, match="iteration cap") as err:
         crack_poincare(1.0, 0.5, 17, 3.0, config=config)
     assert err.value.reason == "iteration cap"
+
+
+def test_eigen_path_gates_the_eigsh_residual():
+    # 65^2 has more free nodes than the dense eigh handles, so eigsh runs
+    cube = crack_cube(1.0, 0.25, 65)
+    mu, _, residual = _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+    assert 0.0 < mu < 1.0 and residual <= 1e-12
+    # the 3-d cube's pinned stiffness block is singular (a pure-gauge mode
+    # clears the pins), so eigsh returns a spurious mu with residual ~ 1
+    cube = crack_cube(1.0, 0.25, 17, dim=3)
+    with pytest.raises(NonConvergence, match="relative residual"):
+        _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
