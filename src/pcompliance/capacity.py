@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import descent, quadratics
 from .errors import DegenerateTarget, NonConvergence
@@ -89,15 +88,6 @@ def _corner_gradient_squares(u: np.ndarray, grid: GridDiscretization,
 def _edge_slice(node_slc: tuple, axis: int) -> tuple:
     """The axis-`axis` edges of every cell at the corner `node_slc` picks."""
     return node_slc[:axis] + (slice(None),) + node_slc[axis + 1:]
-
-
-def _capacity_value(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
-    squares, _ = _corner_gradient_squares(u, grid, 0.0)
-    vol = grid.cell_volume
-    total = sum(float(np.sum(s ** (p / 2.0))) for s in squares) / 2 ** grid.dim
-    w = quadratics.node_weights(grid)
-    total += float(np.sum(w * np.abs(u) ** p))
-    return vol * total
 
 
 def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
@@ -169,7 +159,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             grad_tolerance=0.5 * config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         u = u_flat.reshape(grid.shape)
-        _, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
+        value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
     else:
         if config.regularization_eps is not None:
@@ -206,9 +196,10 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
                 f"capacity minimization stopped ({result.reason}) at residual "
                 f"{residual:.3e} after {iterations} iterations",
                 field=u, reason=result.reason)
+        value, _ = _capacity_gradient(u, grid, pinned, p, 0.0)
 
     return CapacityResult(
-        value=_capacity_value(u, grid, p),
+        value=value,
         box_half_width=grid.half_width,
         grid_h=grid.h,
         p=p,
@@ -339,6 +330,10 @@ def logarithmic_fit(ts: Sequence[float], caps: Sequence[float], p: float) -> Log
     Two free parameters, same as the power law, so linear-space r^2 values
     of the two models are directly comparable.
     """
+    # imported here: nothing else needs scipy.optimize, and importing it
+    # costs every CLI process about 0.2 s
+    from scipy.optimize import minimize_scalar
+
     ts, caps = _check_fit_inputs(ts, caps)
     if p <= 1:
         raise ValueError("the logarithmic model needs p > 1")

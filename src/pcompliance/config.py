@@ -9,7 +9,7 @@ errors surface with their line numbers.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
@@ -129,6 +129,13 @@ class StabilityJob:
 
 
 @dataclass(frozen=True)
+class OutputSection:
+    """The [output] section; ExperimentConfig keeps it as seed and out_dir."""
+    seed: int = 0
+    directory: str = "out"
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     problem: ProblemSpec = field(default_factory=lambda: ProblemSpec(p=2.0))
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -149,19 +156,23 @@ _SECTION_TYPES = {
     "sweep-vanishing": VanishingJob,
     "poincare": PoincareJob,
     "stability": StabilityJob,
+    "output": OutputSection,
 }
-
-_OUTPUT_KEYS = ("seed", "directory")
 
 
 def _build_section(section: str, raw: dict[str, str]):
     cls = _SECTION_TYPES[section]
     hints = get_type_hints(cls)
     known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, text in raw.items():
+    for key in raw:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    for f in fields(cls):
+        if (f.name not in raw and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ConfigError(f"missing key {f.name!r} in section [{section}]")
+    kwargs = {}
+    for key, text in raw.items():
         try:
             kwargs[key] = _parser_for(hints[key])(text)
         except ValueError as exc:
@@ -182,37 +193,14 @@ def config_from_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"could not parse {origin}: {exc}") from exc
 
     values = {}
-    seed = 0
-    out_dir = "out"
     for section in parser.sections():
-        raw = dict(parser.items(section))
-        if section == "output":
-            for key in raw:
-                if key not in _OUTPUT_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in section [output]")
-            if "seed" in raw:
-                try:
-                    seed = int(raw["seed"])
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for 'seed' in [output]: {exc}") from exc
-            if "directory" in raw:
-                out_dir = raw["directory"]
-            continue
         if section not in _SECTION_TYPES:
-            known = ", ".join(sorted(_SECTION_TYPES) + ["output"])
+            known = ", ".join(sorted(_SECTION_TYPES))
             raise ConfigError(f"unknown section [{section}]; expected one of: {known}")
-        values[section] = _build_section(section, raw)
-
-    return ExperimentConfig(
-        problem=values.get("problem", ProblemSpec(p=2.0)),
-        solver=values.get("solver", SolverConfig()),
-        seed=seed,
-        out_dir=out_dir,
-        solve=values.get("solve", SolveJob()),
-        capacity_sweep=values.get("capacity-sweep", CapacitySweepJob()),
-        sweep_vanishing=values.get("sweep-vanishing", VanishingJob()),
-        poincare=values.get("poincare", PoincareJob()),
-        stability=values.get("stability", StabilityJob()))
+        values[section.replace("-", "_")] = _build_section(
+            section, dict(parser.items(section)))
+    output = values.pop("output", OutputSection())
+    return ExperimentConfig(seed=output.seed, out_dir=output.directory, **values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -2,16 +2,16 @@
 
 All solver contracts in this package certify convergence through the max norm
 of the projected gradient, so this loop tracks exactly that quantity.  The
-search direction is the standard two-loop L-BFGS recursion, optionally seeded
-with a preconditioner H0; whenever it fails to be a descent direction (or the
-line search stalls on it) the memory is dropped and the step retried along
-the (preconditioned) negative gradient.
+search direction is the two-loop L-BFGS recursion seeded with a caller's
+preconditioner H0 (every solver passes its factored p = 2 block); whenever
+it fails to be a descent direction (or the line search stalls on it) the
+memory is dropped and the step retried along -H0 grad.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,8 @@ LINE_SEARCH_STALL = "line-search stall"
 # accepted once it gains this fraction of the first-order decrease
 _STEP_FACTOR = 0.5
 _ARMIJO_C1 = 1e-4
+# (s, y) pairs the two-loop recursion keeps
+_MEMORY = 12
 
 
 @dataclass
@@ -40,12 +42,12 @@ class DescentResult:
         return self.reason == CONVERGED
 
 
-def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad=None, py_hist=None):
+def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad, py_hist):
     """-H grad by the two-loop recursion.
 
-    H0 is the scaled identity, or gamma * P for a preconditioner P given
-    through pgrad = P grad and py_hist = P y per stored pair; P q then
-    follows by linearity, with no further application of P.
+    H0 is gamma * P for a preconditioner P given through pgrad = P grad
+    and py_hist = P y per stored pair; P q then follows by linearity,
+    with no further application of P.
     """
     q = grad.copy()
     alphas = []
@@ -54,14 +56,10 @@ def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad=None, py_hist=None
         alphas.append(a)
         q -= a * y
     sy = float(s_hist[-1] @ y_hist[-1])
-    if pgrad is None:
-        gamma = sy / float(y_hist[-1] @ y_hist[-1])
-        q *= gamma
-    else:
-        q = pgrad.copy()
-        for py, a in zip(reversed(py_hist), alphas):
-            q -= a * py
-        q *= sy / float(y_hist[-1] @ py_hist[-1])
+    q = pgrad.copy()
+    for py, a in zip(reversed(py_hist), alphas):
+        q -= a * py
+    q *= sy / float(y_hist[-1] @ py_hist[-1])
     for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -98,23 +96,21 @@ def minimize(
     *,
     grad_tolerance: float,
     max_iterations: int,
-    memory: int = 12,
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    precondition: Callable[[np.ndarray], np.ndarray],
 ) -> DescentResult:
     """Minimize fun(x) -> (value, gradient) to a max-norm gradient tolerance.
 
     Stops when ||gradient||_inf <= grad_tolerance ("converged"), when
     max_iterations is reached ("iteration cap"), or when no Armijo step
     makes progress along either the quasi-Newton or the restart direction
-    ("line-search stall", a numerical floor).  memory is the number of
-    (s, y) pairs the two-loop recursion keeps.
+    ("line-search stall", a numerical floor).  The two-loop recursion
+    keeps the last 12 (s, y) pairs.
 
     precondition(v) applies an SPD approximation H0 of the inverse Hessian.
     It seeds the two-loop recursion as gamma * H0, gamma = s.y / y.H0 y,
     and the first step and restarts follow -H0 g.  H0 runs once per
     accepted step, on the new gradient; every other H0 product follows by
-    linearity.  Without a preconditioner the first step and restarts follow
-    the normalised raw gradient and H0 is the scaled identity.
+    linearity.
     """
     x = np.array(x0, dtype=float)
     value, grad = fun(x)
@@ -125,13 +121,7 @@ def minimize(
     y_hist: list[np.ndarray] = []
     rho_hist: list[float] = []
     py_hist: list[np.ndarray] = []
-    pgrad = None if precondition is None else precondition(grad)
-
-    def restart_direction():
-        if pgrad is not None:
-            return -pgrad
-        # unscaled step; the backtracking line search fixes the size
-        return -grad / max(float(np.linalg.norm(grad)), 1e-300)
+    pgrad = precondition(grad)
 
     iterations = 0
     stalled = False
@@ -141,21 +131,21 @@ def minimize(
             direction = _two_loop_direction(grad, s_hist, y_hist, rho_hist,
                                             pgrad, py_hist)
         else:
-            direction = restart_direction()
+            direction = -pgrad
         hit, evals = _backtrack(fun, x, value, grad, direction)
         evaluations += evals
         if hit is None and s_hist:
             # quasi-Newton direction unusable at this point; restart clean
             for hist in (s_hist, y_hist, rho_hist, py_hist):
                 hist.clear()
-            direction = restart_direction()
+            direction = -pgrad
             hit, evals = _backtrack(fun, x, value, grad, direction)
             evaluations += evals
         if hit is None:
             stalled = True
             break
         _, x_new, value_new, grad_new = hit
-        pgrad_new = None if precondition is None else precondition(grad_new)
+        pgrad_new = precondition(grad_new)
         s = x_new - x
         y = grad_new - grad
         sy = float(s @ y)
@@ -163,14 +153,10 @@ def minimize(
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if pgrad is not None:
-                py_hist.append(pgrad_new - pgrad)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
-                if py_hist:
-                    py_hist.pop(0)
+            py_hist.append(pgrad_new - pgrad)
+            if len(s_hist) > _MEMORY:
+                for hist in (s_hist, y_hist, rho_hist, py_hist):
+                    hist.pop(0)
         x, value, grad, pgrad = x_new, value_new, grad_new, pgrad_new
         gmax = float(np.max(np.abs(grad)))
         iterations += 1

@@ -23,16 +23,17 @@ from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization, rasterize
 from .solver import (SolverConfig, _weights, cell_gradients,
                      cell_gradients_adjoint, cell_means, cell_means_adjoint,
-                     zero_energy_gauge_free, zero_energy_unbounded)
+                     stiffness_factor, zero_energy_gauge_free,
+                     zero_energy_unbounded)
 
-# largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from eigsh
+# largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from
+# either eigensolver
 _EIG_RELATIVE_RESIDUAL = 1e-8
 
 
 @dataclass(frozen=True)
 class PoincareResult:
     best_constant: float
-    rayleigh_quotient: float
     p: float
     delta: float
     grid_h: float
@@ -71,18 +72,16 @@ def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
         config = SolverConfig()
     _validate_mask(grid, mask)
 
-    method = config.resolve_method(
-        p, linear_ok=zero_energy_gauge_free(mask.pinned))
+    linear_ok = zero_energy_gauge_free(mask.pinned)
+    method = config.resolve_method(p, linear_ok=linear_ok)
     if method == "linear":
         mu, iterations, residual = _largest_mass_over_stiffness(grid, mask.pinned)
-        quotient = 1.0 / mu
     else:
-        mu, iterations, residual = _quotient_descent(grid, mask.pinned, p, config)
-        quotient = 1.0 / mu
+        mu, iterations, residual = _quotient_descent(grid, mask.pinned, p,
+                                                     config, linear_ok)
 
     return PoincareResult(
         best_constant=mu,
-        rayleigh_quotient=quotient,
         p=p,
         delta=2.0 * grid.half_width,
         grid_h=grid.h,
@@ -101,13 +100,12 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     m_ff = mass[free][:, free].tocsr()
     n_free = int(free.sum())
     if n_free <= 1200:
-        values = scipy.linalg.eigh(m_ff.toarray(), k_ff.toarray(),
-                                   eigvals_only=True)
-        return float(values[-1]), 0, 0.0
-    v0 = np.ones(n_free)
-    values, vectors = spla.eigsh(m_ff, k=1, M=k_ff, which="LA", v0=v0)
-    mu = float(values[0])
-    v = vectors[:, 0]
+        values, vectors = scipy.linalg.eigh(m_ff.toarray(), k_ff.toarray())
+        mu, v = float(values[-1]), vectors[:, -1]
+    else:
+        values, vectors = spla.eigsh(m_ff, k=1, M=k_ff, which="LA",
+                                     v0=np.ones(n_free))
+        mu, v = float(values[0]), vectors[:, 0]
     mv = m_ff @ v
     kv = k_ff @ v
     residual = float(np.abs(mv - mu * kv).max())
@@ -115,7 +113,7 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     # a singular stiffness block lets eigsh return a spurious huge mu
     if not relative <= _EIG_RELATIVE_RESIDUAL:
         raise NonConvergence(
-            f"eigsh returned mu = {mu:.6g} at relative residual "
+            f"eigensolver returned mu = {mu:.6g} at relative residual "
             f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}")
     return mu, 0, residual
 
@@ -142,8 +140,15 @@ def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
 
 
 def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
-                      config: SolverConfig) -> tuple[float, int, float]:
-    """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields."""
+                      config: SolverConfig, linear_ok: bool,
+                      ) -> tuple[float, int, float]:
+    """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields.
+
+    H0 is the energy solver's: the quotient's Hessian at p = 2 is a
+    multiple of K - Q Mass, whose leading part the pinned K factor
+    inverts.  The objective Q(x/|x|) is defined off the sphere and its
+    gradient is already tangent, so the descent needs no projection.
+    """
     eps = config.resolve_eps(p, 1.0)
     shape = grid.shape
 
@@ -156,12 +161,15 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
         grad -= float(np.dot(grad, xh)) * xh
         return quotient, grad / norm
 
+    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid),
+                              pinned, linear_ok)
     x0 = np.ones(grid.n_nodes)
     x0[pinned.ravel()] = 0.0
     result = descent.minimize(
         objective, x0,
         grad_tolerance=config.grad_tolerance,
-        max_iterations=config.max_iterations)
+        max_iterations=config.max_iterations,
+        precondition=factor.precondition)
     if not result.converged:
         raise NonConvergence(
             f"quotient descent stopped ({result.reason}) after "

@@ -49,9 +49,9 @@ class SolverConfig:
     otherwise; an explicit 0 is rejected for p < 2.  method is "auto",
     "descent", or "linear"; `resolve_method` turns it into the path a
     solve takes.  prefer_direct picks a sparse LU (True) or Jacobi CG
-    (False) for the p = 2 linear solves, None by size; energy and
-    capacity descent always factor their p = 2 block.  The L-BFGS memory
-    and line search are fixed in `descent`.
+    (False) for the p = 2 linear solves, None by size; every descent
+    (energy, capacity, Poincare) factors its p = 2 block.  The L-BFGS
+    memory and line search are fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -384,13 +384,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         return [finish(u, cell_means(f), eps_for(f), iterations, 0)
                 for u, f in zip(fields, fs)]
 
-    # K is the energy's Hessian at p = 2; scaled by the two-loop recursion
-    # its inverse is the H0 of every source's descent.  A small node mass
-    # lifts the pure-gauge modes that leave its pinned block singular.
-    block = stiffness
-    if not linear_ok:
-        block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
-    factor = quadratics.PinnedFactor(block, pinned.ravel())
+    factor = stiffness_factor(grid, stiffness, pinned, linear_ok)
     shape = grid.shape
     solved = []
     for f in fs:
@@ -412,6 +406,20 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         solved.append(finish(u, f_bar, eps, result.iterations,
                              result.evaluations, result.reason))
     return solved
+
+
+def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
+                     linear_ok: bool) -> quadratics.PinnedFactor:
+    """The factored pinned p = 2 block whose inverse is a descent's H0.
+
+    K is the energy's Hessian at p = 2, and the two-loop recursion scales
+    its inverse.  When linear_ok is false, pure-gauge modes leave the
+    pinned block singular, and a small node mass lifts them.
+    """
+    block = stiffness
+    if not linear_ok:
+        block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
+    return quadratics.PinnedFactor(block, pinned.ravel())
 
 
 def _build_report(u, f_bar, grid, pinned, p, eps, iterations, evaluations,

@@ -7,7 +7,6 @@ from pcompliance import descent, quadratics
 from pcompliance.capacity import (
     CapacityResult,
     _capacity_gradient,
-    _capacity_value,
     capacity_sweep,
     logarithmic_fit,
     point_capacity,
@@ -75,7 +74,9 @@ def test_p2_objective_equals_quadratic_form(dim, nodes):
     u = rng.standard_normal(grid.shape)
     matrix = quadratics.edge_stiffness_matrix(grid) + quadratics.node_mass_matrix(grid)
     quad = float(u.ravel() @ (matrix @ u.ravel()))
-    assert _capacity_value(u, grid, 2.0) == pytest.approx(quad, rel=1e-12)
+    value, _ = _capacity_gradient(u, grid, np.zeros(grid.shape, dtype=bool),
+                                  2.0, 0.0)
+    assert value == pytest.approx(quad, rel=1e-12)
 
 
 def test_empty_target_has_zero_capacity():
@@ -114,8 +115,9 @@ def test_capacity_between_zero_and_pin_competitor():
     grid = GridDiscretization(17, 1.0, 2)
     seg = axis_segment((-0.25, 0.0), 0, 0.5)
     result = variational_capacity(seg, 2.0, grid)
-    u = target_pins(seg, grid).astype(float)
-    assert 0.0 < result.value <= _capacity_value(u, grid, 2.0)
+    pins = target_pins(seg, grid)
+    competitor, _ = _capacity_gradient(pins.astype(float), grid, pins, 2.0, 0.0)
+    assert 0.0 < result.value <= competitor
 
 
 def test_segment_box_geometry():

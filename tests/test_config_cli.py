@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pcompliance
 from pcompliance import cli, reporting
 from pcompliance.config import ExperimentConfig, config_from_text, load_config
 from pcompliance.errors import ConfigError
@@ -154,6 +160,25 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown section" in capsys.readouterr().err
+
+
+def test_cli_missing_required_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[problem]\ndim = 2\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "missing key 'p' in section [problem]" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # only capacity.logarithmic_fit needs scipy.optimize, and it imports it
+    src = str(Path(pcompliance.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, pcompliance.cli; "
+             "print(any(m.startswith('scipy.optimize') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_nonconvergence_exits_1(tmp_path, capsys):

@@ -10,6 +10,10 @@ def _quadratic(a, b):
     return fun
 
 
+def _identity(v):
+    return v
+
+
 def _spd(n, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
@@ -53,7 +57,8 @@ def test_preconditioned_two_loop_matches_direct_products():
 def test_iteration_cap_is_reported():
     a, b = _spd(30)
     result = descent.minimize(_quadratic(a, b), np.zeros(30),
-                              grad_tolerance=1e-14, max_iterations=2)
+                              grad_tolerance=1e-14, max_iterations=2,
+                              precondition=_identity)
     assert result.reason == descent.ITERATION_CAP
     assert not result.converged
     assert result.iterations == 2
@@ -67,7 +72,7 @@ def test_line_search_stall_is_reported():
         return float((x - 1.0) @ (x - 1.0)), np.ones_like(x)
 
     result = descent.minimize(fun, np.ones(4), grad_tolerance=1e-8,
-                              max_iterations=100)
+                              max_iterations=100, precondition=_identity)
     assert result.reason == descent.LINE_SEARCH_STALL
     assert not result.converged
     assert result.iterations == 0
@@ -82,13 +87,13 @@ def test_step_that_rounds_to_no_move_stalls():
         return float(x.sum()), np.ones_like(x)
 
     result = descent.minimize(fun, np.full(4, 1e20), grad_tolerance=1e-8,
-                              max_iterations=100)
+                              max_iterations=100, precondition=_identity)
     assert result.reason == descent.LINE_SEARCH_STALL
     assert result.iterations == 0
     assert result.evaluations == 1
 
 
-@pytest.mark.parametrize("precondition", [None, lambda v: 0.5 * v])
+@pytest.mark.parametrize("precondition", [_identity, lambda v: 0.5 * v])
 def test_empty_problem_converges(precondition):
     result = descent.minimize(lambda x: (0.0, x), np.zeros(0),
                               grad_tolerance=1e-8, max_iterations=5,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pcompliance import quadratics
 from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
     ConstraintMask,
@@ -186,3 +187,50 @@ def test_eigen_path_gates_the_eigsh_residual():
     cube = crack_cube(1.0, 0.25, 17, dim=3)
     with pytest.raises(NonConvergence, match="relative residual"):
         _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+
+
+def test_eigen_path_gates_the_dense_residual():
+    # 17^2 has few enough free nodes for the dense eigh
+    cube = crack_cube(1.0, 0.25, 17)
+    mu, _, residual = _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+    assert 0.0 < mu < 1.0 and 0.0 < residual <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [17, 33, 65])
+def test_preconditioned_quotient_descent_converges_fast(nodes):
+    # without H0 the p = 3 descent took 107, 222 and 452 iterations here,
+    # and at tolerance 1e-10 it stalled at the rounding floor on 17^2
+    cube = crack_cube(1.0, 0.25, nodes)
+    result = best_poincare_constant(cube.grid, cube.mask, 3.0,
+                                    SolverConfig(grad_tolerance=1e-7))
+    assert result.iterations <= 40
+    tight = best_poincare_constant(cube.grid, cube.mask, 3.0,
+                                   SolverConfig(grad_tolerance=1e-10))
+    assert tight.residual <= 1e-10
+    assert result.best_constant == pytest.approx(tight.best_constant, rel=1e-8)
+
+
+def test_quotient_descent_factors_once(monkeypatch):
+    calls = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    crack_poincare(1.0, 0.25, 33, 3.0, config=SolverConfig(grad_tolerance=1e-7))
+    assert len(calls) == 1
+
+
+def test_gauge_mask_quotient_descent_converges_fast():
+    # a 2x2 plate of pins in a 9^3 cube leaves a pure-gauge mode, so H0
+    # factors the stiffness block with a small node mass added; without
+    # H0 the p = 3 descent took 236 iterations
+    grid = GridDiscretization(9, 1.0, 3)
+    pinned = np.zeros(grid.shape, dtype=bool)
+    pinned[4, 3:5, 3:5] = True
+    result = best_poincare_constant(grid, ConstraintMask(grid, pinned), 3.0)
+    assert result.method == "descent"
+    assert result.iterations <= 60
+    assert result.residual <= 1e-8
