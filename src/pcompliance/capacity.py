@@ -209,6 +209,16 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         residual=residual)
 
 
+def check_resolution(resolution: int, name: str = "resolution") -> None:
+    """Reject a cell count across a segment that is not positive and even.
+
+    An even count puts the segment's midpoint, the box center, on a node.
+    """
+    if resolution < 1 or resolution % 2:
+        raise ValueError(f"{name} must be a positive even cell count, "
+                         f"got {resolution}")
+
+
 def segment_box(t: float, resolution: int, dim: int = 2,
                 box_half_width: Optional[float] = None,
                 center: Sequence[float] = ()) -> GridDiscretization:
@@ -220,8 +230,7 @@ def segment_box(t: float, resolution: int, dim: int = 2,
     """
     if t <= 0:
         raise ValueError(f"segment length must be positive, got {t}")
-    if resolution < 1 or resolution % 2:
-        raise ValueError("resolution must be a positive even cell count")
+    check_resolution(resolution)
     h = t / resolution
     target = box_half_width if box_half_width is not None else 4.0 * t + 1.0
     half_cells = math.ceil(target / h - 1e-12)

@@ -117,7 +117,7 @@ def cmd_sweep_vanishing(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         job.n_list, job.epsilon, spec.p,
         length_penalty=job.length_penalty, dim=spec.dim,
         half_width=spec.half_width, config=cfg.solver,
-        local_nodes=job.local_nodes, span_cells=job.span_cells,
+        local_nodes=job.local_nodes,
         capacity_resolution=job.capacity_resolution,
         bound_safety=job.bound_safety,
         divergence_samples=job.divergence_samples,

@@ -13,6 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, get_args, get_origin, get_type_hints
 
+from .capacity import check_resolution
 from .errors import ConfigError
 from .geometry import ProblemSpec
 from .solver import SolverConfig
@@ -74,6 +75,7 @@ class CapacitySweepJob:
             raise ValueError("sweep lengths must lie in (0, 1]")
         if self.slope_tolerance <= 0:
             raise ValueError("slope_tolerance must be positive")
+        check_resolution(self.resolution)
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class VanishingJob:
     epsilon: float = 0.25
     length_penalty: float = 1.0
     local_nodes: Optional[int] = None
-    span_cells: float = 2.0
     capacity_resolution: int = 4
     divergence_samples: int = 0
     bound_safety: float = 1.5
@@ -96,6 +97,7 @@ class VanishingJob:
             raise ValueError("n_list must be a nonempty list of integers >= 1")
         if self.bound_safety < 1:
             raise ValueError("bound_safety must be >= 1")
+        check_resolution(self.capacity_resolution, "capacity_resolution")
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class PoincareJob:
             raise ValueError("deltas must be positive")
         if any(not (0 < a < 1) for a in self.relative_lengths):
             raise ValueError("relative_lengths must lie in (0, 1)")
+        check_resolution(self.capacity_resolution, "capacity_resolution")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import quadratics
-from .capacity import (ScalingFit, centered_segment, scaling_fit,
-                       segment_capacity)
+from .capacity import (ScalingFit, centered_segment, check_resolution,
+                       scaling_fit, segment_capacity)
 from .errors import ResolutionTooCoarse
-from .geometry import (ConstraintMask, CrackSet, GridDiscretization,
-                       axis_segment, rasterize, total_length)
+from .geometry import (CrackSet, GridDiscretization, axis_segment,
+                       rasterize, total_length)
 from .solver import (ComplianceReport, SolverConfig, cell_means,
                      divergence_residual, flux, solve, solve_batch)
 from .sources import Constant, sample_on_grid
@@ -93,13 +92,17 @@ def crack_grid_construction(params: ConstructionParams) -> CrackSet:
     return CrackSet(tuple(segments))
 
 
-def required_local_nodes(params: ConstructionParams, span_cells: float = 2.0,
-                         floor: int = 33) -> int:
-    """Nodes per cube side so the crack spans >= span_cells cells.
+# a cube's crack must span at least this many cells of the cube grid
+CRACK_SPAN_CELLS = 2.0
+
+
+def required_local_nodes(params: ConstructionParams, floor: int = 33) -> int:
+    """Nodes per cube side so the crack spans >= CRACK_SPAN_CELLS cells.
 
     Rounded up to an even cell count so the cube center is a node.
     """
-    cells = math.ceil(span_cells * params.n ** (params.dim - 1) / params.epsilon - 1e-12)
+    cells = math.ceil(CRACK_SPAN_CELLS * params.n ** (params.dim - 1)
+                      / params.epsilon - 1e-12)
     cells = max(cells, floor - 1)
     if cells % 2:
         cells += 1
@@ -135,53 +138,40 @@ def solve_all_cubes(params: ConstructionParams, g,
     return _solve_cubes(params, params.cube_centers(), g, config, local_nodes)
 
 
-def _cube_problem(params: ConstructionParams, center: tuple[float, ...],
-                  local_nodes: int) -> tuple[GridDiscretization, ConstraintMask]:
-    """The cube's grid and the mask pinning its centered crack only."""
-    grid = GridDiscretization(local_nodes, params.cube_side / 2.0,
-                              params.dim, center)
-    span = params.crack_length / grid.h
-    if span < 2.0 * (1.0 - 1e-9):
-        raise ResolutionTooCoarse(
-            f"crack spans {span:.2f} cells at {local_nodes} nodes per cube "
-            f"side (n = {params.n}); need >= 2")
-    crack = centered_segment(params.crack_length, grid)
-    return grid, rasterize(CrackSet.of(crack), grid, include_boundary=False)
-
-
 def _solve_cubes(params: ConstructionParams, centers, g,
                  config: Optional[SolverConfig],
                  local_nodes: Optional[int]) -> list[LocalSolveResult]:
-    """Local solves on congruent cubes, batched by rasterized mask.
+    """Local solves on congruent cubes as one problem with many sources.
 
-    Cubes whose masks match node for node share one batch, and so one
-    factorization; all batches share one stiffness assembly.
+    The cubes are translates of one grid and their centered cracks
+    rasterize alike node for node, so the first cube's grid and mask
+    serve them all: one rasterization, one assembly and one
+    factorization per call.  Each source is sampled on its own cube.
     """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)
-    problems = [_cube_problem(params, tuple(float(c) for c in center), local_nodes)
-                for center in centers]
-    groups: dict[bytes, list[int]] = {}
-    for index, (_, mask) in enumerate(problems):
-        groups.setdefault(mask.pinned.tobytes(), []).append(index)
-    stiffness = quadratics.stiffness_matrix(problems[0][0])
+    grids = [GridDiscretization(local_nodes, params.cube_side / 2.0, params.dim,
+                                tuple(float(c) for c in center))
+             for center in centers]
+    grid = grids[0]
+    span = params.crack_length / grid.h
+    if span < CRACK_SPAN_CELLS * (1.0 - 1e-9):
+        raise ResolutionTooCoarse(
+            f"crack spans {span:.2f} cells at {local_nodes} nodes per cube "
+            f"side (n = {params.n}); need >= {CRACK_SPAN_CELLS:g}")
+    crack = centered_segment(params.crack_length, grid)
+    mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
+    sources = [sample_on_grid(g, cube) for cube in grids]
+    solved = solve_batch(sources, grid, mask, params.p, config,
+                         crack_length=params.crack_length,
+                         require_boundary=False)
     q = params.p / (params.p - 1.0)
-    results: list[Optional[LocalSolveResult]] = [None] * len(problems)
-    for members in groups.values():
-        grid, mask = problems[members[0]]
-        sources = [sample_on_grid(g, problems[i][0]) for i in members]
-        solved = solve_batch(sources, grid, mask, params.p, config,
-                             crack_length=params.crack_length,
-                             require_boundary=False, stiffness=stiffness)
-        for i, source, (u, report) in zip(members, sources, solved):
-            cube_grid = problems[i][0]
-            results[i] = LocalSolveResult(
-                center=cube_grid.center, grid=cube_grid, u=u,
-                energy_pnorm=report.flux_pnorm,
-                report=report,
-                source_dual_pnorm=cube_grid.cell_volume * float(
+    return [LocalSolveResult(
+                center=cube.center, grid=cube, u=u,
+                energy_pnorm=report.flux_pnorm, report=report,
+                source_dual_pnorm=cube.cell_volume * float(
                     np.sum(np.abs(cell_means(source)) ** q)))
-    return results
+            for cube, source, (u, report) in zip(grids, sources, solved)]
 
 
 def assemble_flux(results: Sequence[LocalSolveResult], params: ConstructionParams,
@@ -251,17 +241,20 @@ def vanishing_sequence_experiment(
         n_list: Sequence[int], epsilon: float, p: float, g=None,
         length_penalty: float = 1.0, dim: int = 2, half_width: float = 1.0,
         config: Optional[SolverConfig] = None,
-        local_nodes: Optional[int] = None, span_cells: float = 2.0,
-        capacity_resolution: int = 4, bound_safety: float = 1.5,
-        divergence_samples: int = 0, seed: int = 0) -> VanishingSequenceReport:
+        local_nodes: Optional[int] = None, capacity_resolution: int = 4,
+        bound_safety: float = 1.5, divergence_samples: int = 0,
+        seed: int = 0) -> VanishingSequenceReport:
     """Run the crack-grid pipeline over an increasing ladder of n.
 
     Emits one row per n; a ResolutionTooCoarse at some n aborts that and
-    all later n, reporting the rows already computed.
+    all later n, reporting the rows already computed.  A capacity
+    resolution that is not a positive even cell count raises ValueError
+    before any solve.
     """
     ns = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
+    check_resolution(capacity_resolution, "capacity_resolution")
     if g is None:
         g = Constant(1.0)
     q = p / (p - 1.0)
@@ -273,7 +266,7 @@ def vanishing_sequence_experiment(
         params = ConstructionParams(n=n, epsilon=epsilon,
                                     half_width=half_width, dim=dim, p=p)
         nodes = (local_nodes if local_nodes is not None
-                 else required_local_nodes(params, span_cells))
+                 else required_local_nodes(params))
         try:
             locals_ = solve_all_cubes(params, g, config, nodes)
         except ResolutionTooCoarse:

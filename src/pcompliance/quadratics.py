@@ -106,10 +106,6 @@ def node_mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     return sp.diags(grid.cell_volume * node_weights(grid).ravel()).tocsr()
 
 
-def _free_block(csr: sp.csr_matrix, free: np.ndarray) -> sp.csc_matrix:
-    return csr[free][:, free].tocsc()
-
-
 def _free_rhs(csr: sp.csr_matrix, rhs: np.ndarray, pinned_flat: np.ndarray,
               pin_value: float) -> np.ndarray:
     """rhs on free entries, less the coupling to pins held at pin_value."""
@@ -128,7 +124,7 @@ def factor_pinned(csr: sp.csr_matrix, free: np.ndarray) -> spla.SuperLU:
     minimum degree on A^T + A, which on 2-d grids leaves about 40% less
     fill than the default COLAMD and halves each back-substitution.
     """
-    return spla.splu(_free_block(csr, free), permc_spec="MMD_AT_PLUS_A")
+    return spla.splu(csr[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 class PinnedFactor:
@@ -193,7 +189,8 @@ def solve_pinned(
         x = factor_pinned(csr, free).solve(b)
         iterations = 0
     else:
-        a_ff = _free_block(csr, free)
+        # CG only multiplies, so the block stays in CSR
+        a_ff = csr[free][:, free]
         columns = b.reshape(n_free, -1)
         x = np.empty_like(columns)
         iterations = 0

@@ -307,7 +307,7 @@ def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: floa
 def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
                 length_penalty: float = 0.0, require_boundary: bool = True,
-                stiffness=None) -> list[tuple[GridField, ComplianceReport]]:
+                ) -> list[tuple[GridField, ComplianceReport]]:
     """`solve` for several sources on one grid and mask.
 
     The linear path (p = 2) factors the pinned stiffness block once and
@@ -315,11 +315,8 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     same block once as the preconditioner of every source's L-BFGS and
     minimizes the sources one after another.  Returns one (field, report)
     pair per source, in order, and raises NonConvergence for the first
-    source whose solve misses the tolerance.  `stiffness` is the grid's
-    assembled `quadratics.stiffness_matrix`; it depends on nodes_per_side,
-    half_width and dim only, so batches on translates of one grid can
-    share it, and None assembles it here.  Non-finite source values raise
-    ValueError before any work.
+    source whose solve misses the tolerance.  Non-finite source values
+    raise ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -332,9 +329,6 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             raise ValueError(f"source {index} of the batch holds non-finite values")
     if mask.grid != grid:
         raise ValueError("mask was built for a different grid")
-    if stiffness is not None and stiffness.shape != (grid.n_nodes, grid.n_nodes):
-        raise ValueError(f"stiffness of shape {stiffness.shape} does not "
-                         f"match a grid of {grid.n_nodes} nodes")
     if require_boundary and not mask.pinned[grid.boundary_mask()].all():
         raise ValueError("mask must pin the whole outer boundary")
     if not require_boundary and zero_energy_unbounded(mask.pinned):
@@ -366,8 +360,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
         return u, report
 
-    if stiffness is None:
-        stiffness = quadratics.stiffness_matrix(grid)
+    stiffness = quadratics.stiffness_matrix(grid)
     if method == "linear":
         # the load vol * M^T f_bar is the p = 2 mass matrix applied to f.
         # Column by column: holding every cube's f_bar or load at once

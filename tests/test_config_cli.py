@@ -75,6 +75,9 @@ def test_unknown_key_rejected():
         config_from_text("[problem]\nlength_budget = 1.0\n")
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_text("[output]\nfolder = x\n")
+    # a cube's crack spans a fixed two cells; below that the ladder aborts
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_text("[sweep-vanishing]\nspan_cells = 1.5\n")
     # the L-BFGS memory and line search are fixed in `descent`
     for key in ("memory", "armijo_factor", "armijo_c1"):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -167,6 +170,18 @@ def test_cli_missing_required_key_exits_2(tmp_path, capsys):
     code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "missing key 'p' in section [problem]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key", [
+    ("capacity-sweep", "resolution"),
+    ("sweep-vanishing", "capacity_resolution"),
+    ("poincare", "capacity_resolution"),
+])
+def test_cli_odd_resolution_exits_2(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, f"[{command}]\n{key} = 3\n")
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{key} must be a positive even cell count" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_out():

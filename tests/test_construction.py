@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcompliance import quadratics
+from pcompliance import construction, quadratics
+from pcompliance.capacity import centered_segment
 from pcompliance.construction import (
     ConstructionParams,
     assemble_flux,
@@ -13,7 +14,8 @@ from pcompliance.construction import (
     vanishing_sequence_experiment,
 )
 from pcompliance.errors import ResolutionTooCoarse
-from pcompliance.geometry import GridDiscretization, total_length
+from pcompliance.geometry import (CrackSet, GridDiscretization, rasterize,
+                                 total_length)
 from pcompliance.solver import SolverConfig, cell_means, flux_pnorm
 from pcompliance.sources import Constant, GaussianBump, sample_on_grid
 
@@ -126,6 +128,58 @@ def test_rung_assembles_stiffness_once_and_no_mass(monkeypatch):
         assert calls == ["stiffness_matrix"]
 
 
+def test_rung_rasterizes_once(monkeypatch):
+    calls = []
+    real = construction.rasterize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "rasterize", counting)
+    results = solve_all_cubes(ConstructionParams(n=2, epsilon=0.4),
+                              Constant(1.0), local_nodes=17)
+    assert len(results) == 16
+    assert calls == [results[0].grid]
+
+
+class _StopRung(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,epsilon,half_width,dim,nodes", [
+    (1, 0.25, 1.0, 2, 33),
+    (2, 0.5, 0.7, 2, 33),
+    (3, 0.3, 1.0, 2, 31),
+    (4, 0.25, 0.5, 2, 33),
+    (1, 0.5, 1.0, 3, 9),
+    (2, 0.5, 0.7, 3, 17),
+])
+def test_every_cube_rasterizes_to_the_rung_mask(monkeypatch, n, epsilon,
+                                                half_width, dim, nodes):
+    # the rung solves every cube on the first cube's mask, which is only
+    # right if each cube's own crack pins the same nodes of its own grid
+    params = ConstructionParams(n=n, epsilon=epsilon, half_width=half_width,
+                                dim=dim)
+    seen = []
+
+    def stop(sources, grid, mask, *args, **kwargs):
+        seen.append(mask)
+        raise _StopRung
+
+    monkeypatch.setattr(construction, "solve_batch", stop)
+    with pytest.raises(_StopRung):
+        solve_all_cubes(params, Constant(1.0), local_nodes=nodes)
+    (rung_mask,) = seen
+    assert rung_mask.pinned.any()
+    for center in params.cube_centers():
+        grid = GridDiscretization(nodes, params.cube_side / 2.0, dim,
+                                  tuple(float(c) for c in center))
+        crack = centered_segment(params.crack_length, grid)
+        own = rasterize(CrackSet.of(crack), grid, include_boundary=False)
+        assert np.array_equal(own.pinned, rung_mask.pinned)
+
+
 def test_assembled_flux_norm_matches_local_energies():
     params = ConstructionParams(n=2, epsilon=0.4, dim=2, p=2.5)
     results = solve_all_cubes(params, Constant(1.0), local_nodes=17,
@@ -166,6 +220,16 @@ def test_n_list_must_increase():
         vanishing_sequence_experiment([2, 2], 0.25, 2.0, local_nodes=17)
     with pytest.raises(ValueError):
         vanishing_sequence_experiment([4, 2], 0.25, 2.0, local_nodes=17)
+
+
+def test_odd_capacity_resolution_fails_before_any_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(construction, "solve_batch", unreachable)
+    with pytest.raises(ValueError, match="capacity_resolution"):
+        vanishing_sequence_experiment([1, 2], 0.25, 2.0, local_nodes=17,
+                                      capacity_resolution=3)
 
 
 def test_coarse_ladder_aborts_cleanly():

@@ -485,10 +485,3 @@ def test_stencil_load_equals_mass_matrix_times_source(dim, nodes):
     expected = quadratics.mass_matrix(grid) @ f.ravel()
     assert np.abs(load - expected).max() <= 1e-14 * np.abs(expected).max()
 
-
-def test_solve_batch_rejects_stiffness_of_another_grid():
-    grid = GridDiscretization(17, 1.0, 2)
-    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)), grid)
-    other = quadratics.stiffness_matrix(GridDiscretization(9, 1.0, 2))
-    with pytest.raises(ValueError, match="stiffness"):
-        solve_batch([np.ones(grid.shape)], grid, mask, 2.0, stiffness=other)
