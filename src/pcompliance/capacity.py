@@ -130,7 +130,9 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     """Capacity estimate for a target pinned to 1 inside `grid`'s box.
 
     Raises DegenerateTarget when a nonempty segment target captures no
-    node at this resolution.  The empty set returns exactly 0.
+    node at this resolution, and NonConvergence, with the last field, when
+    the linear or descent solve stops above grad_tolerance.  The empty set
+    returns exactly 0.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -155,12 +157,16 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         # the nonlinear gradient is twice the row residual, hence the
         # halved tolerance
         u_flat, iterations = quadratics.solve_pinned(
-            matrix, np.zeros(grid.n_nodes), pinned.ravel(), pin_value=1.0,
+            matrix, np.zeros(grid.n_nodes), pinned, pin_value=1.0,
             grad_tolerance=0.5 * config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         u = u_flat.reshape(grid.shape)
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
+        if residual > config.grad_tolerance:
+            raise NonConvergence(
+                f"linear path residual {residual:.3e} above tolerance "
+                f"{config.grad_tolerance:.3e}", field=u)
     else:
         if config.regularization_eps is not None:
             eps = config.regularization_eps

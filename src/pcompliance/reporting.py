@@ -8,6 +8,7 @@ byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -37,16 +38,22 @@ def format_value(value) -> str:
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
               seed: Optional[int] = None,
               comments: Sequence[str] = ()) -> Path:
+    lines = (",".join(format_value(v) for v in row) for row in rows)
+    return _write_lines(path, header, lines, seed, comments)
+
+
+def _write_lines(path, header: Sequence[str], lines: Iterable[str],
+                 seed: Optional[int] = None,
+                 comments: Sequence[str] = ()) -> Path:
+    """The schema, seed and comment lines, the header, then data lines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# schema={SCHEMA}"]
+    head = [f"# schema={SCHEMA}"]
     if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        head.append(f"# seed={seed}")
+    head.extend(f"# {c}" for c in comments)
+    head.append(",".join(header))
+    path.write_text("\n".join(itertools.chain(head, lines)) + "\n")
     return path
 
 
@@ -70,11 +77,16 @@ def write_compliance_report(path, report: ComplianceReport,
 
 
 def write_field(path, values: np.ndarray, seed: Optional[int] = None) -> Path:
-    """Node field to CSV: one row per node, index tuple then value."""
-    dim = values.ndim
-    header = tuple(f"i{k}" for k in range(dim)) + ("value",)
-    rows = (tuple(idx) + (values[idx],) for idx in np.ndindex(values.shape))
-    return write_csv(path, header, rows, seed=seed)
+    """Node field to CSV: one row per node, index tuple then value.
+
+    Lines are joined from per-axis index labels and the values' repr,
+    which prints nan, inf, -inf and -0.0 as `format_value` does.
+    """
+    header = tuple(f"i{k}" for k in range(values.ndim)) + ("value",)
+    axes = [[f"{i}," for i in range(m)] for m in values.shape]
+    labels = map("".join, itertools.product(*axes))
+    lines = map(str.__add__, labels, map(repr, values.ravel().tolist()))
+    return _write_lines(path, header, lines, seed)
 
 
 _VIRIDIS = (

@@ -45,13 +45,14 @@ class SolverConfig:
 
     grad_tolerance bounds the max-norm of the projected gradient at the
     returned field, and max_iterations caps each L-BFGS descent.
-    regularization_eps = None picks 0 for p >= 2 and 1e-8 * max|f|
-    otherwise; an explicit 0 is rejected for p < 2.  method is "auto",
-    "descent", or "linear"; `resolve_method` turns it into the path a
-    solve takes.  prefer_direct picks a sparse LU (True) or Jacobi CG
-    (False) for the p = 2 linear solves, None by size; every descent
-    (energy, capacity, Poincare) factors its p = 2 block.  The L-BFGS
-    memory and line search are fixed in `descent`.
+    regularization_eps = None picks 0 for p >= 2 and
+    1e-8 * max(max|f|, 1) otherwise (`resolve_eps`); an explicit 0 is
+    rejected for p < 2.  method is "auto", "descent", or "linear";
+    `resolve_method` turns it into the path a solve takes.  prefer_direct
+    picks a sparse LU (True) or Jacobi CG (False) for the p = 2 linear
+    solves, None by size; every descent (energy, capacity, Poincare)
+    factors its p = 2 block.  The L-BFGS memory and line search are fixed
+    in `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -370,7 +371,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             load = cell_means_adjoint(cell_means(f), grid.cell_volume)
             rhs[:, column] = load.ravel()
         u_flat, iterations = quadratics.solve_pinned(
-            stiffness, rhs, pinned.ravel(),
+            stiffness, rhs, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         fields = u_flat.T.reshape((len(fs),) + grid.shape)

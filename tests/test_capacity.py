@@ -17,7 +17,7 @@ from pcompliance.capacity import (
     target_pins,
     variational_capacity,
 )
-from pcompliance.errors import DegenerateTarget, NonConvergence
+from pcompliance.errors import DegenerateTarget, NonConvergence, ResolutionWarning
 from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment
 from pcompliance.solver import SolverConfig
 
@@ -89,7 +89,7 @@ def test_empty_target_has_zero_capacity():
 def test_invisible_segment_raises_degenerate_target():
     grid = GridDiscretization(9, 1.0, 2)
     thin = axis_segment((0.115, 0.125), 0, 0.02)
-    with pytest.raises(DegenerateTarget):
+    with pytest.raises(DegenerateTarget), pytest.warns(ResolutionWarning):
         variational_capacity(thin, 2.0, grid)
 
 
@@ -327,3 +327,15 @@ def test_capacity_nonconvergence_names_a_line_search_stall(monkeypatch):
         segment_capacity(0.5, 3.0, box_half_width=1.0,
                          config=SolverConfig(grad_tolerance=1e-12))
     assert err.value.reason == descent.LINE_SEARCH_STALL
+
+
+def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
+    def unconverged(a, b, grad_tolerance):
+        return np.zeros(len(b)), 1
+
+    monkeypatch.setattr(quadratics, "_pinned_cg", unconverged)
+    config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
+    with pytest.raises(NonConvergence, match="linear path residual") as err:
+        segment_capacity(0.5, 2.0, box_half_width=1.0, config=config)
+    assert err.value.field.shape == (17, 17)
+    assert err.value.reason is None

@@ -129,6 +129,18 @@ def test_write_csv_layout(tmp_path):
     assert lines[5] == "3,nan"
 
 
+@pytest.mark.parametrize("shape", [(4, 5), (3, 2, 4)])
+def test_write_field_matches_per_node_write_csv(tmp_path, shape):
+    values = np.random.default_rng(3).standard_normal(shape) * 1e-3
+    values.flat[:5] = [-0.0, float("nan"), float("inf"), float("-inf"), 1e300]
+    field = reporting.write_field(tmp_path / "field.csv", values, seed=4)
+    header = tuple(f"i{k}" for k in range(len(shape))) + ("value",)
+    rows = [idx + (values[idx],) for idx in np.ndindex(shape)]
+    per_node = reporting.write_csv(tmp_path / "rows.csv", header, rows, seed=4)
+    assert field.read_bytes() == per_node.read_bytes()
+    assert field.read_text().splitlines()[3] == ",".join(["0"] * len(shape) + ["-0.0"])
+
+
 def test_cli_solve_writes_reports(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 [solve]
