@@ -153,14 +153,18 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     # descent only corrects the p-dependent shape
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
+    # the unit pins, lifted into the load: with v = 0 at the pins and
+    # (K+M)v = load on the free nodes, u = v + pins solves (K+M)u = 0 there
+    load = -(matrix @ pinned.ravel().astype(float))
     if method == "linear":
         # the nonlinear gradient is twice the row residual, hence the
         # halved tolerance
         u_flat, iterations = quadratics.solve_pinned(
-            matrix, np.zeros(grid.n_nodes), pinned, pin_value=1.0,
+            matrix, load, pinned,
             grad_tolerance=0.5 * config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         u = u_flat.reshape(grid.shape)
+        u[pinned] = 1.0
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
         if residual > config.grad_tolerance:
@@ -181,8 +185,9 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
         # nodes for any pinning thanks to the mass term; its one factor
         # gives the warm start and the descent's H0
-        factor = quadratics.PinnedFactor(2.0 * matrix, pinned.ravel())
-        u_flat = factor.solve(np.zeros(grid.n_nodes), pin_value=1.0)
+        factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
+        u_flat = factor.solve(2.0 * load)
+        u_flat[pinned.ravel()] = 1.0
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
             value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps)
@@ -192,7 +197,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             objective, u_flat,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=factor.precondition)
+            precondition=factor.solve)
         u = result.x.reshape(shape)
         u[pinned] = 1.0
         iterations = result.iterations

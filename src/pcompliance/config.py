@@ -9,6 +9,7 @@ errors surface with their line numbers.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, get_args, get_origin, get_type_hints
@@ -28,15 +29,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parser_for(hint) -> Callable[[str], object]:
     """Text parser for a field type: scalars, Optional[...] and tuple[T, ...].
 
-    Optional fields read an empty value as None; tuples take comma- or
-    space-separated items.
+    Floats must be finite; Optional fields read an empty value as None;
+    tuples take comma- or space-separated items.
     """
     if hint is bool:
         return _parse_bool
-    if hint in (int, float, str):
+    if hint is float:
+        return _parse_finite
+    if hint in (int, str):
         return hint
     args = get_args(hint)
     if get_origin(hint) is tuple:

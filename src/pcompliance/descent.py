@@ -24,6 +24,7 @@ LINE_SEARCH_STALL = "line-search stall"
 # accepted once it gains this fraction of the first-order decrease
 _STEP_FACTOR = 0.5
 _ARMIJO_C1 = 1e-4
+_MAX_HALVINGS = 60
 # (s, y) pairs the two-loop recursion keeps
 _MEMORY = 12
 
@@ -66,7 +67,7 @@ def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad, py_hist):
     return -q
 
 
-def _backtrack(fun, x, value, grad, direction, max_halvings=60):
+def _backtrack(fun, x, value, grad, direction):
     """Armijo backtracking from unit step; returns None when no step works.
 
     A trial point that rounds back to x fails the search: at that
@@ -78,7 +79,7 @@ def _backtrack(fun, x, value, grad, direction, max_halvings=60):
         return None, 0
     step = 1.0
     evals = 0
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         x_new = x + step * direction
         if np.array_equal(x_new, x):
             break

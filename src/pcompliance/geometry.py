@@ -266,10 +266,12 @@ class GridDiscretization:
             mask[tuple(idx_hi)] = True
         return mask
 
-    def contains(self, points: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
+        # a relative slack of 1e-9 half-widths admits points on the boundary
+        slack = 1e-9 * self.half_width
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = self.lower_corner - slack * self.half_width
-        hi = np.asarray(self.center) + self.half_width + slack * self.half_width
+        lo = self.lower_corner - slack
+        hi = np.asarray(self.center) + self.half_width + slack
         return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
 

@@ -169,7 +169,7 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
         objective, x0,
         grad_tolerance=config.grad_tolerance,
         max_iterations=config.max_iterations,
-        precondition=factor.precondition)
+        precondition=factor.solve)
     if not result.converged:
         raise NonConvergence(
             f"quotient descent stopped ({result.reason}) after "

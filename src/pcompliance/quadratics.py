@@ -108,70 +108,56 @@ def node_mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     return sp.diags(grid.cell_volume * node_weights(grid).ravel()).tocsr()
 
 
-def _free_rhs(csr: sp.csr_matrix, rhs: np.ndarray, pinned_flat: np.ndarray,
-              pin_value: float) -> np.ndarray:
-    """rhs on free entries, less the coupling to pins held at pin_value."""
-    free = ~pinned_flat
-    b = rhs[free].astype(float, copy=False)
-    if pin_value != 0.0:
-        coupled = (csr @ (pin_value * pinned_flat))[free]
-        b -= coupled.reshape((len(b),) + (1,) * (b.ndim - 1))
-    return b
-
-
-def factor_pinned(csr: sp.csr_matrix, free: np.ndarray) -> spla.SuperLU:
-    """Sparse LU factor of the free-by-free block of csr.
-
-    Every block factored here is symmetric, so the columns are ordered by
-    minimum degree on A^T + A, which on 2-d grids leaves about 40% less
-    fill than the default COLAMD and halves each back-substitution.
-    """
-    return spla.splu(csr[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
 class PinnedFactor:
-    """LU factor of a matrix's free block, pinned entries held fixed.
+    """LU factor of a matrix's free block, the pinned entries held at 0.
 
-    One factorization serves any number of `solve` calls and, through
-    `precondition`, an inverse-Hessian guess for descent.
+    pinned is the grid-shaped mask of held nodes.  One factorization
+    serves any number of `solve` calls: linear solves, warm starts and a
+    descent's inverse-Hessian guess.  Every block factored here is
+    symmetric, so the columns are ordered by minimum degree on A^T + A,
+    which on 2-d grids leaves about 40% less fill than the default COLAMD
+    and halves each back-substitution.
     """
 
-    def __init__(self, matrix: sp.spmatrix, pinned_flat: np.ndarray):
-        self._csr = matrix.tocsr()
-        self._pinned = pinned_flat
-        self._free = ~pinned_flat
-        self._lu = factor_pinned(self._csr, self._free)
+    def __init__(self, matrix: sp.spmatrix, pinned: np.ndarray):
+        self._free = ~pinned.ravel()
+        csr = matrix.tocsr()
+        self._lu = spla.splu(csr[self._free][:, self._free].tocsc(),
+                             permc_spec="MMD_AT_PLUS_A")
 
-    def solve(self, rhs: np.ndarray, pin_value: float = 0.0) -> np.ndarray:
-        """Full solution shaped like rhs, pinned entries at pin_value."""
-        u = np.full(rhs.shape, float(pin_value))
-        u[self._free] = self._lu.solve(
-            _free_rhs(self._csr, rhs, self._pinned, pin_value))
-        return u
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The free block's inverse applied to rhs's free entries, shaped
+        like rhs (column-major for an (n, k) block) and exactly 0 at pins.
+        """
+        return _scatter_free(self._lu.solve(rhs[self._free]), self._free)
 
-    def precondition(self, v: np.ndarray) -> np.ndarray:
-        """The free block's inverse applied to v's free entries; 0 at pins."""
-        out = np.zeros_like(v)
-        out[self._free] = self._lu.solve(v[self._free])
-        return out
+
+def _scatter_free(x: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """x on the free entries, 0 at the pins; column-major, so the solution
+    for each right-hand side is contiguous."""
+    # called once the solve has returned and freed its copy of the free
+    # right-hand sides; allocating the output first keeps both alive and
+    # raises the crack ladder's peak RSS
+    u = np.zeros((len(free),) + x.shape[1:], order="F")
+    u[free] = x
+    return u
 
 
 def solve_pinned(
     matrix: sp.spmatrix,
     rhs: np.ndarray,
     pinned: np.ndarray,
-    pin_value: float = 0.0,
     *,
     grad_tolerance: float = 1e-10,
     prefer_direct: bool | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Solve matrix @ u = rhs on free entries with pinned entries fixed.
+    """Solve matrix @ u = rhs on free entries with pinned entries held at 0.
 
     pinned is the grid-shaped mask of held nodes, and rhs is one flat
     vector or an (n, k) block of k right-hand sides, which share one
     factorization.  Returns the full solution, shaped like rhs, and the
     iteration count summed over the columns (0 for a direct
-    factorization).  Direct solves (`factor_pinned`) are used by default
+    factorization).  Direct solves (`PinnedFactor`) are used by default
     up to 80 000 free nodes.  Above that, the free nodes of a parity class
     whose block is diagonal (`_diagonal_class`) are eliminated exactly,
     and a Jacobi-preconditioned conjugate gradient loop on the Schur
@@ -183,25 +169,14 @@ def solve_pinned(
     415); the 3-d stiffness has no such class, and CG runs on the whole
     free block.
     """
-    pinned_flat = pinned.ravel()
-    free = ~pinned_flat
-    n_free = int(free.sum())
-    # column-major, so the solution for each right-hand side is contiguous
-    u = np.full(rhs.shape, float(pin_value), order="F")
-    if n_free == 0:
-        return u, 0
-    csr = matrix.tocsr()
-    b = _free_rhs(csr, rhs, pinned_flat, pin_value)
+    free = ~pinned.ravel()
     direct = prefer_direct
     if direct is None:
-        direct = n_free <= 80_000
+        direct = free.sum() <= 80_000
     if direct:
-        x = factor_pinned(csr, free).solve(b)
-        iterations = 0
-    else:
-        x, iterations = _reduced_cg(csr, b, pinned, grad_tolerance)
-    u[free] = x
-    return u, iterations
+        return PinnedFactor(matrix, pinned).solve(rhs), 0
+    x, iterations = _reduced_cg(matrix.tocsr(), rhs[free], pinned, grad_tolerance)
+    return _scatter_free(x, free), iterations
 
 
 def _diagonal_class(csr: sp.csr_matrix, pinned: np.ndarray) -> np.ndarray:
@@ -242,7 +217,7 @@ def _reduced_cg(csr: sp.csr_matrix, b: np.ndarray, pinned: np.ndarray,
     schur = w.T.tocsr() @ w
     schur.data *= -1.0
     schur = schur + csr[keep][:, keep]
-    columns = b.reshape(len(b), -1)
+    columns = b[:, None] if b.ndim == 1 else b
     in_elim = elim[free]
     x = np.empty_like(columns)
     iterations = 0
@@ -266,7 +241,7 @@ def _pinned_cg(a_ff, b: np.ndarray, grad_tolerance: float) -> tuple[np.ndarray, 
         counter = _IterationCounter()
         x, info = spla.cg(a_ff, b, x0=x, rtol=0.0, atol=atol, maxiter=20 * len(b), M=precond, callback=counter)
         iterations += counter.count
-        residual = np.abs(b - a_ff @ x).max()
+        residual = np.abs(b - a_ff @ x).max(initial=0.0)
         if residual <= grad_tolerance or info != 0:
             break
         atol *= 0.05

@@ -101,6 +101,9 @@ _VIRIDIS = (
     (0.478, 0.821, 0.318),
     (0.741, 0.873, 0.150),
     (0.993, 0.906, 0.144))
+# heatmap cells are drawn this many pixels wide, at most this many a side
+_CELL_PX = 4
+_MAX_CELLS = 160
 
 
 def _color(fraction: float) -> str:
@@ -113,13 +116,12 @@ def _color(fraction: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def write_heatmap(path, values: np.ndarray, cell_px: int = 4,
-                  max_cells: int = 160) -> Path:
+def write_heatmap(path, values: np.ndarray) -> Path:
     """Minimal SVG heatmap of a 2d array (block-averaged when large)."""
     if values.ndim != 2:
         raise ValueError("heatmaps are 2d only")
     data = np.asarray(values, dtype=float)
-    step = max(1, math.ceil(max(data.shape) / max_cells))
+    step = max(1, math.ceil(max(data.shape) / _MAX_CELLS))
     if step > 1:
         nx = data.shape[0] // step * step
         ny = data.shape[1] // step * step
@@ -127,8 +129,8 @@ def write_heatmap(path, values: np.ndarray, cell_px: int = 4,
     lo = float(data.min())
     hi = float(data.max())
     span = hi - lo if hi > lo else 1.0
-    width = data.shape[0] * cell_px
-    height = data.shape[1] * cell_px
+    width = data.shape[0] * _CELL_PX
+    height = data.shape[1] * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height + 16}" shape-rendering="crispEdges">']
@@ -137,8 +139,8 @@ def write_heatmap(path, values: np.ndarray, cell_px: int = 4,
             color = _color((data[i, j] - lo) / span)
             # array axis 0 runs right, axis 1 runs up
             parts.append(
-                f'<rect x="{i * cell_px}" y="{(data.shape[1] - 1 - j) * cell_px}" '
-                f'width="{cell_px}" height="{cell_px}" fill="{color}"/>')
+                f'<rect x="{i * _CELL_PX}" y="{(data.shape[1] - 1 - j) * _CELL_PX}" '
+                f'width="{_CELL_PX}" height="{_CELL_PX}" fill="{color}"/>')
     parts.append(
         f'<text x="0" y="{height + 12}" font-size="10" font-family="monospace">'
         f'min={format_value(lo)} max={format_value(hi)}</text>')

@@ -37,6 +37,8 @@ FluxField = np.ndarray
 # preconditioner when pure-gauge modes make that block singular; iteration
 # counts hardly move for any value from 1e-6 to 1e-1
 _GAUGE_SHIFT = 1e-3
+# smallest test-bump radius in `divergence_residual`, in cells
+_MIN_SPAN_CELLS = 3.0
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             objective, np.zeros(grid.n_nodes),
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=factor.precondition)
+            precondition=factor.solve)
         u = result.x.reshape(shape)
         u[pinned] = 0.0
         solved.append(finish(u, f_bar, eps, result.iterations,
@@ -413,7 +415,7 @@ def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
     block = stiffness
     if not linear_ok:
         block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
-    return quadratics.PinnedFactor(block, pinned.ravel())
+    return quadratics.PinnedFactor(block, pinned)
 
 
 def _build_report(u, f_bar, grid, pinned, p, eps, iterations, evaluations,
@@ -506,13 +508,12 @@ def divergence_residual(sigma: FluxField, f: np.ndarray, grid: GridDiscretizatio
                         cracks: CrackSet, rng: np.random.Generator,
                         samples: int = 20,
                         radius_fraction: tuple[float, float] = (0.1, 0.25),
-                        min_span_cells: float = 3.0,
                         ) -> DivergenceCheck:
     """Test int sigma . grad(phi) = int f phi on random interior bumps.
 
     Bump supports are kept inside the open box and at least one cell away
     from every crack segment, shrinking the radius range when placement
-    keeps failing.  Radii are floored at min_span_cells cells: a bump
+    keeps failing.  Radii are floored at _MIN_SPAN_CELLS cells: a bump
     sampled by only one or two cell centers pairs as pure noise, so a
     grid too coarse to fit a resolvable bump fails loudly instead.
     Residuals are exact-quadrature mismatches, so they carry both the
@@ -524,7 +525,7 @@ def divergence_residual(sigma: FluxField, f: np.ndarray, grid: GridDiscretizatio
     f_bar = cell_means(f)
     lo, hi = radius_fraction
     box = grid.half_width
-    floor = min_span_cells * grid.h
+    floor = _MIN_SPAN_CELLS * grid.h
     residuals = []
     scales = []
     for _ in range(samples):

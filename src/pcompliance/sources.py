@@ -53,15 +53,14 @@ class GaussianSum:
 
 
 def random_smooth(rng: np.random.Generator, dim: int, half_width: float,
-                  bumps: int = 3, amplitude: float = 1.0,
-                  center: tuple[float, ...] = ()) -> GaussianSum:
-    """A random superposition of Gaussian bumps inside the box."""
-    origin = np.asarray(center if center else (0.0,) * dim)
+                  bumps: int = 3) -> GaussianSum:
+    """A random superposition of Gaussian bumps inside the box centered at
+    the origin, each of amplitude at most 1."""
     parts = []
     for _ in range(bumps):
-        c = origin + rng.uniform(-0.6 * half_width, 0.6 * half_width, size=dim)
+        c = rng.uniform(-0.6 * half_width, 0.6 * half_width, size=dim)
         width = float(rng.uniform(0.15, 0.45)) * half_width
-        value = float(rng.uniform(-amplitude, amplitude))
+        value = float(rng.uniform(-1.0, 1.0))
         parts.append(GaussianBump(center=tuple(c), width=width, value=value))
     return GaussianSum(bumps=tuple(parts))
 
@@ -77,14 +76,13 @@ def sample_on_grid(source, grid: GridDiscretization) -> np.ndarray:
     return values
 
 
-def named_source(name: str, dim: int, half_width: float,
-                 center: tuple[float, ...] = ()):
-    """Sources addressable from config files: "one", "zero", or "bump"."""
-    origin = tuple(center) if center else (0.0,) * dim
+def named_source(name: str, dim: int, half_width: float):
+    """Sources addressable from config files: "one", "zero", or "bump"
+    (centered at the origin)."""
     if name == "one":
         return Constant(1.0)
     if name == "zero":
         return Constant(0.0)
     if name == "bump":
-        return GaussianBump(center=origin, width=0.3 * half_width, value=1.0)
+        return GaussianBump(center=(0.0,) * dim, width=0.3 * half_width, value=1.0)
     raise ValueError(f"unknown source {name!r} (expected one, zero, or bump)")

@@ -75,12 +75,13 @@ class StabilityRecord:
     required_A: float
     certified_A: float
 
-    def satisfied(self, A: float, slack: float = 1e-12) -> bool:
-        scale = max(self.compliance_1, self.compliance_2, 1.0)
+    def satisfied(self, A: float) -> bool:
+        # relative slack for rounding in the compliances
+        slack = 1e-12 * max(self.compliance_1, self.compliance_2, 1.0)
         bound_12 = 2 ** (self.p - 1) * self.compliance_2 + A * self.z_value
         bound_21 = 2 ** (self.p - 1) * self.compliance_1 + A * self.z_value
-        return (self.compliance_1 <= bound_12 + slack * scale
-                and self.compliance_2 <= bound_21 + slack * scale)
+        return (self.compliance_1 <= bound_12 + slack
+                and self.compliance_2 <= bound_21 + slack)
 
 
 def check_stability(f1, f2, cracks: CrackSet, p: float, grid: GridDiscretization,

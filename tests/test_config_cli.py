@@ -96,6 +96,18 @@ def test_bad_values_carry_section_context():
         config_from_text("[solver]\nprefer_direct = maybe\n")
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "grad_tolerance", "inf"),       # would stop at once, compliance 0
+    ("solver", "regularization_eps", "nan"),   # would fail as a line-search stall
+    ("problem", "p", "inf"),                   # would run to the iteration cap
+    ("stability", "truncation_levels", "1 inf"),
+])
+def test_non_finite_numbers_rejected(section, key, value):
+    with pytest.raises(ConfigError,
+                       match=rf"'{key}' in \[{section}\]: not a finite number"):
+        config_from_text(f"[{section}]\n{key} = {value}\n")
+
+
 def test_malformed_ini_reports_origin():
     with pytest.raises(ConfigError, match="badfile.ini"):
         config_from_text("p = 2 without a section\n", origin="badfile.ini")

@@ -14,7 +14,7 @@ def crack_energy_case(nodes, dim):
     mask = rasterize(CrackSet.of(axis_segment(start, 0, 1.0)), grid)
     f = sample_on_grid(named_source("bump", dim, 1.0), grid)
     load = cell_means_adjoint(cell_means(f), grid.cell_volume).ravel()
-    return quadratics.stiffness_matrix(grid), load, mask.pinned, 0.0
+    return quadratics.stiffness_matrix(grid), load, mask.pinned
 
 
 def capacity_case(nodes, dim):
@@ -23,7 +23,8 @@ def capacity_case(nodes, dim):
     pins = target_pins(axis_segment(start, 0, 0.5), grid)
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
-    return matrix, np.zeros(grid.n_nodes), pins, 1.0
+    # the unit pins lifted into the load, as `variational_capacity` does
+    return matrix, -(matrix @ pins.ravel().astype(float)), pins
 
 
 def parity(pinned, bits):
@@ -38,7 +39,7 @@ def parity(pinned, bits):
     (crack_energy_case, 9, 3, None),
 ])
 def test_eliminated_parity_class_has_a_diagonal_block(build, nodes, dim, bits):
-    matrix, _, pinned, _ = build(nodes, dim)
+    matrix, _, pinned = build(nodes, dim)
     csr = matrix.tocsr()
     cls = quadratics._diagonal_class(csr, pinned)
     if bits is None:
@@ -58,22 +59,22 @@ def test_eliminated_parity_class_has_a_diagonal_block(build, nodes, dim, bits):
     (crack_energy_case, 13, 3),
 ])
 def test_reduced_cg_matches_lu(build, nodes, dim):
-    matrix, rhs, pinned, pin_value = build(nodes, dim)
+    matrix, rhs, pinned = build(nodes, dim)
     tolerance = 1e-12
-    lu, _ = quadratics.solve_pinned(matrix, rhs, pinned, pin_value,
+    lu, _ = quadratics.solve_pinned(matrix, rhs, pinned,
                                     grad_tolerance=tolerance, prefer_direct=True)
-    cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned, pin_value,
+    cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned,
                                              grad_tolerance=tolerance,
                                              prefer_direct=False)
     assert iterations > 0
     free = ~pinned.ravel()
     assert np.abs((matrix @ cg - rhs)[free]).max() <= tolerance
-    assert np.all(cg[~free] == pin_value)
+    assert np.all(cg[~free] == 0)
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
 
 
 def test_reduced_cg_matches_lu_column_by_column():
-    matrix, load, pinned, _ = crack_energy_case(33, 2)
+    matrix, load, pinned = crack_energy_case(33, 2)
     rhs = np.column_stack([load, -2.0 * load[::-1]])
     tolerance = 1e-12
     lu, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
@@ -82,6 +83,36 @@ def test_reduced_cg_matches_lu_column_by_column():
                                     prefer_direct=False)
     assert cg.shape == rhs.shape
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+@pytest.mark.parametrize("build,nodes,dim", [
+    (crack_energy_case, 33, 2),
+    (capacity_case, 9, 3),
+])
+def test_factor_solves_a_block_column_by_column(build, nodes, dim):
+    matrix, load, pinned = build(nodes, dim)
+    rhs = np.column_stack([load, -2.0 * load[::-1], np.ones_like(load)])
+    factor = quadratics.PinnedFactor(matrix, pinned)
+    block = factor.solve(rhs)
+    assert block.shape == rhs.shape
+    assert block.flags.f_contiguous
+    for column in range(rhs.shape[1]):
+        np.testing.assert_array_equal(block[:, column], factor.solve(rhs[:, column]))
+    assert np.all(block[pinned.ravel()] == 0)
+
+
+@pytest.mark.parametrize("prefer_direct", [True, False])
+@pytest.mark.parametrize("free_center", [False, True])
+def test_tiny_free_blocks_solve(prefer_direct, free_center):
+    # no free node, or one whose parity class leaves CG nothing to keep
+    grid = GridDiscretization(3, 1.0, 2)
+    matrix = quadratics.stiffness_matrix(grid)
+    pinned = np.ones(grid.shape, dtype=bool)
+    pinned[1, 1] = not free_center
+    rhs = np.ones(grid.n_nodes)
+    u, _ = quadratics.solve_pinned(matrix, rhs, pinned, prefer_direct=prefer_direct)
+    assert np.all(u[pinned.ravel()] == 0)
+    assert np.abs((matrix @ u - rhs)[~pinned.ravel()]).max(initial=0.0) <= 1e-12
 
 
 def test_reduced_cg_halves_the_crack_solve_iterations():
