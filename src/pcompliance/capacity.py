@@ -32,7 +32,8 @@ from . import descent, quadratics
 from .errors import DegenerateTarget, NonConvergence
 from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
                        rasterize)
-from .solver import SolverConfig, _corners, _weights
+from .quadratics import _corners
+from .solver import SolverConfig, density_weights
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarr
     m = u * u + eps * eps
     value = vol * (sum(float(np.sum(s ** (p / 2.0))) for s in squares) / 2 ** dim
                    + float(np.sum(w_node * m ** (p / 2.0))))
-    grad = vol * p * w_node * _weights(m, p) * u
-    weights = [_weights(s, p) for s in squares]
+    grad = vol * p * w_node * density_weights(m, p) * u
+    weights = [density_weights(s, p) for s in squares]
     scale = vol * p / (2 ** dim * grid.h)
     for k, d in enumerate(diffs):
         edge_w = np.zeros_like(d)

@@ -59,6 +59,11 @@ def _parser_for(hint) -> Callable[[str], object]:
     raise TypeError(f"no config parser for field type {hint!r}")
 
 
+def _check_nodes(value: int, key: str = "nodes_per_side") -> None:
+    if value < 3:
+        raise ValueError(f"{key} must be >= 3, got {value}")
+
+
 @dataclass(frozen=True)
 class SolveJob:
     nodes_per_side: int = 129
@@ -67,8 +72,7 @@ class SolveJob:
     heatmap: bool = False
 
     def __post_init__(self):
-        if self.nodes_per_side < 3:
-            raise ValueError(f"nodes_per_side must be >= 3, got {self.nodes_per_side}")
+        _check_nodes(self.nodes_per_side)
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,12 @@ class VanishingJob:
             raise ValueError("epsilon must lie in (0, 1)")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of integers >= 1")
+        if self.divergence_samples < 0:
+            raise ValueError("divergence_samples must be >= 0")
         if self.bound_safety < 1:
             raise ValueError("bound_safety must be >= 1")
         check_resolution(self.capacity_resolution, "capacity_resolution")
+        _check_nodes(self.baseline_nodes, "baseline_nodes")
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,7 @@ class PoincareJob:
         if any(not (0 < a < 1) for a in self.relative_lengths):
             raise ValueError("relative_lengths must lie in (0, 1)")
         check_resolution(self.capacity_resolution, "capacity_resolution")
+        _check_nodes(self.nodes_per_side)
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,9 @@ class StabilityJob:
         # pairs = 0 makes the whole command a no-op
         if self.pairs and not (0 < self.calibration < self.pairs):
             raise ValueError("need 0 < calibration < pairs")
+        if self.calibration_safety < 1:
+            raise ValueError("calibration_safety must be >= 1")
+        _check_nodes(self.nodes_per_side)
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Segment:
-    """Closed line segment with distinct endpoints."""
+    """Closed line segment with distinct, finite endpoints."""
 
     start: tuple[float, ...]
     end: tuple[float, ...]
@@ -74,6 +74,8 @@ class Segment:
             raise ValueError("segment endpoints live in different dimensions")
         if len(start) < 1:
             raise ValueError("segment needs at least one coordinate")
+        if not all(math.isfinite(c) for c in start + end):
+            raise ValueError(f"segment coordinates must be finite, got {start} -> {end}")
         if start == end:
             raise ValueError("segment endpoints coincide")
 
@@ -375,10 +377,10 @@ def load_segments(path) -> CrackSet:
                     f"{path}:{lineno}: expected an even number (>= 4) of "
                     f"coordinates, got {len(parts)}"
                 )
+            half = len(parts) // 2
             try:
                 values = [float(tok) for tok in parts]
+                segments.append(Segment(tuple(values[:half]), tuple(values[half:])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            half = len(values) // 2
-            segments.append(Segment(tuple(values[:half]), tuple(values[half:])))
     return CrackSet(tuple(segments))

@@ -21,8 +21,8 @@ from . import descent, quadratics
 from .capacity import CapacityResult, centered_segment, segment_capacity
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization, rasterize
-from .solver import (SolverConfig, _weights, cell_gradients,
-                     cell_gradients_adjoint, cell_means, cell_means_adjoint,
+from .solver import (SolverConfig, cell_gradients, cell_gradients_adjoint,
+                     cell_means, cell_means_adjoint, density_weights,
                      stiffness_factor, zero_energy_gauge_free,
                      zero_energy_unbounded)
 
@@ -132,8 +132,8 @@ def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
     m = u_bar * u_bar + eps * eps
     num = vol * float(np.sum(s ** (p / 2.0)))
     den = vol * float(np.sum(m ** (p / 2.0)))
-    d_num = cell_gradients_adjoint((p * _weights(s, p)) * g, grid.h, scale=vol)
-    d_den = cell_means_adjoint((p * _weights(m, p)) * u_bar, scale=vol)
+    d_num = cell_gradients_adjoint((p * density_weights(s, p)) * g, grid.h, scale=vol)
+    d_den = cell_means_adjoint((p * density_weights(m, p)) * u_bar, scale=vol)
     d_num[pinned] = 0.0
     d_den[pinned] = 0.0
     return num, d_num, den, d_den

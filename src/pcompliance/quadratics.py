@@ -1,18 +1,21 @@
 """Sparse assembly of the quadratic forms behind the p = 2 fast paths.
 
-The discrete gradient averages forward differences over each cell, so along
-axis k it is the Kronecker product of one 1-d difference factor with adjacent
-mean factors on the remaining axes; the cell-mean operator is the product of
-mean factors only.  With G_k and M assembled sparsely,
+Each form is a sum over cells of a small integer table times one scale:
+entry [a, b] couples corners a and b of `_corners`, the cell-corner table
+that also drives the stencil kernels in `solver` and `capacity`.  With the
+averaged-edge cell gradient G_k (corner weights +-1 / (2^(dim-1) h)) and
+the cell mean M (corner weights 1 / 2^dim),
 
     stiffness = h^dim * sum_k G_k^T G_k        (energy form  int |grad u|^2)
     mass      = h^dim * M^T M                  (mass form    int u^2, midpoint)
 
-and the p = 2 energy is (1/2) u^T stiffness u - (mass @ f) . u.
+and the p = 2 energy is (1/2) u^T stiffness u - (mass @ f) . u.  The
+capacity forms take |grad u|^2 along cell edges and u^2 at the nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -22,90 +25,79 @@ import scipy.sparse.linalg as spla
 from .geometry import GridDiscretization
 
 
-def _difference_1d(m: int) -> sp.csr_matrix:
-    data = np.repeat([[-1.0, 1.0]], m - 1, axis=0).ravel()
-    rows = np.repeat(np.arange(m - 1), 2)
-    cols = np.ravel(np.column_stack([np.arange(m - 1), np.arange(1, m)]))
-    return sp.csr_matrix((data, (rows, cols)), shape=(m - 1, m))
+@functools.lru_cache(maxsize=None)
+def _corners(dim: int):
+    """Corner parities of a cell with the node slices selecting them."""
+    table = []
+    for bits in itertools.product((0, 1), repeat=dim):
+        slices = tuple(slice(1, None) if b else slice(None, -1) for b in bits)
+        table.append((bits, slices))
+    return tuple(table)
 
 
-def _mean_1d(m: int) -> sp.csr_matrix:
-    data = np.full(2 * (m - 1), 0.5)
-    rows = np.repeat(np.arange(m - 1), 2)
-    cols = np.ravel(np.column_stack([np.arange(m - 1), np.arange(1, m)]))
-    return sp.csr_matrix((data, (rows, cols)), shape=(m - 1, m))
+def _assemble(grid: GridDiscretization, counts: np.ndarray, scale: float) -> sp.csr_matrix:
+    """scale * sum over cells of counts[a, b] at (node of corner a, node of b).
 
-
-def gradient_operator(grid: GridDiscretization, axis: int) -> sp.csr_matrix:
-    """Sparse map from flat node values to flat cell gradient component."""
-    m = grid.nodes_per_side
-    op = None
-    for k in range(grid.dim):
-        factor = _difference_1d(m) if k == axis else _mean_1d(m)
-        op = factor if op is None else sp.kron(op, factor, format="csr")
-    return (op / grid.h).tocsr()
-
-
-def mean_operator(grid: GridDiscretization) -> sp.csr_matrix:
-    m = grid.nodes_per_side
-    op = None
-    for _ in range(grid.dim):
-        factor = _mean_1d(m)
-        op = factor if op is None else sp.kron(op, factor, format="csr")
-    return op.tocsr()
+    Corners a and b of every cell sit the flat offset b - a apart, so each
+    entry adds into one node-shaped diagonal.  counts holds small integers:
+    the sums are exact, entries that cancel are 0 and dropped, and the
+    scale rounds each entry once.
+    """
+    corners = _corners(grid.dim)
+    strides = grid.nodes_per_side ** np.arange(grid.dim - 1, -1, -1)
+    pairs = [(int(np.dot(np.subtract(b, a), strides)), sb, c)
+             for (a, _), row in zip(corners, counts)
+             for (b, sb), c in zip(corners, row) if c]
+    offsets = sorted({offset for offset, _, _ in pairs})
+    data = np.zeros((len(offsets),) + grid.shape)  # indexed by column node
+    for offset, sb, c in pairs:
+        data[(offsets.index(offset),) + sb] += c
+    data *= scale
+    n = grid.n_nodes
+    return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n)).tocsr()
 
 
 def stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
-    acc = None
-    for k in range(grid.dim):
-        g = gradient_operator(grid, k)
-        term = (g.T @ g).tocsr()
-        acc = term if acc is None else acc + term
-    return (grid.cell_volume * acc).tocsr()
+    # signs[k, a]: the sign of corner a in G_k
+    signs = 2 * np.array([bits for bits, _ in _corners(grid.dim)]).T - 1
+    scale = grid.cell_volume / (2 ** (grid.dim - 1) * grid.h) ** 2
+    return _assemble(grid, signs.T @ signs, scale)
+
 
 def mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
-    m = mean_operator(grid)
-    return (grid.cell_volume * (m.T @ m)).tocsr()
-
-
-def _trapezoid_1d(m: int) -> np.ndarray:
-    w = np.ones(m)
-    w[0] = w[-1] = 0.5
-    return w
+    corners = 2 ** grid.dim
+    return _assemble(grid, np.ones((corners, corners)), grid.cell_volume / corners ** 2)
 
 
 def edge_stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     """Edge-difference stiffness: int |grad u|^2 by corner quadrature.
 
-    Unlike `stiffness_matrix`, whose cell-averaged gradients annihilate
+    Each cell edge carries its squared difference quotient with weight
+    1 / 2^(dim-1), the share of the edge in its cell.  Unlike
+    `stiffness_matrix`, whose cell-averaged gradients annihilate
     checkerboard modes, this form's kernel is constants only, so pinning
     any single node makes the free block positive definite.
     """
-    m = grid.nodes_per_side
-    d = _difference_1d(m)
-    second = (d.T @ d).tocsr() / (grid.h * grid.h)
-    weights = sp.diags(_trapezoid_1d(m))
-    acc = None
-    for k in range(grid.dim):
-        op = None
-        for j in range(grid.dim):
-            factor = second if j == k else weights
-            op = factor if op is None else sp.kron(op, factor, format="csr")
-        acc = op if acc is None else acc + op
-    return (grid.cell_volume * acc).tocsr()
+    bits = np.array([b for b, _ in _corners(grid.dim)])
+    edges = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=-1) == 1
+    laplacian = np.diag(edges.sum(axis=1)) - edges
+    scale = grid.cell_volume / (2 ** (grid.dim - 1) * grid.h * grid.h)
+    return _assemble(grid, laplacian, scale)
 
 
 def node_weights(grid: GridDiscretization) -> np.ndarray:
-    """Trapezoid quadrature weight per node, shaped like the grid."""
-    w = np.array(1.0)
-    for _ in range(grid.dim):
-        w = np.multiply.outer(w, _trapezoid_1d(grid.nodes_per_side))
-    return w.reshape(grid.shape)
+    """Trapezoid quadrature weight per node, shaped like the grid: the
+    node's share of its cells' corners, a product of 1-d shares."""
+    w = np.zeros(grid.nodes_per_side)
+    for _, (sl,) in _corners(1):
+        w[sl] += 0.5
+    return functools.reduce(np.multiply.outer, [w] * grid.dim)
 
 
 def node_mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     """Diagonal mass: int u^2 by trapezoid quadrature at the nodes."""
-    return sp.diags(grid.cell_volume * node_weights(grid).ravel()).tocsr()
+    corners = 2 ** grid.dim
+    return _assemble(grid, np.eye(corners), grid.cell_volume / corners)
 
 
 class PinnedFactor:

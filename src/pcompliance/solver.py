@@ -27,6 +27,7 @@ import numpy as np
 from . import descent, quadratics
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization
+from .quadratics import _corners
 
 # Node fields are plain arrays of shape grid.shape; flux fields are arrays
 # of shape (dim, *grid.cells_shape), one vector per cell.
@@ -111,16 +112,6 @@ class ComplianceReport:
     regularization_eps: float
     method: str
     evaluations: int = 0
-
-
-@lru_cache(maxsize=None)
-def _corners(dim: int):
-    """Corner parities of a cell with the node slices selecting them."""
-    table = []
-    for bits in itertools.product((0, 1), repeat=dim):
-        slices = tuple(slice(1, None) if b else slice(None, -1) for b in bits)
-        table.append((bits, slices))
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +217,9 @@ def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0,
     return out
 
 
-def _weights(s: np.ndarray, p: float) -> np.ndarray:
-    """(s)^((p-2)/2) with the continuous extension 0 at s = 0 for p < 2."""
+def density_weights(s: np.ndarray, p: float) -> np.ndarray:
+    """(s)^((p-2)/2), the weight of the p-density on |grad u|^2 = s, with
+    the continuous extension 0 at s = 0 for p < 2."""
     if p == 2.0:
         return np.ones_like(s)
     if p > 2.0:
@@ -259,7 +251,7 @@ def energy_and_gradient(u: GridField, f_bar: np.ndarray, grid: GridDiscretizatio
     vol = grid.cell_volume
     value = vol * (float(np.sum(s ** (p / 2.0))) / p
                    - float(np.dot(f_bar.ravel(), cell_means(u).ravel())))
-    grad = cell_gradients_adjoint(_weights(s, p) * g, grid.h, scale=vol,
+    grad = cell_gradients_adjoint(density_weights(s, p) * g, grid.h, scale=vol,
                                   means=-f_bar)
     grad[pinned] = 0.0
     return value, grad
@@ -282,7 +274,7 @@ def flux(u: GridField, grid: GridDiscretization, p: float, eps: float = 0.0) -> 
     """Per-cell dual field |grad u|^(p-2) grad u (eps-regularized)."""
     g = cell_gradients(u, grid.h)
     s = (g * g).sum(axis=0) + eps * eps
-    return _weights(s, p) * g
+    return density_weights(s, p) * g
 
 
 def flux_pnorm(sigma: FluxField, grid: GridDiscretization, p: float) -> float:

@@ -196,16 +196,25 @@ def test_cli_missing_required_key_exits_2(tmp_path, capsys):
     assert "missing key 'p' in section [problem]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,key", [
-    ("capacity-sweep", "resolution"),
-    ("sweep-vanishing", "capacity_resolution"),
-    ("poincare", "capacity_resolution"),
-])
-def test_cli_odd_resolution_exits_2(tmp_path, capsys, command, key):
-    cfg = write_config(tmp_path, f"[{command}]\n{key} = 3\n")
+_INVALID_SETTINGS = [
+    ("capacity-sweep", "resolution", "3", "must be a positive even cell count"),
+    ("sweep-vanishing", "capacity_resolution", "3", "must be a positive even cell count"),
+    ("poincare", "capacity_resolution", "3", "must be a positive even cell count"),
+    ("poincare", "nodes_per_side", "1", "must be >= 3, got 1"),
+    ("stability", "nodes_per_side", "1", "must be >= 3, got 1"),
+    ("sweep-vanishing", "baseline_nodes", "1", "must be >= 3, got 1"),
+    ("sweep-vanishing", "divergence_samples", "-3", "must be >= 0"),
+    ("stability", "calibration_safety", "0.5", "must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,message", _INVALID_SETTINGS,
+                         ids=[f"{command}-{key}" for command, key, *_ in _INVALID_SETTINGS])
+def test_cli_odd_resolution_exits_2(tmp_path, capsys, command, key, value, message):
+    cfg = write_config(tmp_path, f"[{command}]\n{key} = {value}\n")
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"{key} must be a positive even cell count" in capsys.readouterr().err
+    assert f"{key} {message}" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_optimize_out():

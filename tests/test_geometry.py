@@ -29,6 +29,22 @@ def test_segment_dim_mismatch():
         Segment((0.0, 0.0), (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_segment_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        Segment((bad, 0.0), (0.5, 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        Segment((0.0, 0.0), (0.5, bad))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_segments_reports_line_of_non_finite_coordinate(tmp_path, token):
+    path = tmp_path / "cracks.txt"
+    path.write_text(f"# header\n0 0 0.5 0\n0 0.25 {token} 0.25\n")
+    with pytest.raises(ValueError, match=r"cracks\.txt:3: segment coordinates must be finite"):
+        load_segments(path)
+
+
 def test_axis_segment():
     seg = axis_segment((0.1, 0.2), 1, 0.5)
     assert seg.a == pytest.approx((0.1, 0.2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,19 @@ def test_reduced_cg_halves_the_crack_solve_iterations():
                       SolverConfig(grad_tolerance=1e-8, prefer_direct=False))
     assert report.residual <= 1e-8
     assert report.iterations <= 0.6 * 267
+
+
+@pytest.mark.parametrize("build", ["stiffness_matrix", "edge_stiffness_matrix",
+                                   "mass_matrix"])
+@pytest.mark.parametrize("nodes,dim", [(129, 2), (33, 3)])
+def test_assembly_peak_memory_stays_near_the_result(build, nodes, dim):
+    # the traced peak of one build stays within 3x the CSR it returns
+    grid = GridDiscretization(nodes, 1.0, dim)
+    tracemalloc.start()
+    try:
+        matrix = getattr(quadratics, build)(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert peak <= 3 * size

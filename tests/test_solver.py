@@ -75,20 +75,33 @@ def test_stencil_transposes_pair_with_their_stencils(dim, nodes):
 
 
 @pytest.mark.parametrize("dim,nodes", [(2, 6), (3, 4)])
-def test_stencil_transposes_equal_sparse_operator_transposes(dim, nodes):
+def test_assembled_matrices_equal_dense_stencil_products(dim, nodes):
+    # dense G_k and M from the forward stencils on unit node fields; their
+    # transposes are the adjoint stencils, and the assembled stiffness and
+    # mass are vol * sum_k G_k^T G_k and vol * M^T M, pattern and entries
     grid = GridDiscretization(nodes, 1.0, dim)
-    n_cells = int(np.prod(grid.cells_shape))
+    unit = np.eye(grid.n_nodes).reshape((grid.n_nodes,) + grid.shape)
+    grads = np.stack([cell_gradients(e, grid.h).reshape(dim, -1) for e in unit], axis=-1)
+    means = np.stack([cell_means(e).ravel() for e in unit], axis=-1)
+    n_cells = means.shape[0]
     basis = np.eye(n_cells).reshape((n_cells,) + grid.cells_shape)
     means_t = np.stack([cell_means_adjoint(e).ravel() for e in basis], axis=1)
-    expected = quadratics.mean_operator(grid).T.toarray()
-    assert np.abs(means_t - expected).max() <= 1e-15
+    assert np.abs(means_t - means.T).max() <= 1e-15
     for k in range(dim):
         g = np.zeros((n_cells, dim) + grid.cells_shape)
         g[:, k] = basis
         grads_t = np.stack([cell_gradients_adjoint(e, grid.h).ravel() for e in g],
                            axis=1)
-        expected = quadratics.gradient_operator(grid, k).T.toarray()
-        assert np.abs(grads_t - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(grads_t - grads[k].T).max() <= 1e-12 * np.abs(grads[k]).max()
+    vol = grid.cell_volume
+    stiffness = vol * sum(gk.T @ gk for gk in grads)
+    for assembled, dense in [(quadratics.stiffness_matrix(grid), stiffness),
+                             (quadratics.mass_matrix(grid), vol * (means.T @ means))]:
+        nonzero = dense != 0
+        assert assembled.nnz == nonzero.sum()
+        assembled = assembled.toarray()
+        assert np.array_equal(assembled != 0, nonzero)
+        assert (np.abs(assembled - dense)[nonzero] <= 1e-15 * np.abs(dense[nonzero])).all()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
