@@ -18,6 +18,7 @@ from .capacity import check_resolution
 from .errors import ConfigError
 from .geometry import ProblemSpec
 from .solver import SolverConfig
+from .sources import SOURCE_NAMES
 
 
 def _parse_bool(text: str) -> bool:
@@ -73,6 +74,9 @@ class SolveJob:
 
     def __post_init__(self):
         _check_nodes(self.nodes_per_side)
+        if self.source not in SOURCE_NAMES:
+            raise ValueError(f"source must be one of {', '.join(SOURCE_NAMES)}, "
+                             f"got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,8 @@ class VanishingJob:
             raise ValueError("bound_safety must be >= 1")
         check_resolution(self.capacity_resolution, "capacity_resolution")
         _check_nodes(self.baseline_nodes, "baseline_nodes")
+        if self.local_nodes is not None:
+            _check_nodes(self.local_nodes, "local_nodes")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ class PoincareJob:
             raise ValueError("deltas must be positive")
         if any(not (0 < a < 1) for a in self.relative_lengths):
             raise ValueError("relative_lengths must lie in (0, 1)")
+        if self.doubling_tolerance <= 0:
+            raise ValueError("doubling_tolerance must be positive")
         check_resolution(self.capacity_resolution, "capacity_resolution")
         _check_nodes(self.nodes_per_side)
 
@@ -224,7 +232,14 @@ def config_from_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         values[section.replace("-", "_")] = _build_section(
             section, dict(parser.items(section)))
     output = values.pop("output", OutputSection())
-    return ExperimentConfig(seed=output.seed, out_dir=output.directory, **values)
+    config = ExperimentConfig(seed=output.seed, out_dir=output.directory, **values)
+    try:
+        # a singular pinned block is only known per mask, at run time
+        config.solver.resolve_method(config.problem.p)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [solver] method for [problem] p = "
+                          f"{config.problem.p:g}: {exc}") from exc
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -45,7 +45,11 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence],
 def _write_lines(path, header: Sequence[str], lines: Iterable[str],
                  seed: Optional[int] = None,
                  comments: Sequence[str] = ()) -> Path:
-    """The schema, seed and comment lines, the header, then data lines."""
+    """The schema, seed and comment lines, the header, then data lines.
+
+    Each item of `lines` may hold several newline-joined lines; items
+    stream through the open file, so no whole-file string is built.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     head = [f"# schema={SCHEMA}"]
@@ -53,7 +57,8 @@ def _write_lines(path, header: Sequence[str], lines: Iterable[str],
         head.append(f"# seed={seed}")
     head.extend(f"# {c}" for c in comments)
     head.append(",".join(header))
-    path.write_text("\n".join(itertools.chain(head, lines)) + "\n")
+    with path.open("w") as out:
+        out.writelines(line + "\n" for line in itertools.chain(head, lines))
     return path
 
 
@@ -80,13 +85,17 @@ def write_field(path, values: np.ndarray, seed: Optional[int] = None) -> Path:
     """Node field to CSV: one row per node, index tuple then value.
 
     Lines are joined from per-axis index labels and the values' repr,
-    which prints nan, inf, -inf and -0.0 as `format_value` does.
+    which prints nan, inf, -inf and -0.0 as `format_value` does.  They go
+    out one last-axis row at a time, so no whole-field list of Python
+    floats or whole-file string is built.
     """
     header = tuple(f"i{k}" for k in range(values.ndim)) + ("value",)
-    axes = [[f"{i}," for i in range(m)] for m in values.shape]
-    labels = map("".join, itertools.product(*axes))
-    lines = map(str.__add__, labels, map(repr, values.ravel().tolist()))
-    return _write_lines(path, header, lines, seed)
+    prefixes = map("".join, itertools.product(
+        *[[f"{i}," for i in range(m)] for m in values.shape[:-1]]))
+    last = [f"{j}," for j in range(values.shape[-1])]
+    blocks = ("\n".join([prefix + label + repr(x) for label, x in zip(last, row.tolist())])
+              for prefix, row in zip(prefixes, values.reshape(-1, values.shape[-1])))
+    return _write_lines(path, header, blocks, seed)
 
 
 _VIRIDIS = (

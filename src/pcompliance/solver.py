@@ -193,21 +193,13 @@ def cell_gradients(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0,
-                           means: Optional[np.ndarray] = None) -> np.ndarray:
-    """scale * (G^T g + M^T means): node field paired with cell vectors g.
-
-    g has shape (dim, *cells); the optional cell field `means` adds the
-    cell-mean transpose in the same pass.  Each corner's contribution is
-    summed in full before it reaches its nodes, which fixes the rounding
-    of the energy gradient and so the path of every descent built on it.
-    """
+def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0) -> np.ndarray:
+    """scale * G^T g: node field paired with cell vectors g of shape (dim, *cells)."""
     dim = g.shape[0]
     out = np.zeros(tuple(n + 1 for n in g.shape[1:]))
     gscale = scale / (2 ** (dim - 1) * h)
-    mscale = scale / 2 ** dim
     for bits, sl in _corners(dim):
-        contrib = 0.0 if means is None else mscale * means
+        contrib = 0.0
         for k in range(dim):
             if bits[k]:
                 contrib = contrib + gscale * g[k]
@@ -238,28 +230,30 @@ def energy(u: GridField, f: np.ndarray, grid: GridDiscretization, p: float,
     return grid.cell_volume * (dirichlet - work)
 
 
-def energy_and_gradient(u: GridField, f_bar: np.ndarray, grid: GridDiscretization,
+def energy_and_gradient(u: GridField, b: np.ndarray, grid: GridDiscretization,
                         pinned: np.ndarray, p: float, eps: float) -> tuple[float, np.ndarray]:
     """Energy value and its projected node gradient, one fused pass.
 
-    f_bar holds cell means of the source.  The gradient is
-    vol * (G^T(w G u) - M^T f_bar), w the weights of the p-density, exact
-    for the discrete energy; entries at pinned nodes are forced to 0.
+    b is the node load vol * M^T M f of the source, so the value is
+    vol * sum(s^(p/2))/p - <b, u> and the gradient vol * G^T(w G u) - b,
+    w the weights of the p-density, exact for the discrete energy;
+    entries at pinned nodes are forced to 0.
     """
     g = cell_gradients(u, grid.h)
     s = (g * g).sum(axis=0) + eps * eps
     vol = grid.cell_volume
-    value = vol * (float(np.sum(s ** (p / 2.0))) / p
-                   - float(np.dot(f_bar.ravel(), cell_means(u).ravel())))
-    grad = cell_gradients_adjoint(density_weights(s, p) * g, grid.h, scale=vol,
-                                  means=-f_bar)
+    value = (vol * float(np.sum(s ** (p / 2.0))) / p
+             - float(np.dot(b.ravel(), u.ravel())))
+    grad = cell_gradients_adjoint(density_weights(s, p) * g, grid.h, scale=vol)
+    grad -= b
     grad[pinned] = 0.0
     return value, grad
 
 
 def energy_gradient(u: GridField, f: np.ndarray, grid: GridDiscretization,
                     mask: ConstraintMask, p: float, eps: float = 0.0) -> GridField:
-    _, grad = energy_and_gradient(u, cell_means(f), grid, mask.pinned, p, eps)
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    _, grad = energy_and_gradient(u, b, grid, mask.pinned, p, eps)
     return grad
 
 
@@ -340,8 +334,8 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     def eps_for(f: np.ndarray) -> float:
         return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
 
-    def finish(u, f_bar, eps, iterations, evaluations, reason=descent.CONVERGED):
-        report = _build_report(u, f_bar, grid, pinned, p, eps,
+    def finish(u, b, eps, iterations, evaluations, reason=descent.CONVERGED):
+        report = _build_report(u, b, grid, pinned, p, eps,
                                iterations, evaluations, method, crack_length,
                                length_penalty)
         if reason != descent.CONVERGED:
@@ -355,33 +349,34 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
         return u, report
 
+    # a source enters only through its node load b = vol * M^T M f, the
+    # p = 2 mass matrix applied to f: the linear right-hand side, the
+    # descent objective and the report's work form all read that one array
+    loads = (cell_means_adjoint(cell_means(f), grid.cell_volume) for f in fs)
     stiffness = quadratics.stiffness_matrix(grid)
+    shape = grid.shape
     if method == "linear":
-        # the load vol * M^T f_bar is the p = 2 mass matrix applied to f.
-        # Column by column: holding every cube's f_bar or load at once
+        # column by column: holding every cube's cell means or load at once
         # raised a ladder's peak RSS by 8 MB
         rhs = np.empty((grid.n_nodes, len(fs)))
-        for column, f in enumerate(fs):
-            load = cell_means_adjoint(cell_means(f), grid.cell_volume)
-            rhs[:, column] = load.ravel()
+        for column, b in enumerate(loads):
+            rhs[:, column] = b.ravel()
         u_flat, iterations = quadratics.solve_pinned(
             stiffness, rhs, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        fields = u_flat.T.reshape((len(fs),) + grid.shape)
-        return [finish(u, cell_means(f), eps_for(f), iterations, 0)
-                for u, f in zip(fields, fs)]
+        fields = u_flat.T.reshape((len(fs),) + shape)
+        return [finish(u, rhs[:, column].reshape(shape), eps_for(f), iterations, 0)
+                for column, (u, f) in enumerate(zip(fields, fs))]
 
     factor = stiffness_factor(grid, stiffness, pinned, linear_ok)
-    shape = grid.shape
     solved = []
-    for f in fs:
+    for f, b in zip(fs, loads):
         eps = eps_for(f)
-        f_bar = cell_means(f)
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
             value, grad = energy_and_gradient(
-                x.reshape(shape), f_bar, grid, pinned, p, eps)
+                x.reshape(shape), b, grid, pinned, p, eps)
             return value, grad.ravel()
 
         result = descent.minimize(
@@ -391,7 +386,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             precondition=factor.solve)
         u = result.x.reshape(shape)
         u[pinned] = 0.0
-        solved.append(finish(u, f_bar, eps, result.iterations,
+        solved.append(finish(u, b, eps, result.iterations,
                              result.evaluations, result.reason))
     return solved
 
@@ -410,16 +405,15 @@ def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
     return quadratics.PinnedFactor(block, pinned)
 
 
-def _build_report(u, f_bar, grid, pinned, p, eps, iterations, evaluations,
+def _build_report(u, b, grid, pinned, p, eps, iterations, evaluations,
                   method, crack_length, length_penalty) -> ComplianceReport:
-    value, grad = energy_and_gradient(u, f_bar, grid, pinned, p, eps)
+    value, grad = energy_and_gradient(u, b, grid, pinned, p, eps)
     q = p / (p - 1.0)
     # the unregularized flux has |sigma|^p' = |grad u|^p cell by cell, so
     # one p-norm serves both forms
     pnorm = gradient_pnorm(u, grid, p)
     c_energy = pnorm / q
-    c_work = grid.cell_volume * float(
-        np.dot(f_bar.ravel(), cell_means(u).ravel())) / q
+    c_work = float(np.dot(b.ravel(), u.ravel())) / q
     return ComplianceReport(
         p=p,
         energy=value,

@@ -76,6 +76,10 @@ def sample_on_grid(source, grid: GridDiscretization) -> np.ndarray:
     return values
 
 
+# the names `named_source` accepts
+SOURCE_NAMES = ("one", "zero", "bump")
+
+
 def named_source(name: str, dim: int, half_width: float):
     """Sources addressable from config files: "one", "zero", or "bump"
     (centered at the origin)."""
@@ -85,4 +89,4 @@ def named_source(name: str, dim: int, half_width: float):
         return Constant(0.0)
     if name == "bump":
         return GaussianBump(center=(0.0,) * dim, width=0.3 * half_width, value=1.0)
-    raise ValueError(f"unknown source {name!r} (expected one, zero, or bump)")
+    raise ValueError(f"unknown source {name!r} (expected one of {', '.join(SOURCE_NAMES)})")

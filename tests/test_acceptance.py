@@ -36,7 +36,7 @@ from pcompliance import (
     truncation_bounds,
     vanishing_sequence_experiment,
 )
-from pcompliance.solver import cell_means, energy, energy_and_gradient
+from pcompliance.solver import cell_means, cell_means_adjoint, energy, energy_and_gradient
 
 
 @contextmanager
@@ -234,7 +234,8 @@ def fd_relative_error(rng: np.random.Generator, p: float, eps: float) -> float:
     u = rng.standard_normal(grid.shape)
     u[mask.pinned] = 0.0
     f = 1.0 + rng.standard_normal(grid.shape)
-    _, grad = energy_and_gradient(u, cell_means(f), grid, mask.pinned, p, eps)
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    _, grad = energy_and_gradient(u, b, grid, mask.pinned, p, eps)
     free = ~mask.pinned
     step = 1e-6
     fd = np.zeros_like(u)

@@ -205,6 +205,9 @@ _INVALID_SETTINGS = [
     ("sweep-vanishing", "baseline_nodes", "1", "must be >= 3, got 1"),
     ("sweep-vanishing", "divergence_samples", "-3", "must be >= 0"),
     ("stability", "calibration_safety", "0.5", "must be >= 1"),
+    ("solve", "source", "foo", "must be one of one, zero, bump, got 'foo'"),
+    ("sweep-vanishing", "local_nodes", "1", "must be >= 3, got 1"),
+    ("poincare", "doubling_tolerance", "-1", "must be positive"),
 ]
 
 
@@ -215,6 +218,16 @@ def test_cli_odd_resolution_exits_2(tmp_path, capsys, command, key, value, messa
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"{key} {message}" in capsys.readouterr().err
+
+
+def test_cli_linear_method_off_p_2_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[problem]\np = 3.0\n\n[solver]\nmethod = linear\n")
+    code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[solver] method for [problem] p = 3" in err
+    assert "the linear path only applies to p = 2" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out():

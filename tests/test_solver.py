@@ -69,9 +69,6 @@ def test_stencil_transposes_pair_with_their_stencils(dim, nodes):
     assert np.vdot(u, cell_gradients_adjoint(g, grid.h)) == pytest.approx(lhs, rel=1e-12)
     lhs = np.vdot(cell_means(u), v)
     assert np.vdot(u, cell_means_adjoint(v)) == pytest.approx(lhs, rel=1e-12)
-    fused = cell_gradients_adjoint(g, grid.h, scale=3.0, means=v)
-    apart = 3.0 * (cell_gradients_adjoint(g, grid.h) + cell_means_adjoint(v))
-    assert np.abs(fused - apart).max() <= 1e-12 * np.abs(apart).max()
 
 
 @pytest.mark.parametrize("dim,nodes", [(2, 6), (3, 4)])
@@ -102,6 +99,30 @@ def test_assembled_matrices_equal_dense_stencil_products(dim, nodes):
         assembled = assembled.toarray()
         assert np.array_equal(assembled != 0, nonzero)
         assert (np.abs(assembled - dense)[nonzero] <= 1e-15 * np.abs(dense[nonzero])).all()
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 17), (3, 7)])
+def test_linear_and_descent_paths_share_one_load(dim, nodes):
+    # the kernel takes the linear path's load b = vol * M^T f_bar: at p = 2
+    # its gradient is the stiffness residual K u - b on the free nodes, and
+    # its value is the cell-mean energy for every p
+    rng = np.random.default_rng(dim)
+    grid = GridDiscretization(nodes, 1.0, dim)
+    pinned = grid.boundary_mask()
+    # a crack of pins from the boundary to the centre, along the last axis
+    pinned[(nodes // 2,) * (dim - 1) + (slice(0, nodes // 2 + 1),)] = True
+    u = rng.standard_normal(grid.shape)
+    u[pinned] = 0.0
+    f = rng.standard_normal(grid.shape)
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    _, grad = energy_and_gradient(u, b, grid, pinned, 2.0, 0.0)
+    free = ~pinned
+    residual = (quadratics.stiffness_matrix(grid) @ u.ravel()).reshape(grid.shape) - b
+    assert np.all(grad[pinned] == 0.0)
+    assert np.abs(grad - residual)[free].max() <= 1e-12 * np.abs(residual[free]).max()
+    for p, eps in [(1.5, 1e-3), (2.0, 0.0), (3.0, 0.0)]:
+        value, _ = energy_and_gradient(u, b, grid, pinned, p, eps)
+        assert value == pytest.approx(energy(u, f, grid, p, eps), rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -391,10 +412,10 @@ def test_gauge_mask_descent_matches_unpreconditioned_energy():
     _, report = solve(f, cube, mask, 3.0, SolverConfig(grad_tolerance=1e-10),
                       require_boundary=False)
     assert report.method == "descent" and report.residual <= 1e-10
-    f_bar = cell_means(f)
+    b = cell_means_adjoint(cell_means(f), cube.cell_volume)
 
     def objective(x):
-        value, grad = energy_and_gradient(x.reshape(cube.shape), f_bar, cube,
+        value, grad = energy_and_gradient(x.reshape(cube.shape), b, cube,
                                           pinned, 3.0, 0.0)
         return value, grad.ravel()
 
