@@ -33,7 +33,7 @@ from .errors import DegenerateTarget, NonConvergence
 from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
                        rasterize)
 from .quadratics import _corners
-from .solver import SolverConfig, density_weights
+from .solver import SolverConfig, density_weights, p_density
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,11 @@ def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarr
     dim = grid.dim
     vol = grid.cell_volume
     squares, diffs = _corner_gradient_squares(u, grid, eps)
+    totals, weights = zip(*(p_density(s, p) for s in squares))
     w_node = quadratics.node_weights(grid)
     m = u * u + eps * eps
-    value = vol * (sum(float(np.sum(s ** (p / 2.0))) for s in squares) / 2 ** dim
-                   + float(np.sum(w_node * m ** (p / 2.0))))
+    value = vol * (sum(totals) / 2 ** dim + float(np.sum(w_node * m ** (p / 2.0))))
     grad = vol * p * w_node * density_weights(m, p) * u
-    weights = [density_weights(s, p) for s in squares]
     scale = vol * p / (2 ** dim * grid.h)
     for k, d in enumerate(diffs):
         edge_w = np.zeros_like(d)
@@ -173,15 +172,9 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
                 f"linear path residual {residual:.3e} above tolerance "
                 f"{config.grad_tolerance:.3e}", field=u)
     else:
-        if config.regularization_eps is not None:
-            eps = config.regularization_eps
-        elif p < 2.0:
-            # the far field has near-zero gradients, where the p < 2
-            # weights blow up; eps = 1e-4 caps that stiffness and shifts
-            # the unregularized value by O(eps^p), below grid noise
-            eps = 1e-4
-        else:
-            eps = 0.0
+        # near-zero far-field gradients blow up the p < 2 weights; 1e-4 caps
+        # that stiffness and moves the value by O(eps^p), below grid noise
+        eps = config.resolve_eps(p, 1e-4)
         shape = grid.shape
         # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
         # nodes for any pinning thanks to the mass term; its one factor

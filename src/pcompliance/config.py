@@ -233,12 +233,14 @@ def config_from_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             section, dict(parser.items(section)))
     output = values.pop("output", OutputSection())
     config = ExperimentConfig(seed=output.seed, out_dir=output.directory, **values)
-    try:
-        # a singular pinned block is only known per mask, at run time
-        config.solver.resolve_method(config.problem.p)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [solver] method for [problem] p = "
-                          f"{config.problem.p:g}: {exc}") from exc
+    p = config.problem.p
+    # checks only (a singular pinned block is only known per mask, at run time)
+    for key, check in (("method", lambda: config.solver.resolve_method(p)),
+                       ("regularization_eps", lambda: config.solver.resolve_eps(p, 0.0))):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"invalid [solver] {key} for [problem] p = {p:g}: {exc}") from exc
     return config
 
 

@@ -21,10 +21,10 @@ from . import descent, quadratics
 from .capacity import CapacityResult, centered_segment, segment_capacity
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization, rasterize
-from .solver import (SolverConfig, cell_gradients, cell_gradients_adjoint,
-                     cell_means, cell_means_adjoint, density_weights,
-                     stiffness_factor, zero_energy_gauge_free,
-                     zero_energy_unbounded)
+from .quadratics import (cell_gradients, cell_gradients_adjoint, cell_means,
+                         cell_means_adjoint)
+from .solver import (SolverConfig, p_density, stiffness_factor,
+                     zero_energy_gauge_free, zero_energy_unbounded)
 
 # largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from
 # either eigensolver
@@ -45,8 +45,7 @@ class PoincareResult:
 
 def mass_pnorm(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
     """int |u|^p by midpoint quadrature on cell means."""
-    m = cell_means(u) ** 2
-    return grid.cell_volume * float(np.sum(m ** (p / 2.0)))
+    return grid.cell_volume * p_density(cell_means(u) ** 2, p)[0]
 
 
 def _validate_mask(grid: GridDiscretization, mask: ConstraintMask) -> None:
@@ -127,16 +126,14 @@ def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
     """
     vol = grid.cell_volume
     g = cell_gradients(u, grid.h)
-    s = (g * g).sum(axis=0) + eps * eps
+    num, w_num = p_density((g * g).sum(axis=0) + eps * eps, p)
     u_bar = cell_means(u)
-    m = u_bar * u_bar + eps * eps
-    num = vol * float(np.sum(s ** (p / 2.0)))
-    den = vol * float(np.sum(m ** (p / 2.0)))
-    d_num = cell_gradients_adjoint((p * density_weights(s, p)) * g, grid.h, scale=vol)
-    d_den = cell_means_adjoint((p * density_weights(m, p)) * u_bar, scale=vol)
+    den, w_den = p_density(u_bar * u_bar + eps * eps, p)
+    d_num = cell_gradients_adjoint((p * w_num) * g, grid.h, scale=vol)
+    d_den = cell_means_adjoint((p * w_den) * u_bar, scale=vol)
     d_num[pinned] = 0.0
     d_den[pinned] = 0.0
-    return num, d_num, den, d_den
+    return vol * num, d_num, vol * den, d_den
 
 
 def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
@@ -149,7 +146,7 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
     inverts.  The objective Q(x/|x|) is defined off the sphere and its
     gradient is already tangent, so the descent needs no projection.
     """
-    eps = config.resolve_eps(p, 1.0)
+    eps = config.resolve_eps(p, 1e-8)
     shape = grid.shape
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:

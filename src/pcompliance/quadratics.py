@@ -1,15 +1,14 @@
-"""Sparse assembly of the quadratic forms behind the p = 2 fast paths.
+"""Cell operators G and M, and the sparse quadratic forms built from them.
 
-Each form is a sum over cells of a small integer table times one scale:
-entry [a, b] couples corners a and b of `_corners`, the cell-corner table
-that also drives the stencil kernels in `solver` and `capacity`.  With the
-averaged-edge cell gradient G_k (corner weights +-1 / (2^(dim-1) h)) and
-the cell mean M (corner weights 1 / 2^dim),
+A cell operator is a table of integer weights (one list per corner of
+`_corners`, one weight per output row) and a divisor: G, the averaged-edge
+cell gradient, and M, the cell mean.  `cell_apply` and `cell_adjoint`
+apply a table or its transpose to fields, and the same tables give
 
     stiffness = h^dim * sum_k G_k^T G_k        (energy form  int |grad u|^2)
     mass      = h^dim * M^T M                  (mass form    int u^2, midpoint)
 
-and the p = 2 energy is (1/2) u^T stiffness u - (mass @ f) . u.  The
+so the p = 2 energy is (1/2) u^T stiffness u - (mass @ f) . u.  The
 capacity forms take |grad u|^2 along cell edges and u^2 at the nodes.
 """
 
@@ -35,6 +34,63 @@ def _corners(dim: int):
     return tuple(table)
 
 
+def gradient_operator(dim: int, h: float) -> tuple[list, float]:
+    """G as (table, divisor): [a][k] is +1 at the high end of axis k, else -1."""
+    return [[2 * b - 1 for b in bits] for bits, _ in _corners(dim)], 2 ** (dim - 1) * h
+
+
+def mean_operator(dim: int) -> tuple[list, float]:
+    """M as (table, divisor): weight 1 at every corner, over 2^dim."""
+    return [[1]] * 2 ** dim, 2 ** dim
+
+
+def cell_apply(values: np.ndarray, table: list, divisor: float) -> np.ndarray:
+    """table (weights +-1) applied to every cell, over divisor: shape
+    (rows, *cells) for a node field of shape (n_1, ..., n_dim)."""
+    out = np.zeros((len(table[0]),) + tuple(n - 1 for n in values.shape))
+    for weights, (_, sl) in zip(table, _corners(values.ndim)):
+        for row, weight in zip(out, weights):
+            (np.add if weight > 0 else np.subtract)(row, values[sl], out=row)
+    out /= divisor
+    return out
+
+
+def cell_adjoint(v: np.ndarray, table: list, divisor: float, scale: float = 1.0) -> np.ndarray:
+    """scale times the transpose of `cell_apply`: a node field paired with
+    cell values v of shape (rows, *cells)."""
+    out = np.zeros(tuple(n + 1 for n in v.shape[1:]))
+    scaled = (scale / divisor) * v
+    contrib = np.empty(v.shape[1:])
+    for weights, (_, sl) in zip(table, _corners(v.ndim - 1)):
+        # sum a corner's rows before adding them to its node: any other
+        # order moves the rounding, which p < 2 descents are sensitive to
+        acc = scaled[0] if weights[0] > 0 else np.negative(scaled[0], out=contrib)
+        for row, weight in zip(scaled[1:], weights[1:]):
+            acc = (np.add if weight > 0 else np.subtract)(acc, row, out=contrib)
+        out[sl] += acc
+    return out
+
+
+def cell_gradients(values: np.ndarray, h: float) -> np.ndarray:
+    """G: per-cell gradient vectors, shape (dim, *cells)."""
+    return cell_apply(values, *gradient_operator(values.ndim, h))
+
+
+def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0) -> np.ndarray:
+    """scale * G^T g: node field paired with cell vectors g of shape (dim, *cells)."""
+    return cell_adjoint(g, *gradient_operator(g.shape[0], h), scale)
+
+
+def cell_means(values: np.ndarray) -> np.ndarray:
+    """M: per-cell averages of the 2^dim corner values."""
+    return cell_apply(values, *mean_operator(values.ndim))[0]
+
+
+def cell_means_adjoint(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """scale * M^T v: each cell value spread evenly over its corner nodes."""
+    return cell_adjoint(v[None], *mean_operator(v.ndim), scale)
+
+
 def _assemble(grid: GridDiscretization, counts: np.ndarray, scale: float) -> sp.csr_matrix:
     """scale * sum over cells of counts[a, b] at (node of corner a, node of b).
 
@@ -57,16 +113,17 @@ def _assemble(grid: GridDiscretization, counts: np.ndarray, scale: float) -> sp.
     return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n)).tocsr()
 
 
+def _gram(grid: GridDiscretization, table: list, divisor: float) -> sp.csr_matrix:
+    t = np.array(table)  # [corner, row]
+    return _assemble(grid, t @ t.T, grid.cell_volume / divisor ** 2)
+
+
 def stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
-    # signs[k, a]: the sign of corner a in G_k
-    signs = 2 * np.array([bits for bits, _ in _corners(grid.dim)]).T - 1
-    scale = grid.cell_volume / (2 ** (grid.dim - 1) * grid.h) ** 2
-    return _assemble(grid, signs.T @ signs, scale)
+    return _gram(grid, *gradient_operator(grid.dim, grid.h))
 
 
 def mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
-    corners = 2 ** grid.dim
-    return _assemble(grid, np.ones((corners, corners)), grid.cell_volume / corners ** 2)
+    return _gram(grid, *mean_operator(grid.dim))
 
 
 def edge_stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
@@ -87,10 +144,8 @@ def edge_stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
 
 def node_weights(grid: GridDiscretization) -> np.ndarray:
     """Trapezoid quadrature weight per node, shaped like the grid: the
-    node's share of its cells' corners, a product of 1-d shares."""
-    w = np.zeros(grid.nodes_per_side)
-    for _, (sl,) in _corners(1):
-        w[sl] += 0.5
+    node's share of its cells' corners, a product of 1-d shares M^T 1."""
+    w = cell_means_adjoint(np.ones(grid.nodes_per_side - 1))
     return functools.reduce(np.multiply.outer, [w] * grid.dim)
 
 
@@ -181,9 +236,7 @@ def _diagonal_class(csr: sp.csr_matrix, pinned: np.ndarray) -> np.ndarray:
                           shape=csr.shape)
     self_links = links.diagonal()
     index = np.indices(pinned.shape)
-    for bits in itertools.product((0, 1), repeat=pinned.ndim):
-        if not any(bits):
-            continue
+    for bits, _ in _corners(pinned.ndim)[1:]:  # every corner but the origin
         cls = (np.tensordot(bits, index, axes=1) % 2 == 1).ravel() & free
         weight = cls.astype(float)
         if not (links @ weight - self_links * weight)[cls].any():

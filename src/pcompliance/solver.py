@@ -17,7 +17,6 @@ report records the eps actually used.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -27,7 +26,8 @@ import numpy as np
 from . import descent, quadratics
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization
-from .quadratics import _corners
+from .quadratics import (_corners, cell_gradients, cell_gradients_adjoint,
+                         cell_means, cell_means_adjoint)
 
 # Node fields are plain arrays of shape grid.shape; flux fields are arrays
 # of shape (dim, *grid.cells_shape), one vector per cell.
@@ -48,14 +48,14 @@ class SolverConfig:
 
     grad_tolerance bounds the max-norm of the projected gradient at the
     returned field, and max_iterations caps each L-BFGS descent.
-    regularization_eps = None picks 0 for p >= 2 and
-    1e-8 * max(max|f|, 1) otherwise (`resolve_eps`); an explicit 0 is
-    rejected for p < 2.  method is "auto", "descent", or "linear";
-    `resolve_method` turns it into the path a solve takes.  prefer_direct
-    picks a sparse LU (True) or Jacobi CG (False) for the p = 2 linear
-    solves, None by size; every descent (energy, capacity, Poincare)
-    factors its p = 2 block.  The L-BFGS memory and line search are fixed
-    in `descent`.
+    regularization_eps = None picks 0 for p >= 2 and below that each solver's
+    default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
+    capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
+    p < 2.  method is "auto", "descent", or "linear"; `resolve_method`
+    turns it into the path a solve takes.  prefer_direct picks a sparse LU
+    (True) or Jacobi CG (False) for the p = 2 linear solves, None by size;
+    every descent (energy, capacity, Poincare) factors its p = 2 block.
+    The L-BFGS memory and line search are fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -90,9 +90,9 @@ class SolverConfig:
                 raise ValueError("pinned stiffness block is singular; use descent")
         return self.method
 
-    def resolve_eps(self, p: float, f_scale: float) -> float:
+    def resolve_eps(self, p: float, default: float) -> float:
         if self.regularization_eps is None:
-            return 0.0 if p >= 2 else 1e-8 * max(f_scale, 1.0)
+            return 0.0 if p >= 2 else default
         if self.regularization_eps == 0.0 and p < 2:
             raise ValueError("regularization_eps = 0 is only valid for p >= 2")
         return self.regularization_eps
@@ -122,7 +122,7 @@ def _kernel_parities(dim: int) -> tuple[tuple[int, ...], ...]:
     whose support touches at least two axes, and the constant field; these
     also have zero cell means except the constant.
     """
-    return tuple(b for b in itertools.product((0, 1), repeat=dim) if sum(b) >= 2)
+    return tuple(bits for bits, _ in _corners(dim) if sum(bits) >= 2)
 
 
 def _characters_at(pins: np.ndarray, parities) -> np.ndarray:
@@ -161,54 +161,6 @@ def zero_energy_gauge_free(pinned: np.ndarray) -> bool:
     return int(np.linalg.matrix_rank(chars, tol=1e-9)) == chars.shape[1]
 
 
-def cell_means(values: np.ndarray) -> np.ndarray:
-    """M: per-cell averages of the 2^dim corner values."""
-    acc = None
-    for _, sl in _corners(values.ndim):
-        acc = values[sl].copy() if acc is None else acc + values[sl]
-    return acc / 2 ** values.ndim
-
-
-def cell_means_adjoint(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * M^T v: each cell value spread evenly over its corner nodes."""
-    out = np.zeros(tuple(n + 1 for n in v.shape))
-    share = (scale / 2 ** v.ndim) * v
-    for _, sl in _corners(v.ndim):
-        out[sl] += share
-    return out
-
-
-def cell_gradients(values: np.ndarray, h: float) -> np.ndarray:
-    """G: per-cell gradient vectors, shape (dim, *cells)."""
-    dim = values.ndim
-    out = np.zeros((dim,) + tuple(s - 1 for s in values.shape))
-    for bits, sl in _corners(dim):
-        v = values[sl]
-        for k in range(dim):
-            if bits[k]:
-                out[k] += v
-            else:
-                out[k] -= v
-    out /= 2 ** (dim - 1) * h
-    return out
-
-
-def cell_gradients_adjoint(g: np.ndarray, h: float, scale: float = 1.0) -> np.ndarray:
-    """scale * G^T g: node field paired with cell vectors g of shape (dim, *cells)."""
-    dim = g.shape[0]
-    out = np.zeros(tuple(n + 1 for n in g.shape[1:]))
-    gscale = scale / (2 ** (dim - 1) * h)
-    for bits, sl in _corners(dim):
-        contrib = 0.0
-        for k in range(dim):
-            if bits[k]:
-                contrib = contrib + gscale * g[k]
-            else:
-                contrib = contrib - gscale * g[k]
-        out[sl] += contrib
-    return out
-
-
 def density_weights(s: np.ndarray, p: float) -> np.ndarray:
     """(s)^((p-2)/2), the weight of the p-density on |grad u|^2 = s, with
     the continuous extension 0 at s = 0 for p < 2."""
@@ -217,6 +169,12 @@ def density_weights(s: np.ndarray, p: float) -> np.ndarray:
     if p > 2.0:
         return s ** ((p - 2.0) / 2.0)
     return np.where(s > 0.0, s, 1.0) ** ((p - 2.0) / 2.0) * (s > 0.0)
+
+
+def p_density(s: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """sum(s^(p/2)) over squares s = |v|^2 (+ eps^2) and the weights
+    w = `density_weights(s, p)`: w * v is the gradient of sum(s^(p/2))/p."""
+    return float(np.sum(s ** (p / 2.0))), density_weights(s, p)
 
 
 def energy(u: GridField, f: np.ndarray, grid: GridDiscretization, p: float,
@@ -240,11 +198,10 @@ def energy_and_gradient(u: GridField, b: np.ndarray, grid: GridDiscretization,
     entries at pinned nodes are forced to 0.
     """
     g = cell_gradients(u, grid.h)
-    s = (g * g).sum(axis=0) + eps * eps
+    total, w = p_density((g * g).sum(axis=0) + eps * eps, p)
     vol = grid.cell_volume
-    value = (vol * float(np.sum(s ** (p / 2.0))) / p
-             - float(np.dot(b.ravel(), u.ravel())))
-    grad = cell_gradients_adjoint(density_weights(s, p) * g, grid.h, scale=vol)
+    value = vol * total / p - float(np.dot(b.ravel(), u.ravel()))
+    grad = cell_gradients_adjoint(w * g, grid.h, scale=vol)
     grad -= b
     grad[pinned] = 0.0
     return value, grad
@@ -260,22 +217,18 @@ def energy_gradient(u: GridField, f: np.ndarray, grid: GridDiscretization,
 def gradient_pnorm(u: GridField, grid: GridDiscretization, p: float) -> float:
     """int |grad u|^p by midpoint quadrature."""
     g = cell_gradients(u, grid.h)
-    s = (g * g).sum(axis=0)
-    return grid.cell_volume * float(np.sum(s ** (p / 2.0)))
+    return grid.cell_volume * p_density((g * g).sum(axis=0), p)[0]
 
 
 def flux(u: GridField, grid: GridDiscretization, p: float, eps: float = 0.0) -> FluxField:
     """Per-cell dual field |grad u|^(p-2) grad u (eps-regularized)."""
     g = cell_gradients(u, grid.h)
-    s = (g * g).sum(axis=0) + eps * eps
-    return density_weights(s, p) * g
+    return p_density((g * g).sum(axis=0) + eps * eps, p)[1] * g
 
 
 def flux_pnorm(sigma: FluxField, grid: GridDiscretization, p: float) -> float:
     """int |sigma|^p' by midpoint quadrature, p' the dual exponent."""
-    q = p / (p - 1.0)
-    s = (sigma * sigma).sum(axis=0)
-    return grid.cell_volume * float(np.sum(s ** (q / 2.0)))
+    return grid.cell_volume * p_density((sigma * sigma).sum(axis=0), p / (p - 1.0))[0]
 
 
 def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: float,
@@ -332,7 +285,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     method = config.resolve_method(p, linear_ok=linear_ok)
 
     def eps_for(f: np.ndarray) -> float:
-        return config.resolve_eps(p, float(np.abs(f).max(initial=0.0)))
+        return config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
 
     def finish(u, b, eps, iterations, evaluations, reason=descent.CONVERGED):
         report = _build_report(u, b, grid, pinned, p, eps,

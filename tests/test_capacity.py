@@ -18,8 +18,9 @@ from pcompliance.capacity import (
     variational_capacity,
 )
 from pcompliance.errors import DegenerateTarget, NonConvergence, ResolutionWarning
-from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment
-from pcompliance.solver import SolverConfig
+from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment, rasterize
+from pcompliance.poincare import crack_poincare
+from pcompliance.solver import SolverConfig, solve
 
 
 @pytest.mark.parametrize("p,eps", [(1.5, 1e-2), (2.0, 0.0), (3.0, 0.0)])
@@ -201,6 +202,22 @@ def test_capacity_sweep_rejects_bad_lengths():
         capacity_sweep([0.5, 1.5], 2.0)
     with pytest.raises(ValueError):
         capacity_sweep([0.0], 2.0)
+
+
+def test_every_solver_rejects_zero_eps_below_p_2():
+    # one eps rule: the energy, capacity and Poincare solvers all read
+    # regularization_eps through SolverConfig.resolve_eps
+    config = SolverConfig(regularization_eps=0.0)
+    grid = GridDiscretization(9, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)), grid)
+    with pytest.raises(ValueError, match="regularization_eps = 0"):
+        solve(np.ones(grid.shape), grid, mask, 1.5, config)
+    with pytest.raises(ValueError, match="regularization_eps = 0"):
+        crack_poincare(1.0, 0.25, 9, 1.5, config=config)
+    with pytest.raises(ValueError, match="regularization_eps = 0"):
+        segment_capacity(0.32, 1.5, config=config)
+    assert SolverConfig().resolve_eps(1.5, 1e-4) == 1e-4
+    assert SolverConfig().resolve_eps(2.0, 1e-4) == 0.0
 
 
 def test_capacity_sweep_grows_with_length():

@@ -230,6 +230,17 @@ def test_cli_linear_method_off_p_2_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_zero_eps_below_p_2_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[problem]\np = 1.5\n\n[solver]\nregularization_eps = 0\n\n"
+                                 "[capacity-sweep]\nlengths = 0.08 0.16 0.32\n")
+    code = cli.main(["capacity-sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[solver] regularization_eps for [problem] p = 1.5" in err
+    assert "regularization_eps = 0 is only valid for p >= 2" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     # only capacity.logarithmic_fit needs scipy.optimize, and it imports it
     src = str(Path(pcompliance.__file__).resolve().parents[1])
