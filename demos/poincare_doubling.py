@@ -7,7 +7,7 @@ capacity of the crack: small cracks pin badly, so the constant blows up
 exactly as capacity drains away.
 """
 
-from pcompliance import crack_poincare
+from pcompliance import crack_poincare, segment_capacity
 
 print("doubling the cube (relative crack length 0.25, p = 2):")
 small = crack_poincare(1.0, 0.25, 33, 2.0)
@@ -20,10 +20,10 @@ print(f"  ratio = {large.best_constant / small.best_constant:.6f}, "
 print("\nshrinking the crack (delta = 1, p = 2):")
 print(f"  {'a':>6} {'K':>10} {'cap(a)':>10} {'K * cap':>10}")
 for a in (0.125, 0.25, 0.5):
-    r = crack_poincare(1.0, a, 33, 2.0, with_capacity=True,
-                       capacity_resolution=8)
-    product = r.best_constant * r.capacity_ref.value
+    r = crack_poincare(1.0, a, 33, 2.0)
+    cap = segment_capacity(a, 2.0, resolution=8)
+    product = r.best_constant * cap.value
     print(f"  {a:6.3f} {r.best_constant:10.5f} "
-          f"{r.capacity_ref.value:10.5f} {product:10.5f}")
+          f"{cap.value:10.5f} {product:10.5f}")
 print("K * cap stays within a factor 2 while K itself moves by ~4x:")
 print("the constant tracks inverse capacity, not crack length")

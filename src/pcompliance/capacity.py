@@ -33,7 +33,7 @@ from .errors import DegenerateTarget, NonConvergence
 from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
                        rasterize)
 from .quadratics import _corners
-from .solver import SolverConfig, density_weights, p_density
+from .solver import SolverConfig, density_weights, p_density, solve_method
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         raise DegenerateTarget(
             f"target captures no node at h = {grid.h:.4g}; refine the grid")
 
-    method = config.resolve_method(p)
+    # the mass term keeps the pinned p = 2 block nonsingular for any pins
+    method = solve_method(p, True)
     # the p = 2 minimizer of u^T(K+M)u is the linear path's answer and the
     # descent's warm start: it already carries the right decay profile, so
     # descent only corrects the p-dependent shape

@@ -177,7 +177,8 @@ def cmd_poincare(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     results = {}
     for a in job.relative_lengths:
         cap = (capacity_mod.segment_capacity(a, p, spec.dim,
-                                             resolution=job.capacity_resolution)
+                                             resolution=job.capacity_resolution,
+                                             config=cfg.solver)
                if job.with_capacity else None)
         for delta in job.deltas:
             res = poincare.crack_poincare(delta, a, job.nodes_per_side, p,

@@ -234,13 +234,11 @@ def config_from_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     output = values.pop("output", OutputSection())
     config = ExperimentConfig(seed=output.seed, out_dir=output.directory, **values)
     p = config.problem.p
-    # checks only (a singular pinned block is only known per mask, at run time)
-    for key, check in (("method", lambda: config.solver.resolve_method(p)),
-                       ("regularization_eps", lambda: config.solver.resolve_eps(p, 0.0))):
-        try:
-            check()
-        except ValueError as exc:
-            raise ConfigError(f"invalid [solver] {key} for [problem] p = {p:g}: {exc}") from exc
+    try:
+        config.solver.resolve_eps(p, 0.0)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [solver] regularization_eps for [problem] p = {p:g}: "
+                          f"{exc}") from exc
     return config
 
 

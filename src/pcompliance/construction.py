@@ -280,7 +280,7 @@ def vanishing_sequence_experiment(
         # the cube grids tile the box, so their sums are the global integral
         dual_norm = sum(r.source_dual_pnorm for r in locals_)
         cap = segment_capacity(params.relative_crack_length, p, dim,
-                               resolution=capacity_resolution)
+                               resolution=capacity_resolution, config=config)
         if tilde_c is None:
             denominator = cap.value ** (1.0 - q) * dual_norm
             tilde_c = (flux_total * n ** q / denominator

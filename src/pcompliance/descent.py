@@ -10,6 +10,7 @@ memory is dropped and the step retried along -H0 grad.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,25 +44,26 @@ class DescentResult:
         return self.reason == CONVERGED
 
 
-def _two_loop_direction(grad, s_hist, y_hist, rho_hist, pgrad, py_hist):
-    """-H grad by the two-loop recursion.
+def _two_loop_direction(grad, pgrad, history):
+    """-H grad by the two-loop recursion over (s, y, rho, P y) pairs.
 
     H0 is gamma * P for a preconditioner P given through pgrad = P grad
-    and py_hist = P y per stored pair; P q then follows by linearity,
-    with no further application of P.
+    and P y per stored pair; P q then follows by linearity, with no
+    further application of P.
     """
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho, _ in reversed(history):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    sy = float(s_hist[-1] @ y_hist[-1])
+    s, y, _, py = history[-1]
+    sy = float(s @ y)
     q = pgrad.copy()
-    for py, a in zip(reversed(py_hist), alphas):
-        q -= a * py
-    q *= sy / float(y_hist[-1] @ py_hist[-1])
-    for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    for (_, _, _, py_k), a in zip(reversed(history), alphas):
+        q -= a * py_k
+    q *= sy / float(y @ py)
+    for (s, y, rho, _), a in zip(history, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
@@ -118,27 +120,22 @@ def minimize(
     evaluations = 1
     if x.size == 0:
         return DescentResult(x, value, grad, 0, evaluations, CONVERGED)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
-    py_hist: list[np.ndarray] = []
+    history: deque = deque(maxlen=_MEMORY)
     pgrad = precondition(grad)
 
     iterations = 0
     stalled = False
     gmax = float(np.max(np.abs(grad)))
     while gmax > grad_tolerance and iterations < max_iterations:
-        if s_hist:
-            direction = _two_loop_direction(grad, s_hist, y_hist, rho_hist,
-                                            pgrad, py_hist)
+        if history:
+            direction = _two_loop_direction(grad, pgrad, history)
         else:
             direction = -pgrad
         hit, evals = _backtrack(fun, x, value, grad, direction)
         evaluations += evals
-        if hit is None and s_hist:
+        if hit is None and history:
             # quasi-Newton direction unusable at this point; restart clean
-            for hist in (s_hist, y_hist, rho_hist, py_hist):
-                hist.clear()
+            history.clear()
             direction = -pgrad
             hit, evals = _backtrack(fun, x, value, grad, direction)
             evaluations += evals
@@ -151,13 +148,8 @@ def minimize(
         y = grad_new - grad
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            py_hist.append(pgrad_new - pgrad)
-            if len(s_hist) > _MEMORY:
-                for hist in (s_hist, y_hist, rho_hist, py_hist):
-                    hist.pop(0)
+            # a full deque drops its oldest pair
+            history.append((s, y, 1.0 / sy, pgrad_new - pgrad))
         x, value, grad, pgrad = x_new, value_new, grad_new, pgrad_new
         gmax = float(np.max(np.abs(grad)))
         iterations += 1

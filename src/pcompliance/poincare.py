@@ -10,7 +10,7 @@ not a continuum claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,13 +18,13 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from . import descent, quadratics
-from .capacity import CapacityResult, centered_segment, segment_capacity
+from .capacity import centered_segment
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import ConstraintMask, CrackSet, GridDiscretization, rasterize
 from .quadratics import (cell_gradients, cell_gradients_adjoint, cell_means,
                          cell_means_adjoint)
-from .solver import (SolverConfig, p_density, stiffness_factor,
-                     zero_energy_gauge_free, zero_energy_unbounded)
+from .solver import (SolverConfig, p_density, solve_method, stiffness_factor,
+                     zero_energy_modes)
 
 # largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from
 # either eigensolver
@@ -40,25 +40,11 @@ class PoincareResult:
     method: str
     iterations: int
     residual: float
-    capacity_ref: Optional[CapacityResult] = None
 
 
 def mass_pnorm(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
     """int |u|^p by midpoint quadrature on cell means."""
     return grid.cell_volume * p_density(cell_means(u) ** 2, p)[0]
-
-
-def _validate_mask(grid: GridDiscretization, mask: ConstraintMask) -> None:
-    if mask.grid != grid:
-        raise ValueError("mask was built for a different grid")
-    if mask.pinned[grid.boundary_mask()].all():
-        raise ValueError("the cube boundary must stay free; only the crack pins")
-    if mask.interior_pinned() == 0:
-        raise UnpinnedMask("no interior node pinned; the quotient infimum is 0")
-    if zero_energy_unbounded(mask.pinned):
-        raise UnpinnedMask(
-            "pins admit a zero-energy checkerboard mode with nonzero mean, "
-            "so the quotient infimum is 0; widen the crack or refine")
 
 
 def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
@@ -69,15 +55,24 @@ def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
         raise ValueError(f"p must exceed 1, got {p}")
     if config is None:
         config = SolverConfig()
-    _validate_mask(grid, mask)
+    if mask.grid != grid:
+        raise ValueError("mask was built for a different grid")
+    if mask.pinned[grid.boundary_mask()].all():
+        raise ValueError("the cube boundary must stay free; only the crack pins")
+    if mask.interior_pinned() == 0:
+        raise UnpinnedMask("no interior node pinned; the quotient infimum is 0")
+    unbounded, nonsingular = zero_energy_modes(mask.pinned)
+    if unbounded:
+        raise UnpinnedMask(
+            "pins admit a zero-energy checkerboard mode with nonzero mean, "
+            "so the quotient infimum is 0; widen the crack or refine")
 
-    linear_ok = zero_energy_gauge_free(mask.pinned)
-    method = config.resolve_method(p, linear_ok=linear_ok)
+    method = solve_method(p, nonsingular)
     if method == "linear":
         mu, iterations, residual = _largest_mass_over_stiffness(grid, mask.pinned)
     else:
         mu, iterations, residual = _quotient_descent(grid, mask.pinned, p,
-                                                     config, linear_ok)
+                                                     config, nonsingular)
 
     return PoincareResult(
         best_constant=mu,
@@ -137,7 +132,7 @@ def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
 
 
 def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
-                      config: SolverConfig, linear_ok: bool,
+                      config: SolverConfig, nonsingular: bool,
                       ) -> tuple[float, int, float]:
     """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields.
 
@@ -159,7 +154,7 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
         return quotient, grad / norm
 
     factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid),
-                              pinned, linear_ok)
+                              pinned, nonsingular)
     x0 = np.ones(grid.n_nodes)
     x0[pinned.ravel()] = 0.0
     result = descent.minimize(
@@ -200,15 +195,7 @@ def crack_cube(delta: float, relative_length: float, nodes_per_side: int,
 
 def crack_poincare(delta: float, relative_length: float, nodes_per_side: int,
                    p: float, dim: int = 2,
-                   config: Optional[SolverConfig] = None,
-                   with_capacity: bool = False,
-                   capacity_resolution: int = 8) -> PoincareResult:
-    """Best constant for a centered crack cube, optionally paired with the
-    capacity of the unit-scale crack of the same relative length."""
+                   config: Optional[SolverConfig] = None) -> PoincareResult:
+    """Best constant for a centered crack cube."""
     cube = crack_cube(delta, relative_length, nodes_per_side, dim)
-    result = best_poincare_constant(cube.grid, cube.mask, p, config)
-    if with_capacity:
-        cap = segment_capacity(relative_length, p, dim,
-                               resolution=capacity_resolution)
-        result = replace(result, capacity_ref=cap)
-    return result
+    return best_poincare_constant(cube.grid, cube.mask, p, config)

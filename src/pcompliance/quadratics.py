@@ -44,9 +44,20 @@ def mean_operator(dim: int) -> tuple[list, float]:
     return [[1]] * 2 ** dim, 2 ** dim
 
 
+def _check_table(table: list, dim: int) -> None:
+    """The stencils add +1 weights, subtract every other weight and zip
+    corners with rows, so any other table would be misapplied."""
+    if len(table) != 2 ** dim:
+        raise ValueError(f"a cell table needs one row per corner, 2^{dim} = "
+                         f"{2 ** dim}, got {len(table)}")
+    if any(weight not in (1, -1) for row in table for weight in row):
+        raise ValueError("cell table weights must be +1 or -1")
+
+
 def cell_apply(values: np.ndarray, table: list, divisor: float) -> np.ndarray:
     """table (weights +-1) applied to every cell, over divisor: shape
     (rows, *cells) for a node field of shape (n_1, ..., n_dim)."""
+    _check_table(table, values.ndim)
     out = np.zeros((len(table[0]),) + tuple(n - 1 for n in values.shape))
     for weights, (_, sl) in zip(table, _corners(values.ndim)):
         for row, weight in zip(out, weights):
@@ -58,6 +69,7 @@ def cell_apply(values: np.ndarray, table: list, divisor: float) -> np.ndarray:
 def cell_adjoint(v: np.ndarray, table: list, divisor: float, scale: float = 1.0) -> np.ndarray:
     """scale times the transpose of `cell_apply`: a node field paired with
     cell values v of shape (rows, *cells)."""
+    _check_table(table, v.ndim - 1)
     out = np.zeros(tuple(n + 1 for n in v.shape[1:]))
     scaled = (scale / divisor) * v
     contrib = np.empty(v.shape[1:])

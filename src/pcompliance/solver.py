@@ -18,7 +18,6 @@ report records the eps actually used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -51,17 +50,16 @@ class SolverConfig:
     regularization_eps = None picks 0 for p >= 2 and below that each solver's
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
-    p < 2.  method is "auto", "descent", or "linear"; `resolve_method`
-    turns it into the path a solve takes.  prefer_direct picks a sparse LU
-    (True) or Jacobi CG (False) for the p = 2 linear solves, None by size;
-    every descent (energy, capacity, Poincare) factors its p = 2 block.
-    The L-BFGS memory and line search are fixed in `descent`.
+    p < 2.  prefer_direct picks a sparse LU (True) or Jacobi CG (False)
+    for the p = 2 linear solves, None by size; every descent (energy,
+    capacity, Poincare) factors its p = 2 block.  The problem picks the
+    path (`solve_method`), and the L-BFGS memory and line search are
+    fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
     max_iterations: int = 50_000
     regularization_eps: Optional[float] = None
-    method: str = "auto"
     prefer_direct: Optional[bool] = None
 
     def __post_init__(self):
@@ -71,24 +69,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.regularization_eps is not None and self.regularization_eps < 0:
             raise ValueError("regularization_eps must be >= 0")
-        if self.method not in ("auto", "descent", "linear"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-    def resolve_method(self, p: float, linear_ok: bool = True) -> str:
-        """The solve path, "linear" or "descent", for exponent p.
-
-        "auto" picks linear algebra iff p = 2 and linear_ok, which callers
-        clear when the pinned p = 2 block is singular.  An explicit
-        "linear" that cannot apply raises ValueError with the reason.
-        """
-        if self.method == "auto":
-            return "linear" if p == 2.0 and linear_ok else "descent"
-        if self.method == "linear":
-            if p != 2.0:
-                raise ValueError("the linear path only applies to p = 2")
-            if not linear_ok:
-                raise ValueError("pinned stiffness block is singular; use descent")
-        return self.method
 
     def resolve_eps(self, p: float, default: float) -> float:
         if self.regularization_eps is None:
@@ -114,51 +94,35 @@ class ComplianceReport:
     evaluations: int = 0
 
 
-@lru_cache(maxsize=None)
-def _kernel_parities(dim: int) -> tuple[tuple[int, ...], ...]:
-    """Sign-pattern exponents spanning the zero-energy modes of the stencil.
-
-    The averaged-edge gradient annihilates every character (-1)^(b.index)
-    whose support touches at least two axes, and the constant field; these
-    also have zero cell means except the constant.
-    """
-    return tuple(bits for bits, _ in _corners(dim) if sum(bits) >= 2)
+def solve_method(p: float, nonsingular: bool) -> str:
+    """The path every solve takes: "linear" exactly when p = 2 and the
+    pinned p = 2 block is nonsingular, "descent" otherwise."""
+    return "linear" if p == 2.0 and nonsingular else "descent"
 
 
-def _characters_at(pins: np.ndarray, parities) -> np.ndarray:
-    cols = [(-1.0) ** (pins @ np.asarray(b)) for b in parities]
-    return np.column_stack(cols) if cols else np.zeros((len(pins), 0))
+def zero_energy_modes(pinned: np.ndarray) -> tuple[bool, bool]:
+    """(unbounded, nonsingular): what the stencil's zero-energy modes do
+    once the pins hold them at 0.
 
-
-def zero_energy_unbounded(pinned: np.ndarray) -> bool:
-    """True when some zero-energy mode with nonzero mean clears the pins.
-
-    Such a mode makes the source term unbounded below for generic f, so
-    free-boundary solves must reject these masks up front.
+    The averaged-edge gradient annihilates the constant field and every
+    character (-1)^(b.index) whose support touches at least two axes;
+    all but the constant have zero cell means.  unbounded: some mode with
+    nonzero mean clears the pins, so the source term is unbounded below
+    for generic f and free-boundary solves must reject the mask.
+    nonsingular: no mode at all survives the pins, so the pinned p = 2
+    stiffness block is nonsingular, as the linear paths require.
     """
     pins = np.argwhere(pinned)
     if len(pins) == 0:
-        return True
-    chars = _characters_at(pins, _kernel_parities(pinned.ndim))
-    if chars.shape[1] == 0:
-        return False
-    coeff, *_ = np.linalg.lstsq(chars, -np.ones(len(pins)), rcond=None)
-    return bool(np.abs(chars @ coeff + 1.0).max() < 1e-9)
-
-
-def zero_energy_gauge_free(pinned: np.ndarray) -> bool:
-    """True when no zero-energy mode at all survives the pins.
-
-    Guarantees the pinned p = 2 stiffness block is nonsingular, which the
-    direct linear paths require.
-    """
-    pins = np.argwhere(pinned)
-    if len(pins) == 0:
-        return False
-    parities = _kernel_parities(pinned.ndim)
-    chars = np.column_stack([np.ones(len(pins)),
-                             _characters_at(pins, parities)])
-    return int(np.linalg.matrix_rank(chars, tol=1e-9)) == chars.shape[1]
+        return True, False
+    # one column per character at the pins, the constant (bits 0) first
+    chars = np.column_stack([(-1.0) ** (pins @ np.asarray(bits))
+                             for bits, _ in _corners(pinned.ndim) if sum(bits) != 1])
+    modes = chars[:, 1:]
+    coeff, *_ = np.linalg.lstsq(modes, -chars[:, 0], rcond=None)
+    unbounded = bool(np.abs(modes @ coeff + 1.0).max() < 1e-9)
+    nonsingular = int(np.linalg.matrix_rank(chars, tol=1e-9)) == chars.shape[1]
+    return unbounded, nonsingular
 
 
 def density_weights(s: np.ndarray, p: float) -> np.ndarray:
@@ -271,18 +235,20 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             raise ValueError(f"source {index} of the batch holds non-finite values")
     if mask.grid != grid:
         raise ValueError("mask was built for a different grid")
-    if require_boundary and not mask.pinned[grid.boundary_mask()].all():
-        raise ValueError("mask must pin the whole outer boundary")
-    if not require_boundary and zero_energy_unbounded(mask.pinned):
-        raise UnpinnedMask(
-            "the pins admit a zero-energy mode with nonzero mean, so the "
-            "energy is unbounded below; widen the crack or refine the grid")
-
     pinned = mask.pinned
-    # pure-gauge modes make the pinned stiffness block singular, where
-    # splu/CG misbehave and descent is immune
-    linear_ok = require_boundary or zero_energy_gauge_free(pinned)
-    method = config.resolve_method(p, linear_ok=linear_ok)
+    # a pinned outer boundary leaves no zero-energy mode; free-boundary
+    # pins can leave pure-gauge modes, which make the pinned stiffness
+    # block singular, where splu/CG misbehave and descent is immune
+    nonsingular = True
+    if require_boundary and not pinned[grid.boundary_mask()].all():
+        raise ValueError("mask must pin the whole outer boundary")
+    if not require_boundary:
+        unbounded, nonsingular = zero_energy_modes(pinned)
+        if unbounded:
+            raise UnpinnedMask(
+                "the pins admit a zero-energy mode with nonzero mean, so the "
+                "energy is unbounded below; widen the crack or refine the grid")
+    method = solve_method(p, nonsingular)
 
     def eps_for(f: np.ndarray) -> float:
         return config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
@@ -322,7 +288,7 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         return [finish(u, rhs[:, column].reshape(shape), eps_for(f), iterations, 0)
                 for column, (u, f) in enumerate(zip(fields, fs))]
 
-    factor = stiffness_factor(grid, stiffness, pinned, linear_ok)
+    factor = stiffness_factor(grid, stiffness, pinned, nonsingular)
     solved = []
     for f, b in zip(fs, loads):
         eps = eps_for(f)
@@ -345,15 +311,15 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
 
 
 def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
-                     linear_ok: bool) -> quadratics.PinnedFactor:
+                     nonsingular: bool) -> quadratics.PinnedFactor:
     """The factored pinned p = 2 block whose inverse is a descent's H0.
 
     K is the energy's Hessian at p = 2, and the two-loop recursion scales
-    its inverse.  When linear_ok is false, pure-gauge modes leave the
+    its inverse.  When nonsingular is false, pure-gauge modes leave the
     pinned block singular, and a small node mass lifts them.
     """
     block = stiffness
-    if not linear_ok:
+    if not nonsingular:
         block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
     return quadratics.PinnedFactor(block, pinned)
 

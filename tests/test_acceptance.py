@@ -30,6 +30,7 @@ from pcompliance import (
     rasterize,
     refinement_ratio,
     scaling_fit,
+    segment_capacity,
     solve_cracks,
     stability_experiment,
     total_length,
@@ -98,7 +99,7 @@ def test_c2_energy_work_duality():
             for tol in (1e-4, 1e-6, 1e-8):
                 _, report, _ = solve_cracks(
                     ProblemSpec(p=p), CRACK, BUMP, 65,
-                    SolverConfig(grad_tolerance=tol, method="descent"))
+                    SolverConfig(grad_tolerance=tol))
                 gaps.append(duality_gap(report))
             need(failures, gaps[0] > gaps[1] > gaps[2],
                  f"ladder p={p} not monotone: {gaps}")
@@ -171,9 +172,9 @@ def test_c6_poincare_constant_scaling():
         # constant * capacity stays within a factor 2 across crack sizes
         products = []
         for a in (0.125, 0.25, 0.5):
-            r = crack_poincare(1.0, a, 33, 2.0, with_capacity=True,
-                               capacity_resolution=8)
-            products.append(r.best_constant * r.capacity_ref.value)
+            r = crack_poincare(1.0, a, 33, 2.0)
+            cap = segment_capacity(a, 2.0, resolution=8)
+            products.append(r.best_constant * cap.value)
         spread = max(products) / min(products)
         need(failures, spread < 2.0,
              f"capacity tracking spread {spread:.3f} >= 2")

@@ -154,10 +154,24 @@ def test_translation_invariance_off_lattice_within_five_percent():
 def test_linear_and_descent_capacities_agree_for_p2():
     grid = GridDiscretization(17, 1.0, 2)
     seg = axis_segment((-0.125, 0.0), 0, 0.25)
-    linear = variational_capacity(seg, 2.0, grid, SolverConfig(method="linear"))
-    descent = variational_capacity(
-        seg, 2.0, grid, SolverConfig(method="descent", grad_tolerance=1e-10))
-    assert descent.value == pytest.approx(linear.value, rel=1e-7)
+    linear = variational_capacity(seg, 2.0, grid)
+    # the descent path's kernel, warm start and H0, run at p = 2 where
+    # `variational_capacity` never takes them
+    pinned = target_pins(seg, grid)
+    matrix = (quadratics.edge_stiffness_matrix(grid)
+              + quadratics.node_mass_matrix(grid))
+    factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
+    x0 = factor.solve(-2.0 * (matrix @ pinned.ravel().astype(float)))
+    x0[pinned.ravel()] = 1.0
+
+    def objective(x):
+        value, grad = _capacity_gradient(x.reshape(grid.shape), grid, pinned, 2.0, 0.0)
+        return value, grad.ravel()
+
+    result = descent.minimize(objective, x0, grad_tolerance=1e-10,
+                              max_iterations=50_000, precondition=factor.solve)
+    assert result.converged
+    assert result.value == pytest.approx(linear.value, rel=1e-7)
 
 
 def test_collinear_pins_in_3d_keep_positive_capacity():

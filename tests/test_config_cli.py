@@ -8,8 +8,10 @@ import pytest
 
 import pcompliance
 from pcompliance import cli, reporting
+from pcompliance.capacity import segment_capacity
 from pcompliance.config import ExperimentConfig, config_from_text, load_config
 from pcompliance.errors import ConfigError
+from pcompliance.solver import SolverConfig
 
 
 def write_config(tmp_path, text):
@@ -35,7 +37,6 @@ length_penalty = 0.5
 
 [solver]
 grad_tolerance = 1e-6
-method = descent
 prefer_direct = yes
 
 [capacity-sweep]
@@ -53,7 +54,6 @@ directory = results
     assert cfg.problem.p == 1.5
     assert cfg.problem.dim == 3
     assert cfg.solver.grad_tolerance == 1e-6
-    assert cfg.solver.method == "descent"
     assert cfg.solver.prefer_direct is True
     assert cfg.capacity_sweep.lengths == (0.1, 0.2, 0.4)
     assert cfg.capacity_sweep.resolution == 2
@@ -82,6 +82,9 @@ def test_unknown_key_rejected():
     for key in ("memory", "armijo_factor", "armijo_c1"):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_text(f"[solver]\n{key} = 0.5\n")
+    # the problem picks the solve path (`solver.solve_method`)
+    with pytest.raises(ConfigError, match="unknown key 'method' in section"):
+        config_from_text("[solver]\nmethod = auto\n")
 
 
 def test_bad_values_carry_section_context():
@@ -91,7 +94,7 @@ def test_bad_values_carry_section_context():
     with pytest.raises(ConfigError, match=r"\[problem\]"):
         config_from_text("[problem]\np = 1.0\n")
     with pytest.raises(ConfigError, match=r"\[solver\]"):
-        config_from_text("[solver]\nmethod = newton\n")
+        config_from_text("[solver]\nmax_iterations = 0\n")
     with pytest.raises(ConfigError, match=r"\[solver\]"):
         config_from_text("[solver]\nprefer_direct = maybe\n")
 
@@ -220,13 +223,11 @@ def test_cli_odd_resolution_exits_2(tmp_path, capsys, command, key, value, messa
     assert f"{key} {message}" in capsys.readouterr().err
 
 
-def test_cli_linear_method_off_p_2_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[problem]\np = 3.0\n\n[solver]\nmethod = linear\n")
+def test_cli_solver_method_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[solver]\nmethod = auto\n")
     code = cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "[solver] method for [problem] p = 3" in err
-    assert "the linear path only applies to p = 2" in err
+    assert "unknown key 'method' in section [solver]" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -352,6 +353,29 @@ capacity_resolution = 4
     assert rows[2] == "p,delta,a,h,constant,capacity"
     # schema + seed + header + 2 lengths x 2 deltas
     assert len(rows) == 7
+
+
+def test_cli_poincare_capacity_honours_solver(tmp_path):
+    cfg = write_config(tmp_path, """
+[problem]
+p = 1.5
+
+[solver]
+regularization_eps = 1e-2
+
+[poincare]
+deltas = 1.0
+relative_lengths = 0.25
+nodes_per_side = 17
+with_capacity = yes
+capacity_resolution = 4
+""")
+    out = tmp_path / "poin"
+    assert cli.main(["poincare", "--config", cfg, "--out", str(out)]) == 0
+    row = (out / "poincare.csv").read_text().splitlines()[-1]
+    cap = segment_capacity(0.25, 1.5, 2, resolution=4,
+                           config=SolverConfig(regularization_eps=1e-2))
+    assert float(row.split(",")[-1]) == cap.value
 
 
 def test_cli_stability_no_pairs(tmp_path, capsys):

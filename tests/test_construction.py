@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcompliance import construction, quadratics
-from pcompliance.capacity import centered_segment
+from pcompliance.capacity import centered_segment, segment_capacity
 from pcompliance.construction import (
     ConstructionParams,
     assemble_flux,
@@ -285,6 +285,16 @@ def test_flux_ladder_decay_rate_p3():
     assert report.decay.slope <= -1.2
     assert report.decay.r_squared >= 0.99
     assert report.bound_satisfied
+
+
+def test_ladder_capacity_honours_solver_config():
+    # the rung's capacity solve reads the ladder's config, not the defaults
+    config = SolverConfig(regularization_eps=1e-2)
+    report = vanishing_sequence_experiment([1], 0.25, 1.5, config=config,
+                                           local_nodes=17)
+    params = ConstructionParams(n=1, epsilon=0.25, p=1.5)
+    cap = segment_capacity(params.relative_crack_length, 1.5, 2, config=config)
+    assert report.rows[0].capacity == cap.value
 
 
 def test_connected_baseline_penalized_value():

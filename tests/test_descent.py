@@ -41,8 +41,8 @@ def test_preconditioned_two_loop_matches_direct_products():
     s_hist = [rng.standard_normal(8) for _ in range(3)]
     y_hist = [a @ s for s in s_hist]
     rho_hist = [1.0 / float(s @ y) for s, y in zip(s_hist, y_hist)]
-    fast = descent._two_loop_direction(grad, s_hist, y_hist, rho_hist,
-                                       p @ grad, [p @ y for y in y_hist])
+    history = [(s, y, rho, p @ y) for s, y, rho in zip(s_hist, y_hist, rho_hist)]
+    fast = descent._two_loop_direction(grad, p @ grad, history)
     q = grad.copy()
     alphas = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):

@@ -143,3 +143,23 @@ def test_assembly_peak_memory_stays_near_the_result(build, nodes, dim):
         tracemalloc.stop()
     size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     assert peak <= 3 * size
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stencils_reject_tables_they_would_misapply(dim):
+    rng = np.random.default_rng(dim)
+    values = rng.standard_normal((5,) * dim)
+    cells = rng.standard_normal((dim,) + (4,) * dim)
+    table, divisor = quadratics.gradient_operator(dim, 0.25)
+    zero_weight = [list(row) for row in table]
+    zero_weight[1][0] = 0
+    for bad in (zero_weight, table[:-1]):
+        with pytest.raises(ValueError, match="cell table"):
+            quadratics.cell_apply(values, bad, divisor)
+        with pytest.raises(ValueError, match="cell table"):
+            quadratics.cell_adjoint(cells, bad, divisor)
+    for table, divisor in (quadratics.gradient_operator(dim, 0.25),
+                           quadratics.mean_operator(dim)):
+        rows = len(table[0])
+        quadratics.cell_apply(values, table, divisor)
+        quadratics.cell_adjoint(cells[:rows], table, divisor)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from pcompliance import quadratics
-from pcompliance.capacity import variational_capacity
+from pcompliance import descent, quadratics
 from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
     ConstraintMask,
@@ -28,8 +27,8 @@ from pcompliance.solver import (
     gradient_pnorm,
     solve,
     solve_batch,
-    zero_energy_gauge_free,
-    zero_energy_unbounded,
+    stiffness_factor,
+    zero_energy_modes,
 )
 from pcompliance.sources import GaussianBump, named_source, random_smooth, sample_on_grid
 
@@ -266,13 +265,25 @@ def test_linear_and_descent_paths_agree_for_p2():
     grid = GridDiscretization(33, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
     f = bump_source(grid, center=(0.1, -0.2))
-    _, linear = solve(f, grid, mask, 2.0, SolverConfig(method="linear"))
-    _, descent = solve(f, grid, mask, 2.0,
-                       SolverConfig(method="descent", grad_tolerance=1e-9))
+    _, linear = solve(f, grid, mask, 2.0)
     assert linear.method == "linear"
-    assert descent.method == "descent"
-    assert descent.compliance_energy_form == pytest.approx(
-        linear.compliance_energy_form, rel=1e-7)
+    # the descent path's kernel and H0, run at p = 2 where `solve` never
+    # takes them
+    pinned = mask.pinned
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, True)
+
+    def objective(x):
+        value, grad = energy_and_gradient(x.reshape(grid.shape), b, grid,
+                                          pinned, 2.0, 0.0)
+        return value, grad.ravel()
+
+    result = descent.minimize(objective, np.zeros(grid.n_nodes),
+                              grad_tolerance=1e-9, max_iterations=50_000,
+                              precondition=factor.solve)
+    assert result.converged
+    compliance = gradient_pnorm(result.x.reshape(grid.shape), grid, 2.0) / 2.0
+    assert compliance == pytest.approx(linear.compliance_energy_form, rel=1e-7)
 
 
 def test_report_residual_meets_tolerance():
@@ -318,22 +329,13 @@ def test_solve_validation_errors():
     other = rasterize(CrackSet.empty(), GridDiscretization(11, 1.0, 2))
     with pytest.raises(ValueError):
         solve(f, grid, other, 2.0)
-    with pytest.raises(ValueError):
-        solve(f, grid, mask, 3.0, SolverConfig(method="linear"))
     bare = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)),
                      grid, include_boundary=False)
     with pytest.raises(ValueError):
         solve(f, grid, bare, 2.0)
 
 
-def test_explicit_linear_method_that_cannot_apply_raises():
-    grid = GridDiscretization(9, 1.0, 2)
-    mask = rasterize(CrackSet.empty(), grid)
-    linear = SolverConfig(method="linear")
-    with pytest.raises(ValueError, match="p = 2"):
-        solve(np.ones(grid.shape), grid, mask, 3.0, linear)
-    with pytest.raises(ValueError, match="p = 2"):
-        variational_capacity(np.zeros(2), 3.0, grid, linear)
+def test_gauge_mask_p2_takes_descent():
     # four pins on one plane cover every parity of the other two axes: the
     # energy stays bounded, but a pure-gauge mode leaves the p = 2 block
     # singular, so only descent applies
@@ -342,8 +344,6 @@ def test_explicit_linear_method_that_cannot_apply_raises():
     pinned[1, 1:3, 1:3] = True
     mask = ConstraintMask(cube, pinned)
     f = np.ones(cube.shape)
-    with pytest.raises(ValueError, match="singular"):
-        solve(f, cube, mask, 2.0, linear, require_boundary=False)
     _, report = solve(f, cube, mask, 2.0, require_boundary=False)
     assert report.method == "descent"
 
@@ -401,7 +401,7 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
 
 
 def test_gauge_mask_descent_matches_unpreconditioned_energy():
-    # the 3-d pins of test_explicit_linear_method_that_cannot_apply_raises:
+    # the 3-d pins of test_gauge_mask_p2_takes_descent:
     # a pure-gauge mode leaves the stiffness block singular, so the
     # preconditioner factors it with a small node mass added
     cube = GridDiscretization(5, 1.0, 3)
@@ -435,8 +435,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        SolverConfig(method="newton")
-    with pytest.raises(ValueError):
         SolverConfig(regularization_eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(regularization_eps=0.0).resolve_eps(1.5, 1.0)
@@ -445,21 +443,19 @@ def test_solver_config_validation():
 def test_zero_energy_detectors_2d():
     shape = (9, 9)
     none = np.zeros(shape, dtype=bool)
-    assert zero_energy_unbounded(none)
-    assert not zero_energy_gauge_free(none)
+    # (unbounded, nonsingular)
+    assert zero_energy_modes(none) == (True, False)
 
     single = none.copy()
     single[4, 4] = True
     # constant plus checkerboard matches any single pin with zero energy
-    assert zero_energy_unbounded(single)
-    assert not zero_energy_gauge_free(single)
+    assert zero_energy_modes(single) == (True, False)
 
     pair = none.copy()
     pair[4, 4] = True
     pair[4, 5] = True
     # opposite checkerboard parity: no surviving mode at all
-    assert not zero_energy_unbounded(pair)
-    assert zero_energy_gauge_free(pair)
+    assert zero_energy_modes(pair) == (False, True)
 
 
 def test_zero_energy_detectors_3d_collinear_pins():
@@ -468,8 +464,7 @@ def test_zero_energy_detectors_3d_collinear_pins():
     shape = (5, 5, 5)
     pinned = np.zeros(shape, dtype=bool)
     pinned[1:4, 2, 2] = True
-    assert zero_energy_unbounded(pinned)
-    assert not zero_energy_gauge_free(pinned)
+    assert zero_energy_modes(pinned) == (True, False)
     # pins spread over distinct parities restore boundedness
     spread = np.zeros(shape, dtype=bool)
     spread[1, 1, 1] = True
@@ -477,7 +472,7 @@ def test_zero_energy_detectors_3d_collinear_pins():
     spread[1, 2, 1] = True
     spread[2, 1, 1] = True
     spread[2, 2, 2] = True
-    assert not zero_energy_unbounded(spread)
+    assert not zero_energy_modes(spread)[0]
 
 
 def test_free_boundary_unbounded_mask_rejected():
