@@ -30,7 +30,7 @@ if report.decay is not None:
 # one connected crack with the same total length cannot compete
 base = connected_baseline(0.25, 2.0, nodes_per_side=129)
 print(f"\nconnected segment of equal length: "
-      f"penalized value {base.penalized_value:.6f}")
+      f"penalized value {base.penalized_objective:.6f}")
 print(f"scattered grid at n = {report.rows[-1].n}:           "
       f"penalized value {report.rows[-1].penalized_value:.6f}")
 print(f"total crack length in both cases:  "

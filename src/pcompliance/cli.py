@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -16,9 +16,9 @@ from . import capacity as capacity_mod
 from . import construction, poincare, reporting, stability
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NonConvergence, ResolutionTooCoarse
-from .geometry import CrackSet, build_grid, load_segments, rasterize, total_length
-from .solver import solve
-from .sources import GaussianBump, named_source, sample_on_grid
+from .geometry import CrackSet, build_grid, load_segments
+from .solver import solve_cracks
+from .sources import GaussianBump, named_source
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -43,6 +43,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _columns(record) -> tuple[str, ...]:
+    """CSV header of a record dataclass: its field names, in order."""
+    return tuple(f.name for f in fields(record))
+
+
 def _check(label: str, ok: bool) -> bool:
     print(f"check {label}: {'ok' if ok else 'FAIL'}")
     return ok
@@ -52,18 +57,15 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     """one energy solve with compliance report, field CSV, optional SVG"""
     job = cfg.solve
     spec = cfg.problem
-    grid = build_grid(spec, job.nodes_per_side)
     if job.cracks_file:
         if not Path(job.cracks_file).is_file():
             raise ConfigError(f"cracks_file not found: {job.cracks_file}")
         cracks = load_segments(job.cracks_file)
     else:
         cracks = CrackSet.empty()
-    mask = rasterize(cracks, grid)
-    f = sample_on_grid(named_source(job.source, spec.dim, spec.half_width), grid)
-    u, report = solve(f, grid, mask, spec.p, cfg.solver,
-                      crack_length=total_length(cracks),
-                      length_penalty=spec.length_penalty)
+    u, report, _ = solve_cracks(
+        spec, cracks, named_source(job.source, spec.dim, spec.half_width),
+        job.nodes_per_side, cfg.solver)
     reporting.write_compliance_report(out / "solve.csv", report, seed=cfg.seed)
     reporting.write_field(out / "solution.csv", u, seed=cfg.seed)
     if job.heatmap:
@@ -122,14 +124,8 @@ def cmd_sweep_vanishing(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         bound_safety=job.bound_safety,
         divergence_samples=job.divergence_samples,
         seed=cfg.seed)
-    header = ("n", "local_nodes", "crack_length", "flux_pnorm", "capacity",
-              "bound_rhs", "penalized_value", "congruence_spread",
-              "divergence_max_relative")
-    reporting.write_csv(out / "vanishing.csv", header,
-                        [(r.n, r.local_nodes, r.crack_length, r.flux_pnorm,
-                          r.capacity, r.bound_rhs, r.penalized_value,
-                          r.congruence_spread, r.divergence_max_relative)
-                         for r in report.rows],
+    reporting.write_csv(out / "vanishing.csv", _columns(construction.VanishingRow),
+                        [astuple(r) for r in report.rows],
                         seed=cfg.seed,
                         comments=(f"tilde_c={reporting.format_value(report.tilde_c)}",
                                   f"bound_safety={reporting.format_value(report.bound_safety)}"))
@@ -158,10 +154,10 @@ def cmd_sweep_vanishing(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             dim=spec.dim, half_width=spec.half_width,
             nodes_per_side=job.baseline_nodes, config=cfg.solver)
         print(f"connected baseline penalized value "
-              f"{base.penalized_value:.6f} vs crack grid "
+              f"{base.penalized_objective:.6f} vs crack grid "
               f"{report.rows[-1].penalized_value:.6f}")
         ok &= _check("crack grid beats connected baseline",
-                     report.rows[-1].penalized_value < base.penalized_value)
+                     report.rows[-1].penalized_value < base.penalized_objective)
     return 0 if ok else 1
 
 
@@ -175,17 +171,18 @@ def cmd_poincare(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         return 0
     rows = []
     results = {}
+    capacities = {}
     for a in job.relative_lengths:
-        cap = (capacity_mod.segment_capacity(a, p, spec.dim,
-                                             resolution=job.capacity_resolution,
-                                             config=cfg.solver)
-               if job.with_capacity else None)
+        capacities[a] = (capacity_mod.segment_capacity(
+                             a, p, spec.dim, resolution=job.capacity_resolution,
+                             config=cfg.solver).value
+                         if job.with_capacity else float("nan"))
         for delta in job.deltas:
             res = poincare.crack_poincare(delta, a, job.nodes_per_side, p,
                                           spec.dim, cfg.solver)
             results[(a, delta)] = res
             rows.append((p, delta, a, res.grid_h, res.best_constant,
-                         cap.value if cap is not None else float("nan")))
+                         capacities[a]))
     reporting.write_csv(out / "poincare.csv",
                         ("p", "delta", "a", "h", "constant", "capacity"),
                         rows, seed=cfg.seed)
@@ -200,11 +197,8 @@ def cmd_poincare(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
                 f"doubling delta={d1} a={a}: ratio/2^p = {ratio / scale_target:.4f}",
                 abs(ratio / scale_target - 1.0) <= job.doubling_tolerance)
     if job.with_capacity and len(job.relative_lengths) >= 2:
-        products = []
-        for (a, delta), res in results.items():
-            if delta == job.deltas[0]:
-                cap_value = next(r[5] for r in rows if r[2] == a)
-                products.append(res.best_constant * cap_value)
+        products = [results[(a, job.deltas[0])].best_constant * capacities[a]
+                    for a in job.relative_lengths]
         spread = max(products) / min(products)
         ok &= _check(f"constant tracks 1/capacity (spread {spread:.3f})",
                      spread <= 2.0)
@@ -245,10 +239,8 @@ def cmd_stability(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
                             width=0.1 * spec.half_width, value=50.0)
         trows = stability.truncation_bounds(tall, job.truncation_levels,
                                             spec.p, grid, bound.measured_A)
-        reporting.write_csv(out / "truncation.csv",
-                            ("level", "norm_gap", "bound"),
-                            [(r.level, r.norm_gap, r.bound) for r in trows],
-                            seed=cfg.seed)
+        reporting.write_csv(out / "truncation.csv", _columns(stability.TruncationRow),
+                            [astuple(r) for r in trows], seed=cfg.seed)
         bounds = [r.bound for r in trows]
         ok &= _check("truncation bounds non-increasing",
                      all(b <= a + 1e-15 for a, b in zip(bounds, bounds[1:])))

@@ -22,10 +22,10 @@ import numpy as np
 from .capacity import (ScalingFit, centered_segment, check_resolution,
                        scaling_fit, segment_capacity)
 from .errors import ResolutionTooCoarse
-from .geometry import (CrackSet, GridDiscretization, axis_segment,
-                       rasterize, total_length)
+from .geometry import (CrackSet, GridDiscretization, ProblemSpec, axis_segment,
+                       rasterize)
 from .solver import (ComplianceReport, SolverConfig, cell_means,
-                     divergence_residual, flux, solve, solve_batch)
+                     divergence_residual, flux, solve_batch, solve_cracks)
 from .sources import Constant, sample_on_grid
 
 
@@ -111,48 +111,30 @@ def required_local_nodes(params: ConstructionParams, floor: int = 33) -> int:
 
 @dataclass(frozen=True)
 class LocalSolveResult:
-    center: tuple[float, ...]
     grid: GridDiscretization
     u: np.ndarray
-    energy_pnorm: float
     report: ComplianceReport
     source_dual_pnorm: float  # int |g_bar|^p' over the cube, g_bar cell means
 
 
-def local_solve(params: ConstructionParams, cube_center: Sequence[float],
-                g, config: Optional[SolverConfig] = None,
-                local_nodes: Optional[int] = None) -> LocalSolveResult:
-    """Free-boundary solve on one cube with only its crack pinned.
+def local_solve(params: ConstructionParams, g,
+                config: Optional[SolverConfig] = None,
+                local_nodes: Optional[int] = None) -> list[LocalSolveResult]:
+    """Free-boundary solves on all (2n)^dim cubes, each with only its crack
+    pinned, in fixed row-major cube order.
 
-    Returns the minimizer of (1/p) int |grad w|^p - int g w and the
-    p-norm of its gradient, the cube's contribution to the global dual
-    energy.
-    """
-    return _solve_cubes(params, [cube_center], g, config, local_nodes)[0]
-
-
-def solve_all_cubes(params: ConstructionParams, g,
-                    config: Optional[SolverConfig] = None,
-                    local_nodes: Optional[int] = None) -> list[LocalSolveResult]:
-    """All (2n)^dim local solves, in fixed row-major cube order."""
-    return _solve_cubes(params, params.cube_centers(), g, config, local_nodes)
-
-
-def _solve_cubes(params: ConstructionParams, centers, g,
-                 config: Optional[SolverConfig],
-                 local_nodes: Optional[int]) -> list[LocalSolveResult]:
-    """Local solves on congruent cubes as one problem with many sources.
-
-    The cubes are translates of one grid and their centered cracks
-    rasterize alike node for node, so the first cube's grid and mask
-    serve them all: one rasterization, one assembly and one
-    factorization per call.  Each source is sampled on its own cube.
+    Each result holds the minimizer of (1/p) int |grad w|^p - int g w on
+    its cube; the report's flux_pnorm is the cube's contribution to the
+    global dual energy.  The cubes are translates of one grid and their
+    centered cracks rasterize alike node for node, so the first cube's
+    grid and mask serve them all: one rasterization, one assembly and one
+    factorization per rung.  Each source is sampled on its own cube.
     """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)
     grids = [GridDiscretization(local_nodes, params.cube_side / 2.0, params.dim,
                                 tuple(float(c) for c in center))
-             for center in centers]
+             for center in params.cube_centers()]
     grid = grids[0]
     span = params.crack_length / grid.h
     if span < CRACK_SPAN_CELLS * (1.0 - 1e-9):
@@ -167,8 +149,7 @@ def _solve_cubes(params: ConstructionParams, centers, g,
                          require_boundary=False)
     q = params.p / (params.p - 1.0)
     return [LocalSolveResult(
-                center=cube.center, grid=cube, u=u,
-                energy_pnorm=report.flux_pnorm, report=report,
+                grid=cube, u=u, report=report,
                 source_dual_pnorm=cube.cell_volume * float(
                     np.sum(np.abs(cell_means(source)) ** q)))
             for cube, source, (u, report) in zip(grids, sources, solved)]
@@ -265,14 +246,12 @@ def vanishing_sequence_experiment(
     for n in ns:
         params = ConstructionParams(n=n, epsilon=epsilon,
                                     half_width=half_width, dim=dim, p=p)
-        nodes = (local_nodes if local_nodes is not None
-                 else required_local_nodes(params))
         try:
-            locals_ = solve_all_cubes(params, g, config, nodes)
+            locals_ = local_solve(params, g, config, local_nodes)
         except ResolutionTooCoarse:
             aborted_at = n
             break
-        energies = np.array([r.energy_pnorm for r in locals_])
+        energies = np.array([r.report.flux_pnorm for r in locals_])
         flux_total = float(energies.sum())
         top = float(energies.max())
         spread = 0.0 if top == 0.0 else float((top - energies.min()) / top)
@@ -298,7 +277,7 @@ def vanishing_sequence_experiment(
             div_rel = check.max_relative
 
         rows.append(VanishingRow(
-            n=n, local_nodes=nodes,
+            n=n, local_nodes=locals_[0].grid.nodes_per_side,
             crack_length=params.total_crack_length,
             flux_pnorm=flux_total,
             capacity=cap.value,
@@ -317,35 +296,23 @@ def vanishing_sequence_experiment(
         rows=tuple(rows), decay=decay, aborted_at=aborted_at)
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    cracks: CrackSet
-    report: ComplianceReport
-
-    @property
-    def penalized_value(self) -> float:
-        return self.report.penalized_objective
-
-
 def connected_baseline(epsilon: float, p: float, g=None,
                        length_penalty: float = 1.0, dim: int = 2,
                        half_width: float = 1.0, nodes_per_side: int = 257,
-                       config: Optional[SolverConfig] = None) -> BaselineResult:
+                       config: Optional[SolverConfig] = None) -> ComplianceReport:
     """One connected centered segment with the same total length budget.
 
-    Solved as a full Dirichlet problem on the box, so its penalized value
-    is directly comparable with the crack-grid rows: primal compliance on
-    one side, a dual upper bound on the other, both plus length penalty.
+    Solved as a full Dirichlet problem on the box, so its penalized
+    objective is directly comparable with the crack-grid rows: primal
+    compliance on one side, a dual upper bound on the other, both plus
+    length penalty.
     """
     length = 2 ** dim * half_width * epsilon
     if length >= 2 * half_width:
         raise ValueError("the connected segment must fit inside the box")
     if g is None:
         g = Constant(1.0)
-    grid = GridDiscretization(nodes_per_side, half_width, dim)
-    cracks = CrackSet.of(centered_segment(length, grid))
-    mask = rasterize(cracks, grid, include_boundary=True)
-    u, report = solve(sample_on_grid(g, grid), grid, mask, p, config,
-                      crack_length=total_length(cracks),
-                      length_penalty=length_penalty)
-    return BaselineResult(cracks=cracks, report=report)
+    segment = axis_segment((-length / 2.0,) + (0.0,) * (dim - 1), 0, length)
+    _, report, _ = solve_cracks(ProblemSpec(p, dim, half_width, length_penalty),
+                                CrackSet.of(segment), g, nodes_per_side, config)
+    return report

@@ -106,9 +106,12 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     relative = residual / (float(np.abs(mv).max()) + mu * float(np.abs(kv).max()))
     # a singular stiffness block lets eigsh return a spurious huge mu
     if not relative <= _EIG_RELATIVE_RESIDUAL:
+        field = np.zeros(grid.n_nodes)
+        field[free] = v
         raise NonConvergence(
             f"eigensolver returned mu = {mu:.6g} at relative residual "
-            f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}")
+            f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}",
+            field=field.reshape(grid.shape))
     return mu, 0, residual
 
 
@@ -163,39 +166,33 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
         max_iterations=config.max_iterations,
         precondition=factor.solve)
     if not result.converged:
+        field = (result.x / np.linalg.norm(result.x)).reshape(shape)
+        field[pinned] = 0.0
         raise NonConvergence(
             f"quotient descent stopped ({result.reason}) after "
             f"{result.iterations} iterations at residual "
-            f"{np.abs(result.gradient).max():.3e}", reason=result.reason)
+            f"{np.abs(result.gradient).max():.3e}",
+            field=field, reason=result.reason)
     return (1.0 / result.value, result.iterations,
             float(np.abs(result.gradient).max()))
 
 
-@dataclass(frozen=True)
-class CrackCube:
-    """Cube of side delta with one centered axis crack, boundary free."""
-    grid: GridDiscretization
-    mask: ConstraintMask
-    cracks: CrackSet
-    delta: float
-    relative_length: float
-
-
 def crack_cube(delta: float, relative_length: float, nodes_per_side: int,
-               dim: int = 2) -> CrackCube:
+               dim: int = 2) -> ConstraintMask:
+    """Mask of a cube of side delta with one centered axis crack pinned and
+    its boundary free; the cube grid is its `grid`."""
     if not (0 < relative_length < 1):
         raise ValueError("relative crack length must lie in (0, 1)")
     if delta <= 0:
         raise ValueError("delta must be positive")
     grid = GridDiscretization(nodes_per_side, delta / 2.0, dim)
     cracks = CrackSet.of(centered_segment(relative_length * delta, grid))
-    mask = rasterize(cracks, grid, include_boundary=False)
-    return CrackCube(grid, mask, cracks, delta, relative_length)
+    return rasterize(cracks, grid, include_boundary=False)
 
 
 def crack_poincare(delta: float, relative_length: float, nodes_per_side: int,
                    p: float, dim: int = 2,
                    config: Optional[SolverConfig] = None) -> PoincareResult:
     """Best constant for a centered crack cube."""
-    cube = crack_cube(delta, relative_length, nodes_per_side, dim)
-    return best_poincare_constant(cube.grid, cube.mask, p, config)
+    mask = crack_cube(delta, relative_length, nodes_per_side, dim)
+    return best_poincare_constant(mask.grid, mask, p, config)

@@ -24,9 +24,11 @@ import numpy as np
 
 from . import descent, quadratics
 from .errors import NonConvergence, UnpinnedMask
-from .geometry import ConstraintMask, CrackSet, GridDiscretization
+from .geometry import (ConstraintMask, CrackSet, GridDiscretization, build_grid,
+                       rasterize, total_length)
 from .quadratics import (_corners, cell_gradients, cell_gradients_adjoint,
                          cell_means, cell_means_adjoint)
+from .sources import sample_on_grid
 
 # Node fields are plain arrays of shape grid.shape; flux fields are arrays
 # of shape (dim, *grid.cells_shape), one vector per cell.
@@ -356,16 +358,9 @@ def solve_cracks(spec, cracks: CrackSet, f, nodes_per_side: int,
     f may be a callable of node coordinates or a node array.  The report
     carries the exact segment length total and spec.length_penalty.
     """
-    from .geometry import build_grid, rasterize, total_length
-
     grid = build_grid(spec, nodes_per_side)
     mask = rasterize(cracks, grid)
-    if callable(f):
-        from .sources import sample_on_grid
-        f_values = sample_on_grid(f, grid)
-    else:
-        f_values = np.asarray(f, dtype=float)
-    u, report = solve(f_values, grid, mask, spec.p, config,
+    u, report = solve(sample_on_grid(f, grid), grid, mask, spec.p, config,
                       crack_length=total_length(cracks),
                       length_penalty=spec.length_penalty)
     return u, report, mask

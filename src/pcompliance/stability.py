@@ -71,7 +71,6 @@ class StabilityRecord:
     z_value: float
     compliance_1: float
     compliance_2: float
-    gradient_gap_pnorm: float
     required_A: float
     certified_A: float
 
@@ -117,8 +116,7 @@ def check_stability(f1, f2, cracks: CrackSet, p: float, grid: GridDiscretization
     return StabilityRecord(
         p=p, q0=q0, norm_gap=gap, z_value=z_value,
         compliance_1=c1, compliance_2=c2,
-        gradient_gap_pnorm=grad_gap, required_A=required,
-        certified_A=certified)
+        required_A=required, certified_A=certified)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from pcompliance.construction import (
     crack_grid_construction,
     local_solve,
     required_local_nodes,
-    solve_all_cubes,
     vanishing_sequence_experiment,
 )
 from pcompliance.errors import ResolutionTooCoarse
 from pcompliance.geometry import (CrackSet, GridDiscretization, rasterize,
                                  total_length)
-from pcompliance.solver import SolverConfig, cell_means, flux_pnorm
+from pcompliance.solver import SolverConfig, cell_means, flux_pnorm, solve
 from pcompliance.sources import Constant, GaussianBump, sample_on_grid
 
 
@@ -72,15 +71,15 @@ def test_required_local_nodes_spans_two_cells():
 def test_local_solve_rejects_coarse_grid():
     params = ConstructionParams(n=4, epsilon=0.25, dim=2)
     with pytest.raises(ResolutionTooCoarse):
-        local_solve(params, (0.125, 0.125), Constant(1.0), local_nodes=9)
+        local_solve(params, Constant(1.0), local_nodes=9)
 
 
 def test_congruent_cubes_give_identical_energies():
     # constant source: every cube is an exact translate of every other,
     # so the local energies agree to solver determinism
     params = ConstructionParams(n=2, epsilon=0.4, dim=2)
-    results = solve_all_cubes(params, Constant(1.0), local_nodes=17)
-    energies = np.array([r.energy_pnorm for r in results])
+    results = local_solve(params, Constant(1.0), local_nodes=17)
+    energies = np.array([r.report.flux_pnorm for r in results])
     assert energies.shape == (16,)
     assert energies.max() - energies.min() <= 1e-10 * energies.max()
 
@@ -98,16 +97,20 @@ def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
-    results = solve_all_cubes(params, g, local_nodes=17)
+    results = local_solve(params, g, local_nodes=17)
     assert len(calls) == 1
     assert len(results) == 16
-    energies = [r.energy_pnorm for r in results]
+    energies = [r.report.flux_pnorm for r in results]
     assert max(energies) > 1.01 * min(energies)
     for result in results:
-        alone = local_solve(params, result.center, g, local_nodes=17)
-        assert alone.grid == result.grid
-        scale = np.abs(alone.u).max()
-        assert np.abs(result.u - alone.u).max() <= 1e-12 * scale
+        # each cube solved on its own, with its own crack rasterized
+        grid = result.grid
+        crack = centered_segment(params.crack_length, grid)
+        mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
+        alone, _ = solve(sample_on_grid(g, grid), grid, mask, params.p,
+                         require_boundary=False)
+        scale = np.abs(alone).max()
+        assert np.abs(result.u - alone).max() <= 1e-12 * scale
     assert len(calls) == 17
 
 
@@ -123,8 +126,8 @@ def test_rung_assembles_stiffness_once_and_no_mass(monkeypatch):
         monkeypatch.setattr(quadratics, name, counting)
     for p in (2.0, 3.0):
         calls.clear()
-        solve_all_cubes(ConstructionParams(n=2, epsilon=0.4, p=p),
-                        GaussianBump((0.3, -0.2), 0.5), local_nodes=17)
+        local_solve(ConstructionParams(n=2, epsilon=0.4, p=p),
+                    GaussianBump((0.3, -0.2), 0.5), local_nodes=17)
         assert calls == ["stiffness_matrix"]
 
 
@@ -137,8 +140,8 @@ def test_rung_rasterizes_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(construction, "rasterize", counting)
-    results = solve_all_cubes(ConstructionParams(n=2, epsilon=0.4),
-                              Constant(1.0), local_nodes=17)
+    results = local_solve(ConstructionParams(n=2, epsilon=0.4),
+                          Constant(1.0), local_nodes=17)
     assert len(results) == 16
     assert calls == [results[0].grid]
 
@@ -169,7 +172,7 @@ def test_every_cube_rasterizes_to_the_rung_mask(monkeypatch, n, epsilon,
 
     monkeypatch.setattr(construction, "solve_batch", stop)
     with pytest.raises(_StopRung):
-        solve_all_cubes(params, Constant(1.0), local_nodes=nodes)
+        local_solve(params, Constant(1.0), local_nodes=nodes)
     (rung_mask,) = seen
     assert rung_mask.pinned.any()
     for center in params.cube_centers():
@@ -182,10 +185,10 @@ def test_every_cube_rasterizes_to_the_rung_mask(monkeypatch, n, epsilon,
 
 def test_assembled_flux_norm_matches_local_energies():
     params = ConstructionParams(n=2, epsilon=0.4, dim=2, p=2.5)
-    results = solve_all_cubes(params, Constant(1.0), local_nodes=17,
-                              config=SolverConfig(grad_tolerance=1e-7))
+    results = local_solve(params, Constant(1.0), local_nodes=17,
+                          config=SolverConfig(grad_tolerance=1e-7))
     sigma, grid = assemble_flux(results, params)
-    total = sum(r.energy_pnorm for r in results)
+    total = sum(r.report.flux_pnorm for r in results)
     assert flux_pnorm(sigma, grid, 2.5) == pytest.approx(total, rel=1e-10)
     assert grid.h == pytest.approx(results[0].grid.h)
     assert sigma.shape == (2, 64, 64)
@@ -198,8 +201,8 @@ def test_cube_source_norms_sum_to_global_integral():
     # the midpoint sum on the global grid
     params = ConstructionParams(n=2, epsilon=0.4, dim=2, p=3.0)
     g = GaussianBump((0.3, -0.2), 0.5)
-    results = solve_all_cubes(params, g, local_nodes=17,
-                              config=SolverConfig(grad_tolerance=1e-6))
+    results = local_solve(params, g, local_nodes=17,
+                          config=SolverConfig(grad_tolerance=1e-6))
     grid = GridDiscretization(4 * 16 + 1, params.half_width, params.dim)
     g_bar = cell_means(sample_on_grid(g, grid))
     expected = grid.cell_volume * float(np.sum(np.abs(g_bar) ** 1.5))
@@ -285,6 +288,10 @@ def test_flux_ladder_decay_rate_p3():
     assert report.decay.slope <= -1.2
     assert report.decay.r_squared >= 0.99
     assert report.bound_satisfied
+    # rows record the default cube resolution the rung was solved at
+    assert [r.local_nodes for r in report.rows] == [
+        required_local_nodes(ConstructionParams(n=n, epsilon=0.25, p=3.0))
+        for n in (1, 2, 4, 8)]
 
 
 def test_ladder_capacity_honours_solver_config():
@@ -297,10 +304,25 @@ def test_ladder_capacity_honours_solver_config():
     assert report.rows[0].capacity == cap.value
 
 
+def test_ladder_solves_each_rung_through_local_solve(monkeypatch):
+    # the benchmark tracer times cube solves by wrapping this module name
+    rungs = []
+    real = construction.local_solve
+
+    def counting(params, *args, **kwargs):
+        rungs.append(params.n)
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "local_solve", counting)
+    report = vanishing_sequence_experiment([1, 2], 0.25, 2.0, local_nodes=17)
+    assert rungs == [1, 2]
+    assert [r.local_nodes for r in report.rows] == [17, 17]
+
+
 def test_connected_baseline_penalized_value():
     base = connected_baseline(0.25, 2.0, nodes_per_side=65)
-    assert base.report.crack_length == pytest.approx(1.0)
-    assert base.penalized_value == pytest.approx(
-        base.report.compliance_energy_form + 1.0, rel=1e-12)
+    assert base.crack_length == pytest.approx(1.0)
+    assert base.penalized_objective == pytest.approx(
+        base.compliance_energy_form + 1.0, rel=1e-12)
     with pytest.raises(ValueError):
         connected_baseline(0.5, 2.0)

@@ -54,22 +54,22 @@ def test_hyperplane_crack_reduces_to_pencil_oracle():
 
 def test_reported_constant_dominates_random_competitors():
     rng = np.random.default_rng(19)
-    cube = crack_cube(1.0, 0.5, 17)
-    result = best_poincare_constant(cube.grid, cube.mask, 2.0)
+    mask = crack_cube(1.0, 0.5, 17)
+    result = best_poincare_constant(mask.grid, mask, 2.0)
     for _ in range(25):
-        v = rng.standard_normal(cube.grid.shape)
-        v[cube.mask.pinned] = 0.0
-        lhs = mass_pnorm(v, cube.grid, 2.0)
-        rhs = gradient_pnorm(v, cube.grid, 2.0)
+        v = rng.standard_normal(mask.grid.shape)
+        v[mask.pinned] = 0.0
+        lhs = mass_pnorm(v, mask.grid, 2.0)
+        rhs = gradient_pnorm(v, mask.grid, 2.0)
         assert lhs <= result.best_constant * rhs * (1.0 + 1e-9)
 
 
 def test_descent_matches_eigen_path_for_p2():
-    cube = crack_cube(1.0, 0.5, 17)
-    linear = best_poincare_constant(cube.grid, cube.mask, 2.0)
+    mask = crack_cube(1.0, 0.5, 17)
+    linear = best_poincare_constant(mask.grid, mask, 2.0)
     assert linear.method == "linear"
     # the quotient descent that p != 2 takes, run at p = 2
-    mu, _, residual = _quotient_descent(cube.grid, cube.mask.pinned, 2.0,
+    mu, _, residual = _quotient_descent(mask.grid, mask.pinned, 2.0,
                                         SolverConfig(grad_tolerance=1e-9), True)
     assert residual <= 1e-9
     assert mu == pytest.approx(linear.best_constant, rel=1e-5)
@@ -78,13 +78,13 @@ def test_descent_matches_eigen_path_for_p2():
 @pytest.mark.parametrize("p,eps", [(1.5, 1e-3), (3.0, 0.0)])
 def test_quotient_gradient_matches_finite_differences(p, eps):
     rng = np.random.default_rng(8)
-    cube = crack_cube(1.0, 0.5, 9)
-    pinned = cube.mask.pinned
-    u = rng.standard_normal(cube.grid.shape)
+    mask = crack_cube(1.0, 0.5, 9)
+    pinned = mask.pinned
+    u = rng.standard_normal(mask.grid.shape)
     u[pinned] = 0.0
 
     def forms(v):
-        num, d_num, den, d_den = quotient_forms(v, cube.grid, pinned, p, eps)
+        num, d_num, den, d_den = quotient_forms(v, mask.grid, pinned, p, eps)
         return (np.array([num, den, num / den]),
                 np.stack([d_num, d_den, (d_num - num / den * d_den) / den]))
 
@@ -93,7 +93,7 @@ def test_quotient_gradient_matches_finite_differences(p, eps):
     free = np.argwhere(~pinned)
     step = 1e-6
     for idx in map(tuple, free[rng.choice(len(free), 12, replace=False)]):
-        probe = np.zeros(cube.grid.shape)
+        probe = np.zeros(mask.grid.shape)
         probe[idx] = step
         fd = (forms(u + probe)[0] - forms(u - probe)[0]) / (2.0 * step)
         assert grads[(slice(None),) + idx] == pytest.approx(fd, rel=5e-5, abs=1e-9)
@@ -151,8 +151,8 @@ def test_crack_cube_validation():
     with pytest.raises(ValueError):
         crack_cube(-1.0, 0.5, 9)
     with pytest.raises(ValueError):
-        best_poincare_constant(
-            crack_cube(1.0, 0.5, 9).grid, crack_cube(1.0, 0.5, 9).mask, 1.0)
+        best_poincare_constant(crack_cube(1.0, 0.5, 9).grid,
+                               crack_cube(1.0, 0.5, 9), 1.0)
 
 
 def test_quotient_descent_nonconvergence_names_the_iteration_cap():
@@ -160,24 +160,35 @@ def test_quotient_descent_nonconvergence_names_the_iteration_cap():
     with pytest.raises(NonConvergence, match="iteration cap") as err:
         crack_poincare(1.0, 0.5, 17, 3.0, config=config)
     assert err.value.reason == "iteration cap"
+    # the normalized last iterate rides along, held at 0 on the pins
+    mask = crack_cube(1.0, 0.5, 17)
+    field = err.value.field
+    assert field.shape == mask.grid.shape
+    assert np.all(field[mask.pinned] == 0.0)
+    assert np.linalg.norm(field) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eigen_path_gates_the_eigsh_residual():
     # 65^2 has more free nodes than the dense eigh handles, so eigsh runs
-    cube = crack_cube(1.0, 0.25, 65)
-    mu, _, residual = _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+    mask = crack_cube(1.0, 0.25, 65)
+    mu, _, residual = _largest_mass_over_stiffness(mask.grid, mask.pinned)
     assert 0.0 < mu < 1.0 and residual <= 1e-12
     # the 3-d cube's pinned stiffness block is singular (a pure-gauge mode
     # clears the pins), so eigsh returns a spurious mu with residual ~ 1
-    cube = crack_cube(1.0, 0.25, 17, dim=3)
-    with pytest.raises(NonConvergence, match="relative residual"):
-        _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+    mask = crack_cube(1.0, 0.25, 17, dim=3)
+    with pytest.raises(NonConvergence, match="relative residual") as err:
+        _largest_mass_over_stiffness(mask.grid, mask.pinned)
+    # the rejected eigenvector rides along, scattered onto the grid
+    field = err.value.field
+    assert field.shape == mask.grid.shape
+    assert np.all(field[mask.pinned] == 0.0)
+    assert np.abs(field[~mask.pinned]).max() > 0.0
 
 
 def test_eigen_path_gates_the_dense_residual():
     # 17^2 has few enough free nodes for the dense eigh
-    cube = crack_cube(1.0, 0.25, 17)
-    mu, _, residual = _largest_mass_over_stiffness(cube.grid, cube.mask.pinned)
+    mask = crack_cube(1.0, 0.25, 17)
+    mu, _, residual = _largest_mass_over_stiffness(mask.grid, mask.pinned)
     assert 0.0 < mu < 1.0 and 0.0 < residual <= 1e-12
 
 
@@ -185,11 +196,11 @@ def test_eigen_path_gates_the_dense_residual():
 def test_preconditioned_quotient_descent_converges_fast(nodes):
     # without H0 the p = 3 descent took 107, 222 and 452 iterations here,
     # and at tolerance 1e-10 it stalled at the rounding floor on 17^2
-    cube = crack_cube(1.0, 0.25, nodes)
-    result = best_poincare_constant(cube.grid, cube.mask, 3.0,
+    mask = crack_cube(1.0, 0.25, nodes)
+    result = best_poincare_constant(mask.grid, mask, 3.0,
                                     SolverConfig(grad_tolerance=1e-7))
     assert result.iterations <= 40
-    tight = best_poincare_constant(cube.grid, cube.mask, 3.0,
+    tight = best_poincare_constant(mask.grid, mask, 3.0,
                                    SolverConfig(grad_tolerance=1e-10))
     assert tight.residual <= 1e-10
     assert result.best_constant == pytest.approx(tight.best_constant, rel=1e-8)

@@ -93,7 +93,7 @@ def test_satisfied_threshold_is_sharp():
     record = StabilityRecord(
         p=2.0, q0=2.0, norm_gap=1.0, z_value=1.0,
         compliance_1=10.0, compliance_2=1.0,
-        gradient_gap_pnorm=0.0, required_A=8.0, certified_A=9.0)
+        required_A=8.0, certified_A=9.0)
     assert record.satisfied(8.0)
     assert not record.satisfied(7.9)
 
