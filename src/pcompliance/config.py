@@ -158,6 +158,11 @@ class StabilityJob:
         if self.calibration_safety < 1:
             raise ValueError("calibration_safety must be >= 1")
         _check_nodes(self.nodes_per_side)
+        # the truncation check reads each bound against the level below it
+        levels = self.truncation_levels
+        if any(high <= low for low, high in zip(levels, levels[1:])):
+            raise ValueError(f"truncation_levels must be strictly ascending, "
+                             f"got {' '.join(f'{t:g}' for t in levels)}")
 
 
 @dataclass(frozen=True)

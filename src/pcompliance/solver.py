@@ -52,8 +52,10 @@ class SolverConfig:
     regularization_eps = None picks 0 for p >= 2 and below that each solver's
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
-    p < 2.  prefer_direct picks a sparse LU (True) or Jacobi CG (False)
-    for the p = 2 linear solves, None by size; every descent (energy,
+    p < 2.  prefer_direct picks a sparse LU (True) or preconditioned CG
+    (False) for the p = 2 linear solves, None by size (CG above 80 000
+    free nodes; `quadratics.solve_pinned` picks a lattice V-cycle in 2-d
+    and Jacobi in 3-d as the preconditioner); every descent (energy,
     capacity, Poincare) factors its p = 2 block.  The problem picks the
     path (`solve_method`), and the L-BFGS memory and line search are
     fixed in `descent`.
@@ -218,13 +220,15 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 ) -> list[tuple[GridField, ComplianceReport]]:
     """`solve` for several sources on one grid and mask.
 
-    The linear path (p = 2) factors the pinned stiffness block once and
-    back-substitutes all sources together; the descent path factors the
-    same block once as the preconditioner of every source's L-BFGS and
-    minimizes the sources one after another.  Returns one (field, report)
-    pair per source, in order, and raises NonConvergence for the first
-    source whose solve misses the tolerance.  Non-finite source values
-    raise ValueError before any work.
+    Each distinct source is solved once: sources with equal values share
+    one (field, report) pair, and a shared field is read-only.  The linear
+    path (p = 2) factors the pinned stiffness block once and
+    back-substitutes all distinct sources together; the descent path
+    factors the same block once as the preconditioner of every distinct
+    source's L-BFGS and minimizes them one after another.  Returns one
+    (field, report) pair per source, in order, and raises NonConvergence
+    for the first source whose solve misses the tolerance.  Non-finite
+    source values raise ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -270,6 +274,16 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
                 f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
         return u, report
 
+    # a rung's cubes all carry the default g = 1, so one solve serves them
+    position: dict[bytes, int] = {}
+    distinct, order = [], []
+    for f in fs:
+        key = np.asarray(f, dtype=float).tobytes()
+        if key not in position:
+            position[key] = len(distinct)
+            distinct.append(f)
+        order.append(position[key])
+    fs = distinct
     # a source enters only through its node load b = vol * M^T M f, the
     # p = 2 mass matrix applied to f: the linear right-hand side, the
     # descent objective and the report's work form all read that one array
@@ -287,8 +301,9 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         fields = u_flat.T.reshape((len(fs),) + shape)
-        return [finish(u, rhs[:, column].reshape(shape), eps_for(f), iterations, 0)
-                for column, (u, f) in enumerate(zip(fields, fs))]
+        return _in_order([finish(u, rhs[:, column].reshape(shape), eps_for(f),
+                                 iterations, 0)
+                          for column, (u, f) in enumerate(zip(fields, fs))], order)
 
     factor = stiffness_factor(grid, stiffness, pinned, nonsingular)
     solved = []
@@ -309,7 +324,16 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         u[pinned] = 0.0
         solved.append(finish(u, b, eps, result.iterations,
                              result.evaluations, result.reason))
-    return solved
+    return _in_order(solved, order)
+
+
+def _in_order(solved: list, order: list[int]) -> list:
+    """solved[k] for each source's distinct index k; a field that several
+    sources share is made read-only, so writing to one fails loudly."""
+    for (u, _), uses in zip(solved, np.bincount(order, minlength=len(solved))):
+        if uses > 1:
+            u.flags.writeable = False
+    return [solved[k] for k in order]
 
 
 def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,

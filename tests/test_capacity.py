@@ -361,7 +361,7 @@ def test_capacity_nonconvergence_names_a_line_search_stall(monkeypatch):
 
 
 def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
-    def unconverged(a, b, grad_tolerance):
+    def unconverged(a, b, precond, grad_tolerance):
         return np.zeros(len(b)), 1
 
     monkeypatch.setattr(quadratics, "_pinned_cg", unconverged)

@@ -111,6 +111,17 @@ def test_non_finite_numbers_rejected(section, key, value):
         config_from_text(f"[{section}]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("levels", ["40 20 10 5", "5 10 10 20"])
+def test_truncation_levels_must_ascend(tmp_path, capsys, levels):
+    # the truncation check compares each bound with the next level's
+    with pytest.raises(ConfigError, match=r"\[stability\].*truncation_levels "
+                                          r"must be strictly ascending"):
+        config_from_text(f"[stability]\ntruncation_levels = {levels}\n")
+    cfg = write_config(tmp_path, f"[stability]\ntruncation_levels = {levels}\n")
+    assert cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "truncation_levels" in capsys.readouterr().err
+
+
 def test_malformed_ini_reports_origin():
     with pytest.raises(ConfigError, match="badfile.ini"):
         config_from_text("p = 2 without a section\n", origin="badfile.ini")

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pcompliance import quadratics
 from pcompliance.capacity import target_pins
@@ -43,7 +44,8 @@ def parity(pinned, bits):
 def test_eliminated_parity_class_has_a_diagonal_block(build, nodes, dim, bits):
     matrix, _, pinned = build(nodes, dim)
     csr = matrix.tocsr()
-    cls = quadratics._diagonal_class(csr, pinned)
+    found, cls = quadratics._diagonal_class(csr, pinned)
+    assert found == bits
     if bits is None:
         # the 3-d cell-averaged stiffness couples every parity class to itself
         assert not cls.any()
@@ -127,6 +129,92 @@ def test_reduced_cg_halves_the_crack_solve_iterations():
                       SolverConfig(grad_tolerance=1e-8, prefer_direct=False))
     assert report.residual <= 1e-8
     assert report.iterations <= 0.6 * 267
+
+
+# traced peaks of one warm `solve_pinned(..., prefer_direct=False)` call on
+# these cases with Jacobi-preconditioned CG, the path the lattice V-cycle
+# replaced (numpy 2.4, scipy 1.17, Linux x86-64)
+JACOBI_PEAK_BYTES = {("capacity", 289): 13_950_000, ("energy", 257): 10_750_000}
+CASES = {"energy": crack_energy_case, "capacity": capacity_case}
+
+
+def lattice_solve(monkeypatch, kind, nodes):
+    """The CG solve of a 2-d case, with the iterations of each lattice's
+    PCG and the number of coarse levels built."""
+    counts, levels = [], []
+    pinned_cg, prolongation = quadratics._pinned_cg, quadratics._prolongation
+
+    def counted_cg(*args):
+        x, count = pinned_cg(*args)
+        counts.append(count)
+        return x, count
+
+    def counted_prolongation(slots):
+        levels.append(len(slots))
+        return prolongation(slots)
+
+    monkeypatch.setattr(quadratics, "_pinned_cg", counted_cg)
+    monkeypatch.setattr(quadratics, "_prolongation", counted_prolongation)
+    matrix, rhs, pinned = CASES[kind](nodes, 2)
+    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
+                                            prefer_direct=False)
+    assert sum(counts) == iterations
+    return (matrix, rhs, pinned), u, counts, levels
+
+
+@pytest.mark.parametrize("kind,lattices", [("energy", 2), ("capacity", 1)])
+def test_lattice_v_cycle_matches_lu_through_two_levels(monkeypatch, kind, lattices):
+    (matrix, rhs, pinned), cg, counts, levels = lattice_solve(monkeypatch, kind, 257)
+    assert len(counts) == lattices
+    # every lattice coarsens at least twice before its LU
+    assert len(levels) >= 2 * lattices
+    lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
+    free = ~pinned.ravel()
+    assert np.abs((matrix @ cg - rhs)[free]).max() <= 1e-12
+    assert np.all(cg[~free] == 0)
+    assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+def test_lattices_that_a_matrix_couples_fall_back_to_jacobi():
+    # links along j keep the odd-j block diagonal but couple the two
+    # i-parity lattices through the eliminated nodes
+    matrix, rhs, pinned = crack_energy_case(65, 2)
+    n = pinned.shape[1]
+    step = sp.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    matrix = (matrix + sp.kron(sp.eye(n), step.T @ step)).tocsr()
+    bits, elim = quadratics._diagonal_class(matrix, pinned)
+    assert bits == (0, 1)
+    keep = ~pinned.ravel() & ~elim
+    assert [slots for _, slots in quadratics._lattices(matrix, pinned, bits, keep)] == [None]
+    cg, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
+                                    prefer_direct=False)
+    lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
+    assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+@pytest.mark.parametrize("kind", ["energy", "capacity"])
+def test_lattice_v_cycle_iterations_do_not_grow_with_the_grid(monkeypatch, kind):
+    # Jacobi CG doubled its count with the side: 133 and 263 iterations on
+    # the energy case at 129^2 and 257^2, to 1e-8
+    _, _, coarse, _ = lattice_solve(monkeypatch, kind, 129)
+    _, _, fine, _ = lattice_solve(monkeypatch, kind, 257)
+    assert max(coarse + fine) <= 15
+    assert all(abs(a - b) <= 3 for a, b in zip(coarse, fine))
+
+
+@pytest.mark.parametrize("kind,nodes", sorted(JACOBI_PEAK_BYTES))
+def test_lattice_v_cycle_peak_memory_stays_below_jacobi(kind, nodes):
+    matrix, rhs, pinned = CASES[kind](nodes, 2)
+    quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-8,
+                            prefer_direct=False)  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-8,
+                                prefer_direct=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= JACOBI_PEAK_BYTES[kind, nodes]
 
 
 @pytest.mark.parametrize("build", ["stiffness_matrix", "edge_stiffness_matrix",

@@ -400,6 +400,45 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
         np.testing.assert_array_equal(u, alone)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_batch_solves_each_distinct_source_once(monkeypatch, p):
+    minimize, solve_pinned = descent.minimize, quadratics.solve_pinned
+    solved_columns = []
+
+    def counting_minimize(*args, **kwargs):
+        solved_columns.append(1)
+        return minimize(*args, **kwargs)
+
+    def counting_solve_pinned(matrix, rhs, *args, **kwargs):
+        solved_columns.append(rhs.shape[1])
+        return solve_pinned(matrix, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(descent, "minimize", counting_minimize)
+    monkeypatch.setattr(quadratics, "solve_pinned", counting_solve_pinned)
+    grid = GridDiscretization(17, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)), grid)
+    one, bump = np.ones(grid.shape), bump_source(grid)
+    # an integer array of ones is the same source as the float one
+    sources = [one, bump, one.copy(), np.ones(grid.shape, dtype=int), bump.copy()]
+    config = SolverConfig(grad_tolerance=1e-8)
+    batch = solve_batch(sources, grid, mask, p, config)
+    assert sum(solved_columns) == 2
+    assert len(batch) == len(sources)
+    for index in (2, 3):
+        assert batch[index][0] is batch[0][0] and batch[index][1] is batch[0][1]
+    assert batch[4][0] is batch[1][0]
+    for f, (u, report) in zip(sources, batch):
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 1.0
+        alone, alone_report = solve(f, grid, mask, p, config)
+        np.testing.assert_array_equal(u, alone)
+        assert report == alone_report
+    # a field no other source shares stays writable
+    (u, _), = solve_batch([bump], grid, mask, p, config)
+    assert u.flags.writeable
+
+
 def test_gauge_mask_descent_matches_unpreconditioned_energy():
     # the 3-d pins of test_gauge_mask_p2_takes_descent:
     # a pure-gauge mode leaves the stiffness block singular, so the
