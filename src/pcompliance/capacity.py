@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import descent, quadratics
 from .errors import DegenerateTarget, NonConvergence
@@ -92,18 +93,21 @@ def _edge_slice(node_slc: tuple, axis: int) -> tuple:
 
 
 def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
-                       p: float, eps: float) -> tuple[float, np.ndarray]:
+                       p: float, eps: float,
+                       w_node: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
     """Capacity objective and its projected node gradient.
 
     Per axis, the corner weights of the p-density gather onto the edges
     they were measured on; the gradient term is then the transposed edge
-    difference of weight times difference.
+    difference of weight times difference.  w_node is
+    `quadratics.node_weights(grid)`, which a descent computes once.
     """
     dim = grid.dim
     vol = grid.cell_volume
     squares, diffs = _corner_gradient_squares(u, grid, eps)
     totals, weights = zip(*(p_density(s, p) for s in squares))
-    w_node = quadratics.node_weights(grid)
+    if w_node is None:
+        w_node = quadratics.node_weights(grid)
     m = u * u + eps * eps
     value = vol * (sum(totals) / 2 ** dim + float(np.sum(w_node * m ** (p / 2.0))))
     grad = vol * p * w_node * density_weights(m, p) * u
@@ -123,6 +127,29 @@ def _capacity_gradient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarr
         grad[tuple(low)] -= edge_w
     grad[pinned] = 0.0
     return value, grad
+
+
+def _frozen_weight_matrix(u: np.ndarray, grid: GridDiscretization, p: float,
+                          eps: float) -> sp.csr_matrix:
+    """The Jacobian of `_capacity_gradient` at u with its p-density
+    weights held fixed (the Kacanov matrix): exactly 2(K + M) at p = 2,
+    eps = 0.
+
+    Each axis-k cell edge (a, b) carries vol p (w_a + w_b) / (2^dim h^2)
+    on its squared difference, w_c the corner weight
+    `density_weights(s_c, p)`, and each node vol p w_node
+    density_weights(u^2 + eps^2, p), gathered per cell corner.
+    """
+    squares, _ = _corner_gradient_squares(u, grid, eps)
+    weights = [density_weights(s, p) for s in squares]
+    del squares
+    # in units of the edge scale, which carries 1/h^2
+    node = grid.h ** 2 * density_weights(u * u + eps * eps, p)
+    table = quadratics.edge_table(grid.dim, lambda a, b: weights[a] + weights[b])
+    for a, (_, node_slc) in enumerate(_corners(grid.dim)):
+        table[a][a] = table[a][a] + node[node_slc]
+    scale = grid.cell_volume * p / (2 ** grid.dim * grid.h ** 2)
+    return quadratics._assemble(grid, table, scale)
 
 
 def variational_capacity(target, p: float, grid: GridDiscretization,
@@ -178,14 +205,27 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         eps = config.resolve_eps(p, 1e-4)
         shape = grid.shape
         # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
-        # nodes for any pinning thanks to the mass term; its one factor
-        # gives the warm start and the descent's H0
+        # nodes for any pinning thanks to the mass term; its factor gives
+        # the warm start and, at p > 2, the descent's H0
         factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
         u_flat = factor.solve(2.0 * load)
         u_flat[pinned.ravel()] = 1.0
+        if p < 2:
+            # the p-density weights move the Hessian's diagonal far from
+            # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
+            # t = 0.08 segment), so H0 is the Hessian with the weights
+            # frozen at the warm start: 71-93 L-BFGS iterations on
+            # 59^2-133^2 grids -> 19-24.  At p > 2 it loses (17^3, p = 3:
+            # 27 -> 38 iterations, 1.7 times the time), so 2(K+M) stays.
+            # The p = 2 factor goes first, so the two never coexist
+            del factor
+            factor = quadratics.PinnedFactor(
+                _frozen_weight_matrix(u_flat.reshape(shape), grid, p, eps), pinned)
+        w_node = quadratics.node_weights(grid)
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps)
+            value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps,
+                                             w_node)
             return value, grad.ravel()
 
         result = descent.minimize(
@@ -202,7 +242,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
                 f"capacity minimization stopped ({result.reason}) at residual "
                 f"{residual:.3e} after {iterations} iterations",
                 field=u, reason=result.reason)
-        value, _ = _capacity_gradient(u, grid, pinned, p, 0.0)
+        value, _ = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
 
     return CapacityResult(
         value=value,

@@ -103,19 +103,22 @@ def cell_means_adjoint(v: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return cell_adjoint(v[None], *mean_operator(v.ndim), scale)
 
 
-def _assemble(grid: GridDiscretization, counts: np.ndarray, scale: float) -> sp.csr_matrix:
-    """scale * sum over cells of counts[a, b] at (node of corner a, node of b).
+def _assemble(grid: GridDiscretization, counts, scale: float) -> sp.csr_matrix:
+    """scale * sum over cells of counts[a][b] at (node of corner a, node of b).
 
     Corners a and b of every cell sit the flat offset b - a apart, so each
-    entry adds into one node-shaped diagonal.  counts holds small integers:
-    the sums are exact, entries that cancel are 0 and dropped, and the
-    scale rounds each entry once.
+    entry adds into one node-shaped diagonal.  An entry is a small integer,
+    the same in every cell, or a cells-shaped array of per-cell
+    coefficients (a weighted form).  Integer sums are exact, entries that
+    cancel are 0 and dropped, and the scale rounds each entry once; a
+    table of all-ones arrays times the integers builds the same matrix
+    bit for bit.
     """
     corners = _corners(grid.dim)
     strides = grid.nodes_per_side ** np.arange(grid.dim - 1, -1, -1)
     pairs = [(int(np.dot(np.subtract(b, a), strides)), sb, c)
              for (a, _), row in zip(corners, counts)
-             for (b, sb), c in zip(corners, row) if c]
+             for (b, sb), c in zip(corners, row) if np.any(c)]
     offsets = sorted({offset for offset, _, _ in pairs})
     data = np.zeros((len(offsets),) + grid.shape)  # indexed by column node
     for offset, sb, c in pairs:
@@ -138,6 +141,24 @@ def mass_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     return _gram(grid, *mean_operator(grid.dim))
 
 
+def edge_table(dim: int, weight) -> list:
+    """Corner-pair table of sum over the cell's edges (a, b) of
+    weight(a, b) (e_a - e_b)(e_a - e_b)^T, for `_assemble`.
+
+    The edges join corners whose parities differ on one axis; weight
+    returns an integer or a cells-shaped array per edge.
+    """
+    bits = [b for b, _ in _corners(dim)]
+    table = [[0] * len(bits) for _ in bits]
+    for a, b in itertools.combinations(range(len(bits)), 2):
+        if sum(x != y for x, y in zip(bits[a], bits[b])) == 1:
+            c = weight(a, b)
+            table[a][a] = table[a][a] + c
+            table[b][b] = table[b][b] + c
+            table[a][b] = table[b][a] = -c
+    return table
+
+
 def edge_stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     """Edge-difference stiffness: int |grad u|^2 by corner quadrature.
 
@@ -147,11 +168,8 @@ def edge_stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:
     checkerboard modes, this form's kernel is constants only, so pinning
     any single node makes the free block positive definite.
     """
-    bits = np.array([b for b, _ in _corners(grid.dim)])
-    edges = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=-1) == 1
-    laplacian = np.diag(edges.sum(axis=1)) - edges
     scale = grid.cell_volume / (2 ** (grid.dim - 1) * grid.h * grid.h)
-    return _assemble(grid, laplacian, scale)
+    return _assemble(grid, edge_table(grid.dim, lambda a, b: 1), scale)
 
 
 def node_weights(grid: GridDiscretization) -> np.ndarray:
@@ -172,10 +190,11 @@ class PinnedFactor:
 
     pinned is the grid-shaped mask of held nodes.  One factorization
     serves any number of `solve` calls: linear solves, warm starts and a
-    descent's inverse-Hessian guess.  Every block factored here is
-    symmetric, so the columns are ordered by minimum degree on A^T + A,
-    which on 2-d grids leaves about 40% less fill than the default COLAMD
-    and halves each back-substitution.
+    descent's inverse-Hessian guess, which is a p = 2 block or, for a
+    p < 2 capacity, the frozen-weight block at the warm start.  Every
+    block factored here is symmetric, so the columns are ordered by
+    minimum degree on A^T + A, which on 2-d grids leaves about 40% less
+    fill than the default COLAMD and halves each back-substitution.
     """
 
     def __init__(self, matrix: sp.spmatrix, pinned: np.ndarray):

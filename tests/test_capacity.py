@@ -7,6 +7,7 @@ from pcompliance import descent, quadratics
 from pcompliance.capacity import (
     CapacityResult,
     _capacity_gradient,
+    _frozen_weight_matrix,
     capacity_sweep,
     logarithmic_fit,
     point_capacity,
@@ -287,7 +288,7 @@ def test_capacity_rejects_bad_exponent():
 
 
 @pytest.mark.parametrize("t,p,dim,box,max_iterations", [
-    (0.08, 1.5, 2, None, 200),   # 133^2 grid; 1871 iterations unpreconditioned
+    (0.08, 1.5, 2, None, 40),    # 133^2 grid; 1871 iterations unpreconditioned
     (0.5, 3.0, 3, 1.0, 60),      # 17^3 grid; 187 iterations unpreconditioned
 ])
 def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iterations):
@@ -303,6 +304,9 @@ def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iter
 
 
 def test_capacity_descent_factors_once(monkeypatch):
+    # a p < 2 descent factors the p = 2 block for its warm start and the
+    # frozen-weight block for its H0, a p > 2 descent the p = 2 block only,
+    # and neither factors anything while L-BFGS iterates
     calls = []
     splu = quadratics.spla.splu
 
@@ -310,11 +314,70 @@ def test_capacity_descent_factors_once(monkeypatch):
         calls.append(matrix.shape)
         return splu(matrix, *args, **kwargs)
 
+    minimize = descent.minimize
+    during = []
+
+    def watched_minimize(*args, **kwargs):
+        before = len(calls)
+        result = minimize(*args, **kwargs)
+        during.append(len(calls) - before)
+        return result
+
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    monkeypatch.setattr(descent, "minimize", watched_minimize)
     # prefer_direct only governs the linear path; descent always factors
     config = SolverConfig(grad_tolerance=1e-7, prefer_direct=False)
-    segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
+    for p, factors in ((1.5, 2), (3.0, 1)):
+        calls.clear()
+        during.clear()
+        result = segment_capacity(0.5, p, box_half_width=1.0, config=config)
+        assert result.iterations > 1
+        assert len(calls) == factors
+        assert during == [0]
+
+
+def test_capacity_descent_computes_node_weights_once(monkeypatch):
+    calls = []
+    node_weights = quadratics.node_weights
+
+    def counting(grid):
+        calls.append(grid.shape)
+        return node_weights(grid)
+
+    monkeypatch.setattr(quadratics, "node_weights", counting)
+    result = segment_capacity(0.5, 1.5, box_half_width=1.0,
+                              config=SolverConfig(grad_tolerance=1e-7))
+    assert result.iterations > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 9), (3, 5)])
+def test_frozen_weight_matrix_at_p2_is_twice_k_plus_m(dim, nodes):
+    rng = np.random.default_rng(11)
+    grid = GridDiscretization(nodes, 1.3, dim)
+    u = rng.standard_normal(grid.shape)
+    frozen = _frozen_weight_matrix(u, grid, 2.0, 0.0)
+    twice = 2.0 * (quadratics.edge_stiffness_matrix(grid)
+                   + quadratics.node_mass_matrix(grid))
+    assert abs(frozen - twice).max() <= 1e-14 * abs(twice).max()
+
+
+@pytest.mark.parametrize("dim,nodes", [(2, 9), (3, 5)])
+def test_frozen_weight_matrix_reproduces_the_gradient(dim, nodes):
+    # with its weights frozen the gradient is linear in u, and this matrix
+    # is that linear map
+    p, eps = 1.5, 1e-2
+    rng = np.random.default_rng(13)
+    grid = GridDiscretization(nodes, 1.3, dim)
+    pinned = np.zeros(grid.shape, dtype=bool)
+    pinned[(nodes // 2,) * dim] = True
+    u = rng.standard_normal(grid.shape)
+    u[pinned] = 1.0
+    _, grad = _capacity_gradient(u, grid, pinned, p, eps)
+    product = (_frozen_weight_matrix(u, grid, p, eps) @ u.ravel()).reshape(grid.shape)
+    free = ~pinned
+    np.testing.assert_allclose(product[free], grad[free], rtol=0.0,
+                               atol=1e-13 * np.abs(grad).max())
 
 
 def test_capacity_sweep_process_pool_matches_serial():

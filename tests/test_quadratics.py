@@ -251,3 +251,26 @@ def test_stencils_reject_tables_they_would_misapply(dim):
         rows = len(table[0])
         quadratics.cell_apply(values, table, divisor)
         quadratics.cell_adjoint(cells[:rows], table, divisor)
+
+
+@pytest.mark.parametrize("nodes,dim", [(9, 2), (5, 3)])
+def test_unit_cell_coefficients_assemble_the_integer_tables_bit_for_bit(nodes, dim):
+    grid = GridDiscretization(nodes, 1.3, dim)
+    vol, h = grid.cell_volume, grid.h
+    ones = np.ones(grid.cells_shape)
+    gradient, gradient_divisor = quadratics.gradient_operator(dim, h)
+    mean, mean_divisor = quadratics.mean_operator(dim)
+    tables = {
+        "stiffness_matrix": (np.array(gradient) @ np.array(gradient).T,
+                             vol / gradient_divisor ** 2),
+        "mass_matrix": (np.array(mean) @ np.array(mean).T, vol / mean_divisor ** 2),
+        "edge_stiffness_matrix": (quadratics.edge_table(dim, lambda a, b: 1),
+                                  vol / (2 ** (dim - 1) * h * h)),
+        "node_mass_matrix": (np.eye(2 ** dim), vol / 2 ** dim),
+    }
+    for name, (table, scale) in tables.items():
+        built = getattr(quadratics, name)(grid)
+        weighted = quadratics._assemble(
+            grid, [[c * ones for c in row] for row in table], scale)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(weighted, part), getattr(built, part)), name
