@@ -157,9 +157,10 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     """Capacity estimate for a target pinned to 1 inside `grid`'s box.
 
     Raises DegenerateTarget when a nonempty segment target captures no
-    node at this resolution, and NonConvergence, with the last field, when
-    the linear or descent solve stops above grad_tolerance.  The empty set
-    returns exactly 0.
+    node at this resolution, and NonConvergence when the linear or descent
+    solve stops above grad_tolerance, with the last field and a partial
+    CapacityResult whose value, the eps = 0 objective at that admissible
+    field, is still an upper bound.  The empty set returns exactly 0.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -183,33 +184,31 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
               + quadratics.node_mass_matrix(grid))
     # the unit pins, lifted into the load: with v = 0 at the pins and
     # (K+M)v = load on the free nodes, u = v + pins solves (K+M)u = 0 there
-    load = -(matrix @ pinned.ravel().astype(float))
+    load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
+    reason = failure = None
     if method == "linear":
         # the nonlinear gradient is twice the row residual, hence the
         # halved tolerance
-        u_flat, iterations = quadratics.solve_pinned(
+        u, iterations = quadratics.solve_pinned(
             matrix, load, pinned,
             grad_tolerance=0.5 * config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        u = u_flat.reshape(grid.shape)
         u[pinned] = 1.0
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
         if residual > config.grad_tolerance:
-            raise NonConvergence(
-                f"linear path residual {residual:.3e} above tolerance "
-                f"{config.grad_tolerance:.3e}", field=u)
+            failure = (f"linear path residual {residual:.3e} above tolerance "
+                       f"{config.grad_tolerance:.3e}")
     else:
         # near-zero far-field gradients blow up the p < 2 weights; 1e-4 caps
         # that stiffness and moves the value by O(eps^p), below grid noise
         eps = config.resolve_eps(p, 1e-4)
-        shape = grid.shape
         # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
         # nodes for any pinning thanks to the mass term; its factor gives
         # the warm start and, at p > 2, the descent's H0
         factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
-        u_flat = factor.solve(2.0 * load)
-        u_flat[pinned.ravel()] = 1.0
+        u = factor.solve(2.0 * load)
+        u[pinned] = 1.0
         if p < 2:
             # the p-density weights move the Hessian's diagonal far from
             # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
@@ -220,39 +219,27 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             # The p = 2 factor goes first, so the two never coexist
             del factor
             factor = quadratics.PinnedFactor(
-                _frozen_weight_matrix(u_flat.reshape(shape), grid, p, eps), pinned)
+                _frozen_weight_matrix(u, grid, p, eps), pinned)
         w_node = quadratics.node_weights(grid)
-
-        def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            value, grad = _capacity_gradient(x.reshape(shape), grid, pinned, p, eps,
-                                             w_node)
-            return value, grad.ravel()
-
         result = descent.minimize(
-            objective, u_flat,
+            lambda x: _capacity_gradient(x, grid, pinned, p, eps, w_node), u,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
             precondition=factor.solve)
-        u = result.x.reshape(shape)
+        u = result.x
         u[pinned] = 1.0
-        iterations = result.iterations
+        iterations, reason = result.iterations, result.reason
         residual = float(np.abs(result.gradient).max())
         if not result.converged:
-            raise NonConvergence(
-                f"capacity minimization stopped ({result.reason}) at residual "
-                f"{residual:.3e} after {iterations} iterations",
-                field=u, reason=result.reason)
+            failure = (f"capacity minimization stopped ({reason}) at residual "
+                       f"{residual:.3e} after {iterations} iterations")
         value, _ = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
 
-    return CapacityResult(
-        value=value,
-        box_half_width=grid.half_width,
-        grid_h=grid.h,
-        p=p,
-        nodes_per_side=grid.nodes_per_side,
-        pinned_nodes=n_pinned,
-        iterations=iterations,
-        residual=residual)
+    report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
+                            n_pinned, iterations, residual)
+    if failure is not None:
+        raise NonConvergence(failure, report=report, field=u, reason=reason)
+    return report
 
 
 def check_resolution(resolution: int, name: str = "resolution") -> None:

@@ -5,10 +5,13 @@ cubes, each carrying one tiny axis-aligned crack through its center; the
 total crack length 2^dim * half_width * epsilon does not depend on n.
 Each cube gets an independent free-boundary solve with only its crack
 pinned, and the per-cube dual fields assemble into one global flux sigma
-with -div(sigma) = g away from the cracks.  Its p'-norm is an upper bound
-for the compliance of the whole crack set, and it collapses as n grows:
-spreading a fixed length budget over ever finer dust makes the medium
-arbitrarily soft, which is the mechanism this module measures.
+with -div(sigma) = g away from the cracks.  Its p'-norm is the dual-energy
+estimate of the compliance of the whole crack set, and it collapses as n
+grows: spreading a fixed length budget over ever finer dust makes the
+medium arbitrarily soft, which is the mechanism this module measures.
+It is not a certified bound until ROADMAP item 1 lands: the stitched
+midpoint flux is not exactly equilibrated, and midpoint quadrature does
+not bound the continuum integral of its norm.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def local_solve(params: ConstructionParams, g,
     crack = centered_segment(params.crack_length, grid)
     mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
     sources = [sample_on_grid(g, cube) for cube in grids]
-    solved = solve_batch(sources, grid, mask, params.p, config,
+    solved = solve_batch(sources, mask, params.p, config,
                          crack_length=params.crack_length,
                          require_boundary=False)
     q = params.p / (params.p - 1.0)
@@ -304,8 +307,8 @@ def connected_baseline(epsilon: float, p: float, g=None,
 
     Solved as a full Dirichlet problem on the box, so its penalized
     objective is directly comparable with the crack-grid rows: primal
-    compliance on one side, a dual upper bound on the other, both plus
-    length penalty.
+    compliance on one side, the dual-energy estimate (not yet a certified
+    bound, see ROADMAP item 1) on the other, both plus length penalty.
     """
     length = 2 ** dim * half_width * epsilon
     if length >= 2 * half_width:

@@ -56,17 +56,17 @@ def _two_loop_direction(grad, pgrad, history):
     q = grad.copy()
     alphas = []
     for s, y, rho, _ in reversed(history):
-        a = rho * float(s @ q)
+        a = rho * float(np.vdot(s, q))
         alphas.append(a)
         q -= a * y
     s, y, _, py = history[-1]
-    sy = float(s @ y)
+    sy = float(np.vdot(s, y))
     q = pgrad.copy()
     for (_, _, _, py_k), a in zip(reversed(history), alphas):
         q -= a * py_k
-    q *= sy / float(y @ py)
+    q *= sy / float(np.vdot(y, py))
     for (s, y, rho, _), a in zip(history, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * float(np.vdot(y, q))
         q += (a - b) * s
     return -q
 
@@ -78,7 +78,7 @@ def _backtrack(fun, x, value, grad, direction):
     rounding floor the Armijo test would accept an unchanged value, and
     every shorter step rounds back to x too.
     """
-    slope = float(grad @ direction)
+    slope = float(np.vdot(grad, direction))
     if not np.isfinite(slope) or slope >= 0.0:
         return None, 0
     step = 1.0
@@ -104,6 +104,9 @@ def minimize(
     precondition: Callable[[np.ndarray], np.ndarray],
 ) -> DescentResult:
     """Minimize fun(x) -> (value, gradient) to a max-norm gradient tolerance.
+
+    x0 may have any shape, a node field say, that fun and precondition
+    take and return; inner products are `np.vdot`s, bitwise flat dots.
 
     Stops when ||gradient||_inf <= grad_tolerance ("converged"), when
     max_iterations is reached ("iteration cap"), or when no Armijo step
@@ -148,7 +151,7 @@ def minimize(
         pgrad_new = precondition(grad_new)
         s = x_new - x
         y = grad_new - grad
-        sy = float(s @ y)
+        sy = float(np.vdot(s, y))
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             # a full deque drops its oldest pair
             history.append((s, y, 1.0 / sy, pgrad_new - pgrad))

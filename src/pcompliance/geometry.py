@@ -378,6 +378,10 @@ def load_segments(path) -> CrackSet:
                     f"coordinates, got {len(parts)}"
                 )
             half = len(parts) // 2
+            if segments and half != segments[0].dim:
+                raise ValueError(
+                    f"{path}:{lineno}: a {half}-d segment after "
+                    f"{segments[0].dim}-d ones; all segments must share one dimension")
             try:
                 values = [float(tok) for tok in parts]
                 segments.append(Segment(tuple(values[:half]), tuple(values[half:])))

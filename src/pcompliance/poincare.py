@@ -47,16 +47,22 @@ def mass_pnorm(u: np.ndarray, grid: GridDiscretization, p: float) -> float:
     return grid.cell_volume * p_density(cell_means(u) ** 2, p)[0]
 
 
-def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
-                           p: float, config: Optional[SolverConfig] = None,
+def best_poincare_constant(mask: ConstraintMask, p: float,
+                           config: Optional[SolverConfig] = None,
                            ) -> PoincareResult:
-    """Measure the discrete best constant for fields vanishing on the mask."""
+    """Measure the discrete best constant for fields on mask.grid vanishing
+    on the mask.
+
+    Raises NonConvergence, with the last field and a partial
+    PoincareResult, when the eigensolver's residual fails the gate (the
+    rejected mu) or the quotient descent stops above grad_tolerance (1 /
+    the quotient at its last iterate).
+    """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if config is None:
         config = SolverConfig()
-    if mask.grid != grid:
-        raise ValueError("mask was built for a different grid")
+    grid = mask.grid
     if mask.pinned[grid.boundary_mask()].all():
         raise ValueError("the cube boundary must stay free; only the crack pins")
     if mask.interior_pinned() == 0:
@@ -67,25 +73,13 @@ def best_poincare_constant(grid: GridDiscretization, mask: ConstraintMask,
             "pins admit a zero-energy checkerboard mode with nonzero mean, "
             "so the quotient infimum is 0; widen the crack or refine")
 
-    method = solve_method(p, nonsingular)
-    if method == "linear":
-        mu, iterations, residual = _largest_mass_over_stiffness(grid, mask.pinned)
-    else:
-        mu, iterations, residual = _quotient_descent(grid, mask.pinned, p,
-                                                     config, nonsingular)
-
-    return PoincareResult(
-        best_constant=mu,
-        p=p,
-        delta=2.0 * grid.half_width,
-        grid_h=grid.h,
-        method=method,
-        iterations=iterations,
-        residual=residual)
+    if solve_method(p, nonsingular) == "linear":
+        return _largest_mass_over_stiffness(grid, mask.pinned, p)
+    return _quotient_descent(grid, mask.pinned, p, config, nonsingular)
 
 
 def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
-                                 ) -> tuple[float, int, float]:
+                                 p: float) -> PoincareResult:
     """max u^T Mass u / u^T Stiff u on free nodes = the best constant."""
     free = ~pinned.ravel()
     stiffness = quadratics.stiffness_matrix(grid)
@@ -104,15 +98,16 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
     kv = k_ff @ v
     residual = float(np.abs(mv - mu * kv).max())
     relative = residual / (float(np.abs(mv).max()) + mu * float(np.abs(kv).max()))
+    result = PoincareResult(mu, p, 2.0 * grid.half_width, grid.h, "linear", 0, residual)
     # a singular stiffness block lets eigsh return a spurious huge mu
     if not relative <= _EIG_RELATIVE_RESIDUAL:
-        field = np.zeros(grid.n_nodes)
-        field[free] = v
+        field = np.zeros(grid.shape)
+        field[~pinned] = v
         raise NonConvergence(
             f"eigensolver returned mu = {mu:.6g} at relative residual "
             f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}",
-            field=field.reshape(grid.shape))
-    return mu, 0, residual
+            report=result, field=field)
+    return result
 
 
 def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
@@ -134,47 +129,47 @@ def quotient_forms(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
     return vol * num, d_num, vol * den, d_den
 
 
+def _sphere_quotient(u: np.ndarray, grid: GridDiscretization, pinned: np.ndarray,
+                     p: float, eps: float) -> tuple[float, np.ndarray]:
+    """Q(u/|u|) of `quotient_forms` and its node gradient, which is tangent
+    to the sphere through u, so a descent on it needs no projection."""
+    norm = float(np.linalg.norm(u))
+    uh = u / norm
+    num, d_num, den, d_den = quotient_forms(uh, grid, pinned, p, eps)
+    quotient = num / den
+    grad = (d_num - quotient * d_den) / den
+    grad -= float(np.vdot(grad, uh)) * uh
+    return quotient, grad / norm
+
+
 def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
-                      config: SolverConfig, nonsingular: bool,
-                      ) -> tuple[float, int, float]:
+                      config: SolverConfig, nonsingular: bool) -> PoincareResult:
     """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields.
 
     H0 is the energy solver's: the quotient's Hessian at p = 2 is a
     multiple of K - Q Mass, whose leading part the pinned K factor
-    inverts.  The objective Q(x/|x|) is defined off the sphere and its
-    gradient is already tangent, so the descent needs no projection.
+    inverts.
     """
     eps = config.resolve_eps(p, 1e-8)
-    shape = grid.shape
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        norm = float(np.linalg.norm(x))
-        xh = x / norm
-        num, d_num, den, d_den = quotient_forms(xh.reshape(shape), grid, pinned, p, eps)
-        quotient = num / den
-        grad = (d_num.ravel() - quotient * d_den.ravel()) / den
-        grad -= float(np.dot(grad, xh)) * xh
-        return quotient, grad / norm
-
     factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid),
                               pinned, nonsingular)
-    x0 = np.ones(grid.n_nodes)
-    x0[pinned.ravel()] = 0.0
     result = descent.minimize(
-        objective, x0,
+        lambda u: _sphere_quotient(u, grid, pinned, p, eps),
+        (~pinned).astype(float),
         grad_tolerance=config.grad_tolerance,
         max_iterations=config.max_iterations,
         precondition=factor.solve)
+    residual = float(np.abs(result.gradient).max())
+    report = PoincareResult(1.0 / result.value, p, 2.0 * grid.half_width, grid.h,
+                            "descent", result.iterations, residual)
     if not result.converged:
-        field = (result.x / np.linalg.norm(result.x)).reshape(shape)
+        field = result.x / np.linalg.norm(result.x)
         field[pinned] = 0.0
         raise NonConvergence(
             f"quotient descent stopped ({result.reason}) after "
-            f"{result.iterations} iterations at residual "
-            f"{np.abs(result.gradient).max():.3e}",
-            field=field, reason=result.reason)
-    return (1.0 / result.value, result.iterations,
-            float(np.abs(result.gradient).max()))
+            f"{result.iterations} iterations at residual {residual:.3e}",
+            report=report, field=field, reason=result.reason)
+    return report
 
 
 def crack_cube(delta: float, relative_length: float, nodes_per_side: int,
@@ -195,4 +190,4 @@ def crack_poincare(delta: float, relative_length: float, nodes_per_side: int,
                    config: Optional[SolverConfig] = None) -> PoincareResult:
     """Best constant for a centered crack cube."""
     mask = crack_cube(delta, relative_length, nodes_per_side, dim)
-    return best_poincare_constant(mask.grid, mask, p, config)
+    return best_poincare_constant(mask, p, config)

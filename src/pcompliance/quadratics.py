@@ -205,20 +205,21 @@ class PinnedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The free block's inverse applied to rhs's free entries, shaped
-        like rhs (column-major for an (n, k) block) and exactly 0 at pins.
+        like rhs and exactly 0 at pins.
+
+        rhs holds n_nodes * k values in node-major order: a node field, a
+        (*grid.shape, k) stack, a flat vector or an (n, k) block.  The
+        solution is scattered column-major, so each of its k fields is
+        contiguous.
         """
-        return _scatter_free(self._lu.solve(rhs[self._free]), self._free)
-
-
-def _scatter_free(x: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """x on the free entries, 0 at the pins; column-major, so the solution
-    for each right-hand side is contiguous."""
-    # called once the solve has returned and freed its copy of the free
-    # right-hand sides; allocating the output first keeps both alive and
-    # raises the crack ladder's peak RSS
-    u = np.zeros((len(free),) + x.shape[1:], order="F")
-    u[free] = x
-    return u
+        columns = rhs.reshape(len(self._free), -1)
+        x = self._lu.solve(columns[self._free])
+        # allocated once the solve has returned and freed its copy of the
+        # free right-hand sides; allocating it first keeps both alive and
+        # raises the crack ladder's peak RSS
+        u = np.zeros(columns.shape, order="F")
+        u[self._free] = x
+        return u.reshape(rhs.shape)
 
 
 def solve_pinned(
@@ -231,9 +232,10 @@ def solve_pinned(
 ) -> tuple[np.ndarray, int]:
     """Solve matrix @ u = rhs on free entries with pinned entries held at 0.
 
-    pinned is the grid-shaped mask of held nodes, and rhs is one flat
-    vector or an (n, k) block of k right-hand sides, which share one
-    factorization.  Returns the full solution, shaped like rhs, and the
+    pinned is the grid-shaped mask of held nodes, and rhs holds k
+    right-hand sides in node-major order, which share one factorization:
+    a node field, a (*grid.shape, k) stack, a flat vector or an (n, k)
+    block.  Returns the full solution, shaped like rhs, and the
     iteration count summed over the columns (0 for a direct
     factorization).  Direct solves (`PinnedFactor`) are used by default
     up to 80 000 free nodes.  Above that, the free nodes of a parity class
@@ -342,7 +344,7 @@ def _reduced_cg(csr: sp.csr_matrix, rhs: np.ndarray, pinned: np.ndarray,
     free = ~pinned.ravel()
     bits, elim = _diagonal_class(csr, pinned)
     keep = free & ~elim
-    columns = rhs[:, None] if rhs.ndim == 1 else rhs
+    columns = rhs.reshape(len(free), -1)
     w, scale = _scaled_coupling(csr, elim, keep)
     # the Schur right-hand sides, overwritten lattice by lattice by x_C
     x_keep = np.empty((int(keep.sum()), columns.shape[1]))

@@ -55,9 +55,11 @@ class SolverConfig:
     p < 2.  prefer_direct picks a sparse LU (True) or preconditioned CG
     (False) for the p = 2 linear solves, None by size (CG above 80 000
     free nodes; `quadratics.solve_pinned` picks a lattice V-cycle in 2-d
-    and Jacobi in 3-d as the preconditioner); every descent (energy,
-    capacity, Poincare) factors its p = 2 block.  The problem picks the
-    path (`solve_method`), and the L-BFGS memory and line search are
+    and Jacobi in 3-d as the preconditioner); every descent factors its
+    H0 by LU whatever prefer_direct says: the p = 2 block for energies,
+    Poincare quotients and p > 2 capacities, and for p < 2 capacities the
+    Hessian with its weights frozen at the warm start.  The problem picks
+    the path (`solve_method`), and the L-BFGS memory and line search are
     fixed in `descent`.
     """
 
@@ -175,8 +177,9 @@ def energy_and_gradient(u: GridField, b: np.ndarray, grid: GridDiscretization,
     return value, grad
 
 
-def energy_gradient(u: GridField, f: np.ndarray, grid: GridDiscretization,
-                    mask: ConstraintMask, p: float, eps: float = 0.0) -> GridField:
+def energy_gradient(u: GridField, f: np.ndarray, mask: ConstraintMask, p: float,
+                    eps: float = 0.0) -> GridField:
+    grid = mask.grid
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
     _, grad = energy_and_gradient(u, b, grid, mask.pinned, p, eps)
     return grad
@@ -199,26 +202,26 @@ def flux_pnorm(sigma: FluxField, grid: GridDiscretization, p: float) -> float:
     return grid.cell_volume * p_density((sigma * sigma).sum(axis=0), p / (p - 1.0))[0]
 
 
-def solve(f: np.ndarray, grid: GridDiscretization, mask: ConstraintMask, p: float,
+def solve(f: np.ndarray, mask: ConstraintMask, p: float,
           config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
           length_penalty: float = 0.0, require_boundary: bool = True,
           ) -> tuple[GridField, ComplianceReport]:
-    """Minimize the energy over fields vanishing on the mask.
+    """Minimize the energy over fields on mask.grid vanishing on the mask.
 
     Returns the minimizer and a filled ComplianceReport.  Raises
     NonConvergence (with the partial report attached) when the iteration
     budget runs out above tolerance.
     """
-    return solve_batch([f], grid, mask, p, config, crack_length=crack_length,
+    return solve_batch([f], mask, p, config, crack_length=crack_length,
                        length_penalty=length_penalty,
                        require_boundary=require_boundary)[0]
 
 
-def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
+def solve_batch(fs, mask: ConstraintMask, p: float,
                 config: Optional[SolverConfig] = None, *, crack_length: float = 0.0,
                 length_penalty: float = 0.0, require_boundary: bool = True,
                 ) -> list[tuple[GridField, ComplianceReport]]:
-    """`solve` for several sources on one grid and mask.
+    """`solve` for several sources on one mask.
 
     Each distinct source is solved once: sources with equal values share
     one (field, report) pair, and a shared field is read-only.  The linear
@@ -234,13 +237,12 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
         raise ValueError(f"p must exceed 1, got {p}")
     if config is None:
         config = SolverConfig()
+    grid = mask.grid
     for index, f in enumerate(fs):
         if f.shape != grid.shape:
             raise ValueError(f"source shape {f.shape} does not match grid {grid.shape}")
         if not np.isfinite(f).all():
             raise ValueError(f"source {index} of the batch holds non-finite values")
-    if mask.grid != grid:
-        raise ValueError("mask was built for a different grid")
     pinned = mask.pinned
     # a pinned outer boundary leaves no zero-energy mode; free-boundary
     # pins can leave pure-gauge modes, which make the pinned stiffness
@@ -289,38 +291,31 @@ def solve_batch(fs, grid: GridDiscretization, mask: ConstraintMask, p: float,
     # descent objective and the report's work form all read that one array
     loads = (cell_means_adjoint(cell_means(f), grid.cell_volume) for f in fs)
     stiffness = quadratics.stiffness_matrix(grid)
-    shape = grid.shape
     if method == "linear":
         # column by column: holding every cube's cell means or load at once
         # raised a ladder's peak RSS by 8 MB
-        rhs = np.empty((grid.n_nodes, len(fs)))
+        rhs = np.empty(grid.shape + (len(fs),))
         for column, b in enumerate(loads):
-            rhs[:, column] = b.ravel()
-        u_flat, iterations = quadratics.solve_pinned(
+            rhs[..., column] = b
+        fields, iterations = quadratics.solve_pinned(
             stiffness, rhs, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        fields = u_flat.T.reshape((len(fs),) + shape)
-        return _in_order([finish(u, rhs[:, column].reshape(shape), eps_for(f),
+        return _in_order([finish(fields[..., column], rhs[..., column], eps_for(f),
                                  iterations, 0)
-                          for column, (u, f) in enumerate(zip(fields, fs))], order)
+                          for column, f in enumerate(fs)], order)
 
     factor = stiffness_factor(grid, stiffness, pinned, nonsingular)
     solved = []
     for f, b in zip(fs, loads):
         eps = eps_for(f)
-
-        def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            value, grad = energy_and_gradient(
-                x.reshape(shape), b, grid, pinned, p, eps)
-            return value, grad.ravel()
-
         result = descent.minimize(
-            objective, np.zeros(grid.n_nodes),
+            lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
+            np.zeros(grid.shape),
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
             precondition=factor.solve)
-        u = result.x.reshape(shape)
+        u = result.x
         u[pinned] = 0.0
         solved.append(finish(u, b, eps, result.iterations,
                              result.evaluations, result.reason))
@@ -384,7 +379,7 @@ def solve_cracks(spec, cracks: CrackSet, f, nodes_per_side: int,
     """
     grid = build_grid(spec, nodes_per_side)
     mask = rasterize(cracks, grid)
-    u, report = solve(sample_on_grid(f, grid), grid, mask, spec.p, config,
+    u, report = solve(sample_on_grid(f, grid), mask, spec.p, config,
                       crack_length=total_length(cracks),
                       length_penalty=spec.length_penalty)
     return u, report, mask

@@ -98,7 +98,7 @@ def check_stability(f1, f2, cracks: CrackSet, p: float, grid: GridDiscretization
     q0 = source_exponent(p, grid.dim)
     v1 = sample_on_grid(f1, grid)
     v2 = sample_on_grid(f2, grid)
-    (u1, rep1), (u2, rep2) = solve_batch([v1, v2], grid, mask, p, config)
+    (u1, rep1), (u2, rep2) = solve_batch([v1, v2], mask, p, config)
     gap = lq_norm(v1 - v2, grid, q0)
     norms = (lq_norm(v1, grid, q0), lq_norm(v2, grid, q0))
     z_value = z_modulus(gap, p, norms)

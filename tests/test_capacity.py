@@ -162,15 +162,11 @@ def test_linear_and_descent_capacities_agree_for_p2():
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
     factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
-    x0 = factor.solve(-2.0 * (matrix @ pinned.ravel().astype(float)))
-    x0[pinned.ravel()] = 1.0
-
-    def objective(x):
-        value, grad = _capacity_gradient(x.reshape(grid.shape), grid, pinned, 2.0, 0.0)
-        return value, grad.ravel()
-
-    result = descent.minimize(objective, x0, grad_tolerance=1e-10,
-                              max_iterations=50_000, precondition=factor.solve)
+    x0 = factor.solve(-2.0 * (matrix @ pinned.ravel().astype(float)).reshape(grid.shape))
+    x0[pinned] = 1.0
+    result = descent.minimize(lambda x: _capacity_gradient(x, grid, pinned, 2.0, 0.0),
+                              x0, grad_tolerance=1e-10, max_iterations=50_000,
+                              precondition=factor.solve)
     assert result.converged
     assert result.value == pytest.approx(linear.value, rel=1e-7)
 
@@ -226,7 +222,7 @@ def test_every_solver_rejects_zero_eps_below_p_2():
     grid = GridDiscretization(9, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)), grid)
     with pytest.raises(ValueError, match="regularization_eps = 0"):
-        solve(np.ones(grid.shape), grid, mask, 1.5, config)
+        solve(np.ones(grid.shape), mask, 1.5, config)
     with pytest.raises(ValueError, match="regularization_eps = 0"):
         crack_poincare(1.0, 0.25, 9, 1.5, config=config)
     with pytest.raises(ValueError, match="regularization_eps = 0"):
@@ -395,6 +391,15 @@ def test_capacity_nonconvergence_names_the_iteration_cap():
         segment_capacity(0.5, 3.0, box_half_width=1.0, config=config)
     assert err.value.reason == descent.ITERATION_CAP
     assert err.value.field.shape == (17, 17)
+    # the partial report's value is the objective at an admissible field,
+    # so it still bounds the converged capacity from above
+    report = err.value.report
+    assert isinstance(report, CapacityResult)
+    assert report.iterations == 2
+    assert report.residual > 1e-12
+    assert f"at residual {report.residual:.3e}" in str(err.value)
+    converged = segment_capacity(0.5, 3.0, box_half_width=1.0)
+    assert report.value >= converged.value
 
 
 def test_capacity_descent_at_the_rounding_floor_stalls():
@@ -433,3 +438,11 @@ def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
         segment_capacity(0.5, 2.0, box_half_width=1.0, config=config)
     assert err.value.field.shape == (17, 17)
     assert err.value.reason is None
+    report = err.value.report
+    assert isinstance(report, CapacityResult)
+    # one stubbed CG call on the capacity block's single lattice
+    assert report.iterations == 1
+    assert report.residual > 1e-8
+    assert f"residual {report.residual:.3e} above" in str(err.value)
+    converged = segment_capacity(0.5, 2.0, box_half_width=1.0)
+    assert report.value >= converged.value

@@ -107,7 +107,7 @@ def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
         grid = result.grid
         crack = centered_segment(params.crack_length, grid)
         mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
-        alone, _ = solve(sample_on_grid(g, grid), grid, mask, params.p,
+        alone, _ = solve(sample_on_grid(g, grid), mask, params.p,
                          require_boundary=False)
         scale = np.abs(alone).max()
         assert np.abs(result.u - alone).max() <= 1e-12 * scale
@@ -166,7 +166,7 @@ def test_every_cube_rasterizes_to_the_rung_mask(monkeypatch, n, epsilon,
                                 dim=dim)
     seen = []
 
-    def stop(sources, grid, mask, *args, **kwargs):
+    def stop(sources, mask, *args, **kwargs):
         seen.append(mask)
         raise _StopRung
 

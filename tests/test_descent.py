@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from pcompliance import descent
+from pcompliance import descent, quadratics
+from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment, rasterize
+from pcompliance.solver import (cell_means, cell_means_adjoint, energy_and_gradient,
+                                stiffness_factor)
+from pcompliance.sources import named_source, sample_on_grid
 
 
 def _quadratic(a, b):
@@ -100,3 +104,31 @@ def test_empty_problem_converges(precondition):
                               precondition=precondition)
     assert result.reason == descent.CONVERGED
     assert result.iterations == 0
+
+
+def test_node_shaped_descent_matches_the_flat_run_bit_for_bit():
+    # the 33^2 crack energy at p = 1.5 with the stiffness factor as H0, run
+    # once on node fields and once on flat vectors
+    grid = GridDiscretization(33, 1.0, 2)
+    pinned = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid).pinned
+    f = sample_on_grid(named_source("bump", 2, 1.0), grid)
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, True)
+    p, eps = 1.5, 1e-8
+
+    def flat(x):
+        value, grad = energy_and_gradient(x.reshape(grid.shape), b, grid, pinned, p, eps)
+        return value, grad.ravel()
+
+    options = dict(grad_tolerance=1e-8, max_iterations=500,
+                   precondition=factor.solve)
+    shaped = descent.minimize(lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
+                              np.zeros(grid.shape), **options)
+    plain = descent.minimize(flat, np.zeros(grid.n_nodes), **options)
+    assert shaped.converged and shaped.iterations > 10
+    assert shaped.x.shape == shaped.gradient.shape == grid.shape
+    assert shaped.x.ravel().tobytes() == plain.x.tobytes()
+    assert shaped.gradient.ravel().tobytes() == plain.gradient.tobytes()
+    assert shaped.value == plain.value
+    assert (shaped.iterations, shaped.evaluations, shaped.reason) == (
+        plain.iterations, plain.evaluations, plain.reason)

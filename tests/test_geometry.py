@@ -45,6 +45,14 @@ def test_load_segments_reports_line_of_non_finite_coordinate(tmp_path, token):
         load_segments(path)
 
 
+def test_load_segments_reports_line_of_mixed_dimensions(tmp_path):
+    path = tmp_path / "cracks.txt"
+    path.write_text("0 0 0.5 0\n\n0 0 0 0.5 0 0\n")
+    with pytest.raises(ValueError, match=r"cracks\.txt:3: a 3-d segment after 2-d ones; "
+                                         r"all segments must share one dimension"):
+        load_segments(path)
+
+
 def test_axis_segment():
     seg = axis_segment((0.1, 0.2), 1, 0.5)
     assert seg.a == pytest.approx((0.1, 0.2))

@@ -47,7 +47,7 @@ def test_hyperplane_crack_reduces_to_pencil_oracle():
     crack = CrackSet.of(axis_segment((0.0, -0.5), 1, 1.0))
     mask = rasterize(crack, grid, include_boundary=False)
     assert mask.n_pinned == m
-    result = best_poincare_constant(grid, mask, 2.0)
+    result = best_poincare_constant(mask, 2.0)
     oracle = pencil_best_constant(m, grid.h)
     assert result.best_constant == pytest.approx(oracle, rel=1e-9)
 
@@ -55,7 +55,7 @@ def test_hyperplane_crack_reduces_to_pencil_oracle():
 def test_reported_constant_dominates_random_competitors():
     rng = np.random.default_rng(19)
     mask = crack_cube(1.0, 0.5, 17)
-    result = best_poincare_constant(mask.grid, mask, 2.0)
+    result = best_poincare_constant(mask, 2.0)
     for _ in range(25):
         v = rng.standard_normal(mask.grid.shape)
         v[mask.pinned] = 0.0
@@ -66,13 +66,13 @@ def test_reported_constant_dominates_random_competitors():
 
 def test_descent_matches_eigen_path_for_p2():
     mask = crack_cube(1.0, 0.5, 17)
-    linear = best_poincare_constant(mask.grid, mask, 2.0)
+    linear = best_poincare_constant(mask, 2.0)
     assert linear.method == "linear"
     # the quotient descent that p != 2 takes, run at p = 2
-    mu, _, residual = _quotient_descent(mask.grid, mask.pinned, 2.0,
-                                        SolverConfig(grad_tolerance=1e-9), True)
-    assert residual <= 1e-9
-    assert mu == pytest.approx(linear.best_constant, rel=1e-5)
+    descent = _quotient_descent(mask.grid, mask.pinned, 2.0,
+                                SolverConfig(grad_tolerance=1e-9), True)
+    assert descent.method == "descent" and descent.residual <= 1e-9
+    assert descent.best_constant == pytest.approx(linear.best_constant, rel=1e-5)
 
 
 @pytest.mark.parametrize("p,eps", [(1.5, 1e-3), (3.0, 0.0)])
@@ -130,17 +130,17 @@ def test_mask_validation():
     grid = GridDiscretization(9, 0.5, 2)
     empty = rasterize(CrackSet.empty(), grid, include_boundary=False)
     with pytest.raises(UnpinnedMask):
-        best_poincare_constant(grid, empty, 2.0)
+        best_poincare_constant(empty, 2.0)
 
     # one interior pin is defeated by a zero-energy checkerboard
     single = np.zeros(grid.shape, dtype=bool)
     single[4, 4] = True
     with pytest.raises(UnpinnedMask):
-        best_poincare_constant(grid, ConstraintMask(grid, single), 2.0)
+        best_poincare_constant(ConstraintMask(grid, single), 2.0)
 
     walls = rasterize(CrackSet.empty(), grid, include_boundary=True)
     with pytest.raises(ValueError):
-        best_poincare_constant(grid, walls, 2.0)
+        best_poincare_constant(walls, 2.0)
 
 
 def test_crack_cube_validation():
@@ -151,8 +151,7 @@ def test_crack_cube_validation():
     with pytest.raises(ValueError):
         crack_cube(-1.0, 0.5, 9)
     with pytest.raises(ValueError):
-        best_poincare_constant(crack_cube(1.0, 0.5, 9).grid,
-                               crack_cube(1.0, 0.5, 9), 1.0)
+        best_poincare_constant(crack_cube(1.0, 0.5, 9), 1.0)
 
 
 def test_quotient_descent_nonconvergence_names_the_iteration_cap():
@@ -166,30 +165,43 @@ def test_quotient_descent_nonconvergence_names_the_iteration_cap():
     assert field.shape == mask.grid.shape
     assert np.all(field[mask.pinned] == 0.0)
     assert np.linalg.norm(field) == pytest.approx(1.0, rel=1e-12)
+    # and the partial report: 1 / the quotient at the last iterate
+    report = err.value.report
+    assert isinstance(report, PoincareResult)
+    assert report.method == "descent" and report.iterations == 2
+    assert report.residual > 1e-12
+    assert f"at residual {report.residual:.3e}" in str(err.value)
+    assert report.best_constant > 0.0
 
 
 def test_eigen_path_gates_the_eigsh_residual():
     # 65^2 has more free nodes than the dense eigh handles, so eigsh runs
     mask = crack_cube(1.0, 0.25, 65)
-    mu, _, residual = _largest_mass_over_stiffness(mask.grid, mask.pinned)
-    assert 0.0 < mu < 1.0 and residual <= 1e-12
+    result = _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
+    assert 0.0 < result.best_constant < 1.0 and result.residual <= 1e-12
     # the 3-d cube's pinned stiffness block is singular (a pure-gauge mode
     # clears the pins), so eigsh returns a spurious mu with residual ~ 1
     mask = crack_cube(1.0, 0.25, 17, dim=3)
     with pytest.raises(NonConvergence, match="relative residual") as err:
-        _largest_mass_over_stiffness(mask.grid, mask.pinned)
+        _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
     # the rejected eigenvector rides along, scattered onto the grid
     field = err.value.field
     assert field.shape == mask.grid.shape
     assert np.all(field[mask.pinned] == 0.0)
     assert np.abs(field[~mask.pinned]).max() > 0.0
+    # and the partial report carries the rejected mu and its residual
+    report = err.value.report
+    assert isinstance(report, PoincareResult)
+    assert report.method == "linear" and report.iterations == 0
+    assert f"mu = {report.best_constant:.6g}" in str(err.value)
+    assert report.residual > 0.0
 
 
 def test_eigen_path_gates_the_dense_residual():
     # 17^2 has few enough free nodes for the dense eigh
     mask = crack_cube(1.0, 0.25, 17)
-    mu, _, residual = _largest_mass_over_stiffness(mask.grid, mask.pinned)
-    assert 0.0 < mu < 1.0 and 0.0 < residual <= 1e-12
+    result = _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
+    assert 0.0 < result.best_constant < 1.0 and 0.0 < result.residual <= 1e-12
 
 
 @pytest.mark.parametrize("nodes", [17, 33, 65])
@@ -197,10 +209,10 @@ def test_preconditioned_quotient_descent_converges_fast(nodes):
     # without H0 the p = 3 descent took 107, 222 and 452 iterations here,
     # and at tolerance 1e-10 it stalled at the rounding floor on 17^2
     mask = crack_cube(1.0, 0.25, nodes)
-    result = best_poincare_constant(mask.grid, mask, 3.0,
+    result = best_poincare_constant(mask, 3.0,
                                     SolverConfig(grad_tolerance=1e-7))
     assert result.iterations <= 40
-    tight = best_poincare_constant(mask.grid, mask, 3.0,
+    tight = best_poincare_constant(mask, 3.0,
                                    SolverConfig(grad_tolerance=1e-10))
     assert tight.residual <= 1e-10
     assert result.best_constant == pytest.approx(tight.best_constant, rel=1e-8)
@@ -226,7 +238,7 @@ def test_gauge_mask_quotient_descent_converges_fast():
     grid = GridDiscretization(9, 1.0, 3)
     pinned = np.zeros(grid.shape, dtype=bool)
     pinned[4, 3:5, 3:5] = True
-    result = best_poincare_constant(grid, ConstraintMask(grid, pinned), 3.0)
+    result = best_poincare_constant(ConstraintMask(grid, pinned), 3.0)
     assert result.method == "descent"
     assert result.iterations <= 60
     assert result.residual <= 1e-8

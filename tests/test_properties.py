@@ -7,13 +7,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pcompliance.geometry import (  # noqa: E402
+    ConstraintMask,
     CrackSet,
     GridDiscretization,
     axis_segment,
     rasterize,
 )
 from pcompliance.poincare import quotient_forms  # noqa: E402
-from pcompliance.solver import energy_and_gradient, solve_batch  # noqa: E402
+from pcompliance.solver import energy_and_gradient, solve, solve_batch  # noqa: E402
 from pcompliance.sources import random_smooth, sample_on_grid  # noqa: E402
 
 _GRID = GridDiscretization(33, 1.0, 2)
@@ -28,10 +29,34 @@ def test_p2_compliance_scales_with_the_square_of_the_source(seed, t, negate):
     # C(t f) = |t|^p' C(f), and p' = 2 on the linear path
     t = -t if negate else t
     f = sample_on_grid(random_smooth(np.random.default_rng(seed), 2, 1.0), _GRID)
-    (_, base), (_, scaled) = solve_batch([f, t * f], _GRID, _MASK, 2.0)
+    (_, base), (_, scaled) = solve_batch([f, t * f], _MASK, 2.0)
     assert base.method == scaled.method == "linear"
     expected = t * t * base.compliance_energy_form
     assert abs(scaled.compliance_energy_form - expected) <= 1e-12 * expected
+
+
+# a crack too short for the grid pins no node, and the law covers that too
+@pytest.mark.filterwarnings("ignore::pcompliance.errors.ResolutionWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nodes=st.sampled_from((9, 17, 33)),
+       seed=st.integers(0, 2**32 - 1), extra=st.floats(0.0, 0.3))
+def test_p2_compliance_never_rises_on_a_superset_mask(data, nodes, seed, extra):
+    # more pins shrink the admissible space, so the minimum energy can only
+    # rise and the compliance, its negative, only fall
+    grid = GridDiscretization(nodes, 1.0, 2)
+    cracks = CrackSet(tuple(
+        axis_segment(data.draw(st.tuples(st.floats(-0.9, 0.5), st.floats(-0.9, 0.5))),
+                     data.draw(st.sampled_from((0, 1))), data.draw(st.floats(0.05, 0.4)))
+        for _ in range(data.draw(st.integers(1, 3)))))
+    mask = rasterize(cracks, grid)
+    rng = np.random.default_rng(seed)
+    superset = ConstraintMask(grid, mask.pinned | (rng.random(grid.shape) < extra))
+    f = sample_on_grid(random_smooth(rng, 2, 1.0), grid)
+    _, base = solve(f, mask, 2.0)
+    _, pinned_more = solve(f, superset, 2.0)
+    assert base.method == pinned_more.method == "linear"
+    assert (pinned_more.compliance_energy_form
+            <= base.compliance_energy_form * (1.0 + 1e-12))
 
 
 def _random_field(data):

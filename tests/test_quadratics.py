@@ -105,6 +105,31 @@ def test_factor_solves_a_block_column_by_column(build, nodes, dim):
     assert np.all(block[pinned.ravel()] == 0)
 
 
+@pytest.mark.parametrize("solver", ["factor", "lu", "cg"])
+def test_node_shaped_right_hand_sides_match_the_flat_call(solver):
+    matrix, load, pinned = crack_energy_case(33, 2)
+    shape = pinned.shape
+
+    def run(rhs):
+        if solver == "factor":
+            return quadratics.PinnedFactor(matrix, pinned).solve(rhs)
+        return quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
+                                       prefer_direct=solver == "lu")[0]
+
+    field = run(load.reshape(shape))
+    assert field.shape == shape
+    assert field.tobytes() == run(load).tobytes()
+    block = np.column_stack([load, -2.0 * load[::-1], np.ones_like(load)])
+    stack = run(block.reshape(shape + (3,)))
+    assert stack.shape == shape + (3,)
+    flat = run(block)
+    for column in range(3):
+        # each field of the stack is contiguous, and the same bits as the
+        # flat call's column
+        assert stack[..., column].flags.c_contiguous
+        assert stack[..., column].tobytes() == flat[:, column].tobytes()
+
+
 @pytest.mark.parametrize("prefer_direct", [True, False])
 @pytest.mark.parametrize("free_center", [False, True])
 def test_tiny_free_blocks_solve(prefer_direct, free_center):
@@ -125,7 +150,7 @@ def test_reduced_cg_halves_the_crack_solve_iterations():
     grid = GridDiscretization(129, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
     f = sample_on_grid(named_source("bump", 2, 1.0), grid)
-    _, report = solve(f, grid, mask, 2.0,
+    _, report = solve(f, mask, 2.0,
                       SolverConfig(grad_tolerance=1e-8, prefer_direct=False))
     assert report.residual <= 1e-8
     assert report.iterations <= 0.6 * 267

@@ -153,7 +153,7 @@ def test_energy_gradient_matches_finite_differences(p, eps):
     f = rng.standard_normal(grid.shape)
     u = 0.5 * rng.standard_normal(grid.shape)
     u[mask.pinned] = 0.0
-    grad = energy_gradient(u, f, grid, mask, p, eps=eps)
+    grad = energy_gradient(u, f, mask, p, eps=eps)
     step = 1e-6
     for _ in range(12):
         idx = tuple(rng.integers(1, 6, size=2))
@@ -173,7 +173,7 @@ def test_energy_gradient_matches_finite_differences_3d():
     f = rng.standard_normal(grid.shape)
     u = rng.standard_normal(grid.shape)
     u[mask.pinned] = 0.0
-    grad = energy_gradient(u, f, grid, mask, 3.0)
+    grad = energy_gradient(u, f, mask, 3.0)
     step = 1e-6
     for _ in range(8):
         idx = tuple(rng.integers(1, 4, size=3))
@@ -198,14 +198,14 @@ def test_p2_compliance_against_separable_solution():
     coords = grid.node_coordinates()
     u_exact = np.cos(0.5 * np.pi * coords[..., 0]) * np.cos(0.5 * np.pi * coords[..., 1])
     f = 0.5 * np.pi ** 2 * u_exact
-    _, report = solve(f, grid, mask, 2.0)
+    _, report = solve(f, mask, 2.0)
     assert report.compliance_energy_form == pytest.approx(np.pi ** 2 / 4.0, rel=5e-3)
 
 
 def test_zero_source_gives_zero_field():
     grid = GridDiscretization(17, 1.0, 2)
     mask = rasterize(CrackSet.empty(), grid)
-    u, report = solve(np.zeros(grid.shape), grid, mask, 2.5)
+    u, report = solve(np.zeros(grid.shape), mask, 2.5)
     assert np.all(u == 0.0)
     assert report.compliance_energy_form == 0.0
 
@@ -215,7 +215,7 @@ def test_duality_gap_small_at_minimizer(p):
     grid = GridDiscretization(17, 1.0, 2)
     mask = rasterize(CrackSet.empty(), grid)
     f = bump_source(grid, center=(0.2, -0.1))
-    _, report = solve(f, grid, mask, p, SolverConfig(grad_tolerance=1e-9))
+    _, report = solve(f, mask, p, SolverConfig(grad_tolerance=1e-9))
     gap = abs(report.compliance_energy_form - report.compliance_work_form)
     assert gap <= 1e-6 * report.compliance_energy_form
     assert report.energy == pytest.approx(-report.compliance_energy_form,
@@ -230,8 +230,8 @@ def test_compliance_scales_with_dual_power_of_source(p, scale, tol):
     mask = rasterize(CrackSet.empty(), grid)
     f = bump_source(grid)
     cfg = SolverConfig(grad_tolerance=tol)
-    _, base = solve(f, grid, mask, p, cfg)
-    _, scaled = solve(scale * f, grid, mask, p, cfg)
+    _, base = solve(f, mask, p, cfg)
+    _, scaled = solve(scale * f, mask, p, cfg)
     q = p / (p - 1.0)
     assert scaled.compliance_energy_form == pytest.approx(
         abs(scale) ** q * base.compliance_energy_form, rel=1e-6)
@@ -243,8 +243,8 @@ def test_crack_decreases_compliance():
     free_mask = rasterize(CrackSet.empty(), grid)
     crack = CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0))
     crack_mask = rasterize(crack, grid)
-    _, free = solve(f, grid, free_mask, 2.0)
-    _, cracked = solve(f, grid, crack_mask, 2.0, crack_length=1.0, length_penalty=0.25)
+    _, free = solve(f, free_mask, 2.0)
+    _, cracked = solve(f, crack_mask, 2.0, crack_length=1.0, length_penalty=0.25)
     assert 0.0 < cracked.compliance_energy_form < free.compliance_energy_form
     assert cracked.penalized_objective == pytest.approx(
         cracked.compliance_energy_form + 0.25 * 1.0, rel=1e-12)
@@ -256,7 +256,7 @@ def test_minimizer_inherits_reflection_symmetry():
     crack = CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0))
     mask = rasterize(crack, grid)
     f = bump_source(grid)
-    u, _ = solve(f, grid, mask, 2.5, SolverConfig(grad_tolerance=1e-10))
+    u, _ = solve(f, mask, 2.5, SolverConfig(grad_tolerance=1e-10))
     assert np.allclose(u, u[::-1, :], atol=1e-8)
     assert np.allclose(u, u[:, ::-1], atol=1e-8)
 
@@ -265,24 +265,19 @@ def test_linear_and_descent_paths_agree_for_p2():
     grid = GridDiscretization(33, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
     f = bump_source(grid, center=(0.1, -0.2))
-    _, linear = solve(f, grid, mask, 2.0)
+    _, linear = solve(f, mask, 2.0)
     assert linear.method == "linear"
     # the descent path's kernel and H0, run at p = 2 where `solve` never
     # takes them
     pinned = mask.pinned
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
     factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, True)
-
-    def objective(x):
-        value, grad = energy_and_gradient(x.reshape(grid.shape), b, grid,
-                                          pinned, 2.0, 0.0)
-        return value, grad.ravel()
-
-    result = descent.minimize(objective, np.zeros(grid.n_nodes),
-                              grad_tolerance=1e-9, max_iterations=50_000,
-                              precondition=factor.solve)
+    result = descent.minimize(
+        lambda u: energy_and_gradient(u, b, grid, pinned, 2.0, 0.0),
+        np.zeros(grid.shape), grad_tolerance=1e-9, max_iterations=50_000,
+        precondition=factor.solve)
     assert result.converged
-    compliance = gradient_pnorm(result.x.reshape(grid.shape), grid, 2.0) / 2.0
+    compliance = gradient_pnorm(result.x, grid, 2.0) / 2.0
     assert compliance == pytest.approx(linear.compliance_energy_form, rel=1e-7)
 
 
@@ -290,7 +285,7 @@ def test_report_residual_meets_tolerance():
     grid = GridDiscretization(17, 1.0, 2)
     mask = rasterize(CrackSet.empty(), grid)
     f = bump_source(grid)
-    _, report = solve(f, grid, mask, 3.0, SolverConfig(grad_tolerance=1e-7))
+    _, report = solve(f, mask, 3.0, SolverConfig(grad_tolerance=1e-7))
     assert report.residual <= 1e-7
     assert report.iterations > 0
     assert isinstance(report, ComplianceReport)
@@ -300,9 +295,9 @@ def test_default_eps_for_subquadratic_p():
     grid = GridDiscretization(9, 1.0, 2)
     mask = rasterize(CrackSet.empty(), grid)
     f = 2.0 * bump_source(grid)
-    _, report = solve(f, grid, mask, 1.5, SolverConfig(grad_tolerance=1e-6))
+    _, report = solve(f, mask, 1.5, SolverConfig(grad_tolerance=1e-6))
     assert report.regularization_eps == pytest.approx(1e-8 * 2.0)
-    _, report2 = solve(f, grid, mask, 3.0, SolverConfig(grad_tolerance=1e-6))
+    _, report2 = solve(f, mask, 3.0, SolverConfig(grad_tolerance=1e-6))
     assert report2.regularization_eps == 0.0
 
 
@@ -311,7 +306,7 @@ def test_nonconvergence_carries_partial_report():
     mask = rasterize(CrackSet.empty(), grid)
     f = bump_source(grid)
     with pytest.raises(NonConvergence) as err:
-        solve(f, grid, mask, 3.0, SolverConfig(grad_tolerance=1e-12, max_iterations=3))
+        solve(f, mask, 3.0, SolverConfig(grad_tolerance=1e-12, max_iterations=3))
     assert err.value.report.iterations == 3
     assert err.value.reason == "iteration cap"
     assert "iteration cap" in str(err.value)
@@ -323,16 +318,16 @@ def test_solve_validation_errors():
     mask = rasterize(CrackSet.empty(), grid)
     f = np.zeros(grid.shape)
     with pytest.raises(ValueError):
-        solve(f, grid, mask, 1.0)
+        solve(f, mask, 1.0)
     with pytest.raises(ValueError):
-        solve(np.zeros((5, 5)), grid, mask, 2.0)
+        solve(np.zeros((5, 5)), mask, 2.0)
     other = rasterize(CrackSet.empty(), GridDiscretization(11, 1.0, 2))
     with pytest.raises(ValueError):
-        solve(f, grid, other, 2.0)
+        solve(f, other, 2.0)
     bare = rasterize(CrackSet.of(axis_segment((-0.5, 0.0), 0, 1.0)),
                      grid, include_boundary=False)
     with pytest.raises(ValueError):
-        solve(f, grid, bare, 2.0)
+        solve(f, bare, 2.0)
 
 
 def test_gauge_mask_p2_takes_descent():
@@ -344,7 +339,7 @@ def test_gauge_mask_p2_takes_descent():
     pinned[1, 1:3, 1:3] = True
     mask = ConstraintMask(cube, pinned)
     f = np.ones(cube.shape)
-    _, report = solve(f, cube, mask, 2.0, require_boundary=False)
+    _, report = solve(f, mask, 2.0, require_boundary=False)
     assert report.method == "descent"
 
 
@@ -358,9 +353,9 @@ def test_non_finite_source_rejected_up_front(p):
         bad = good.copy()
         bad[4, 4] = bad_value
         with pytest.raises(ValueError, match="source 1 .*non-finite"):
-            solve_batch([good, bad], grid, mask, p)
+            solve_batch([good, bad], mask, p)
         with pytest.raises(ValueError, match="source 0 .*non-finite"):
-            solve(bad, grid, mask, p)
+            solve(bad, mask, p)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -370,10 +365,10 @@ def test_preconditioned_energy_descent_converges_fast(p):
     grid = GridDiscretization(129, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
     f = sample_on_grid(named_source("bump", 2, 1.0), grid)
-    _, report = solve(f, grid, mask, p, SolverConfig(grad_tolerance=1e-8))
+    _, report = solve(f, mask, p, SolverConfig(grad_tolerance=1e-8))
     assert report.residual <= 1e-8
     assert report.iterations <= 200
-    _, tight = solve(f, grid, mask, p, SolverConfig(grad_tolerance=1e-10))
+    _, tight = solve(f, mask, p, SolverConfig(grad_tolerance=1e-10))
     assert report.compliance_energy_form == pytest.approx(
         tight.compliance_energy_form, rel=1e-6)
 
@@ -392,11 +387,11 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
     sources = [bump_source(grid, center=c) for c in
                [(0.0, 0.0), (0.3, -0.4), (-0.2, 0.5), (0.5, 0.5)]]
     config = SolverConfig(grad_tolerance=1e-8)
-    batch = solve_batch(sources, grid, mask, 3.0, config)
+    batch = solve_batch(sources, mask, 3.0, config)
     assert len(calls) == 1
     for f, (u, report) in zip(sources, batch):
         assert report.method == "descent" and report.residual <= 1e-8
-        alone, _ = solve(f, grid, mask, 3.0, config)
+        alone, _ = solve(f, mask, 3.0, config)
         np.testing.assert_array_equal(u, alone)
 
 
@@ -410,7 +405,8 @@ def test_batch_solves_each_distinct_source_once(monkeypatch, p):
         return minimize(*args, **kwargs)
 
     def counting_solve_pinned(matrix, rhs, *args, **kwargs):
-        solved_columns.append(rhs.shape[1])
+        # a (*grid.shape, k) stack of loads, one per distinct source
+        solved_columns.append(rhs.shape[-1])
         return solve_pinned(matrix, rhs, *args, **kwargs)
 
     monkeypatch.setattr(descent, "minimize", counting_minimize)
@@ -421,7 +417,7 @@ def test_batch_solves_each_distinct_source_once(monkeypatch, p):
     # an integer array of ones is the same source as the float one
     sources = [one, bump, one.copy(), np.ones(grid.shape, dtype=int), bump.copy()]
     config = SolverConfig(grad_tolerance=1e-8)
-    batch = solve_batch(sources, grid, mask, p, config)
+    batch = solve_batch(sources, mask, p, config)
     assert sum(solved_columns) == 2
     assert len(batch) == len(sources)
     for index in (2, 3):
@@ -431,11 +427,11 @@ def test_batch_solves_each_distinct_source_once(monkeypatch, p):
         assert not u.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 1.0
-        alone, alone_report = solve(f, grid, mask, p, config)
+        alone, alone_report = solve(f, mask, p, config)
         np.testing.assert_array_equal(u, alone)
         assert report == alone_report
     # a field no other source shares stays writable
-    (u, _), = solve_batch([bump], grid, mask, p, config)
+    (u, _), = solve_batch([bump], mask, p, config)
     assert u.flags.writeable
 
 
@@ -448,7 +444,7 @@ def test_gauge_mask_descent_matches_unpreconditioned_energy():
     pinned[1, 1:3, 1:3] = True
     mask = ConstraintMask(cube, pinned)
     f = np.ones(cube.shape)
-    _, report = solve(f, cube, mask, 3.0, SolverConfig(grad_tolerance=1e-10),
+    _, report = solve(f, mask, 3.0, SolverConfig(grad_tolerance=1e-10),
                       require_boundary=False)
     assert report.method == "descent" and report.residual <= 1e-10
     b = cell_means_adjoint(cell_means(f), cube.cell_volume)
@@ -521,7 +517,7 @@ def test_free_boundary_unbounded_mask_rejected():
     mask = ConstraintMask(grid, pinned)
     f = np.ones(grid.shape)
     with pytest.raises(UnpinnedMask):
-        solve(f, grid, mask, 2.0, require_boundary=False)
+        solve(f, mask, 2.0, require_boundary=False)
 
 
 def test_divergence_residual_shrinks_under_refinement():
@@ -533,7 +529,7 @@ def test_divergence_residual_shrinks_under_refinement():
         grid = GridDiscretization(nodes, 1.0, 2)
         mask = rasterize(CrackSet.empty(), grid)
         f = sample_on_grid(f_source, grid) + 3.0
-        u, _ = solve(f, grid, mask, 2.0)
+        u, _ = solve(f, mask, 2.0)
         sigma = flux(u, grid, 2.0)
         check = divergence_residual(sigma, f, grid, CrackSet.empty(),
                                     np.random.default_rng(11), samples=10,
