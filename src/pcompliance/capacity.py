@@ -186,7 +186,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     # (K+M)v = load on the free nodes, u = v + pins solves (K+M)u = 0 there
     load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
     reason = failure = None
-    if method == "linear":
+    if method == "linear" or p < 2:
         # the nonlinear gradient is twice the row residual, hence the
         # halved tolerance
         u, iterations = quadratics.solve_pinned(
@@ -194,6 +194,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             grad_tolerance=0.5 * config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         u[pinned] = 1.0
+    if method == "linear":
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
         residual = float(np.abs(grad).max())
         if residual > config.grad_tolerance:
@@ -203,23 +204,24 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         # near-zero far-field gradients blow up the p < 2 weights; 1e-4 caps
         # that stiffness and moves the value by O(eps^p), below grid noise
         eps = config.resolve_eps(p, 1e-4)
-        # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
-        # nodes for any pinning thanks to the mass term; its factor gives
-        # the warm start and, at p > 2, the descent's H0
-        factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
-        u = factor.solve(2.0 * load)
-        u[pinned] = 1.0
         if p < 2:
             # the p-density weights move the Hessian's diagonal far from
             # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
             # t = 0.08 segment), so H0 is the Hessian with the weights
             # frozen at the warm start: 71-93 L-BFGS iterations on
-            # 59^2-133^2 grids -> 19-24.  At p > 2 it loses (17^3, p = 3:
-            # 27 -> 38 iterations, 1.7 times the time), so 2(K+M) stays.
-            # The p = 2 factor goes first, so the two never coexist
-            del factor
+            # 59^2-133^2 grids -> 19-24.  The warm start needs no factor
+            # of its own, so H0's is the solve's only LU
             factor = quadratics.PinnedFactor(
                 _frozen_weight_matrix(u, grid, p, eps), pinned)
+        else:
+            # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
+            # nodes for any pinning thanks to the mass term; at p > 2 the
+            # frozen weights lose to it (17^3, p = 3: 27 -> 38 iterations,
+            # 1.7 times the time), so its factor gives both the warm start
+            # and H0
+            factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
+            u = factor.solve(2.0 * load)
+            u[pinned] = 1.0
         w_node = quadratics.node_weights(grid)
         result = descent.minimize(
             lambda x: _capacity_gradient(x, grid, pinned, p, eps, w_node), u,

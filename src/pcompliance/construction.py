@@ -131,7 +131,8 @@ def local_solve(params: ConstructionParams, g,
     global dual energy.  The cubes are translates of one grid and their
     centered cracks rasterize alike node for node, so the first cube's
     grid and mask serve them all: one rasterization, one assembly and one
-    factorization per rung.  Each source is sampled on its own cube.
+    factorization (or one V-cycle, `quadratics.solve_pinned`) per rung.
+    Each source is sampled on its own cube.
     """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)

@@ -222,6 +222,18 @@ class PinnedFactor:
         return u.reshape(rhs.shape)
 
 
+class IterationCount(int):
+    """CG iterations summed over a solve's columns, with each column's own
+    count in `columns` (all 0 for a direct factorization)."""
+
+    columns: tuple[int, ...]
+
+    def __new__(cls, columns):
+        count = super().__new__(cls, sum(columns))
+        count.columns = tuple(columns)
+        return count
+
+
 def solve_pinned(
     matrix: sp.spmatrix,
     rhs: np.ndarray,
@@ -229,35 +241,42 @@ def solve_pinned(
     *,
     grad_tolerance: float = 1e-10,
     prefer_direct: bool | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, IterationCount]:
     """Solve matrix @ u = rhs on free entries with pinned entries held at 0.
 
     pinned is the grid-shaped mask of held nodes, and rhs holds k
-    right-hand sides in node-major order, which share one factorization:
-    a node field, a (*grid.shape, k) stack, a flat vector or an (n, k)
-    block.  Returns the full solution, shaped like rhs, and the
-    iteration count summed over the columns (0 for a direct
-    factorization).  Direct solves (`PinnedFactor`) are used by default
-    up to 80 000 free nodes.  Above that, the free nodes of a parity class
-    whose block is diagonal (`_diagonal_class`) are eliminated exactly,
-    and a preconditioned conjugate gradient loop on the Schur complement
-    of the rest is tightened, column by column, until its max-norm
-    residual, which is the free residual on the kept nodes, meets the
-    tolerance.  In 2-d the stiffness block drops its odd-j nodes and the
+    right-hand sides in node-major order, which share one factorization
+    or one preconditioner: a node field, a (*grid.shape, k) stack, a flat
+    vector or an (n, k) block.  Returns the full solution, shaped like
+    rhs, and the `IterationCount` of its columns.
+
+    prefer_direct True factors the free block (`PinnedFactor`), False
+    runs CG, and None picks by size: CG above _COARSE_SIZE free nodes in
+    2-d, where the lattice V-cycle below beats an LU from a few thousand
+    unknowns up (161^2 capacity block on a 2-core box: 0.105 s by LU,
+    0.036 s by CG), and above 80 000 in 3-d, which has no lattice.  CG
+    first eliminates exactly the free nodes of a parity class whose
+    block is diagonal (`_diagonal_class`), then tightens a
+    preconditioned conjugate gradient loop on the Schur complement of
+    the rest, column by column, until its max-norm residual, which is
+    the free residual on the kept nodes, meets the tolerance.  In 2-d
+    the stiffness block drops its odd-j nodes and the
     edge-stiffness-plus-mass block its odd-(i+j) nodes; the kept nodes
     fall into lattices that the Schur complement does not couple
     (`_lattices`), and each lattice's block is solved in turn with a
-    Galerkin V-cycle as preconditioner (433^2 crack: 415 Jacobi
-    iterations -> 18, 9 per lattice).  3-d blocks have no lattice, and
-    CG runs Jacobi-preconditioned there.
+    Galerkin V-cycle as preconditioner (433^2 crack: 415
+    Jacobi iterations -> 18, 9 per lattice).  3-d blocks have no lattice,
+    and CG runs Jacobi-preconditioned there.
     """
     free = ~pinned.ravel()
     direct = prefer_direct
     if direct is None:
-        direct = free.sum() <= 80_000
+        direct = free.sum() <= (_COARSE_SIZE if pinned.ndim == 2 else 80_000)
     if direct:
-        return PinnedFactor(matrix, pinned).solve(rhs), 0
-    return _reduced_cg(matrix.tocsr(), rhs, pinned, grad_tolerance)
+        return (PinnedFactor(matrix, pinned).solve(rhs),
+                IterationCount([0] * (rhs.size // len(free))))
+    u, columns = _reduced_cg(matrix.tocsr(), rhs, pinned, grad_tolerance)
+    return u, IterationCount(columns)
 
 
 def _links(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -327,10 +346,10 @@ def _scaled_coupling(csr: sp.csr_matrix, elim: np.ndarray, keep: np.ndarray
 
 
 def _reduced_cg(csr: sp.csr_matrix, rhs: np.ndarray, pinned: np.ndarray,
-                grad_tolerance: float) -> tuple[np.ndarray, int]:
+                grad_tolerance: float) -> tuple[np.ndarray, list[int]]:
     """Preconditioned CG on the Schur complement left by `_diagonal_class`,
-    one lattice (`_lattices`) at a time; the solution is shaped like rhs
-    and 0 at the pins.
+    one lattice (`_lattices`) at a time; the solution, shaped like rhs
+    and 0 at the pins, and each column's iterations over all lattices.
 
     With F the eliminated nodes, C the other free ones and W the scaled
     coupling D_F^(-1/2) A_FC, the Schur complement is A_CC - W^T W, its
@@ -347,13 +366,11 @@ def _reduced_cg(csr: sp.csr_matrix, rhs: np.ndarray, pinned: np.ndarray,
     columns = rhs.reshape(len(free), -1)
     w, scale = _scaled_coupling(csr, elim, keep)
     # the Schur right-hand sides, overwritten lattice by lattice by x_C
-    x_keep = np.empty((int(keep.sum()), columns.shape[1]))
-    for j in range(columns.shape[1]):
-        x_keep[:, j] = columns[keep, j] - w.T @ (scale * columns[elim, j])
+    x_keep = np.asfortranarray(columns[keep] - w.T @ (scale[:, None] * columns[elim]))
     del scale
     lattices = _lattices(csr, pinned, bits, keep)
     whole = len(lattices) == 1
-    iterations = 0
+    iterations = [0] * columns.shape[1]
     while lattices:
         positions, slots = lattices.pop(0)
         w_l = w if whole else w[:, positions]
@@ -370,14 +387,13 @@ def _reduced_cg(csr: sp.csr_matrix, rhs: np.ndarray, pinned: np.ndarray,
         for j in range(columns.shape[1]):
             x_keep[positions, j], count = _pinned_cg(
                 schur, x_keep[positions, j], precond, grad_tolerance)
-            iterations += count
+            iterations[j] += count
         del schur, precond
     w, scale = _scaled_coupling(csr, elim, keep)
     u = np.zeros(columns.shape, order="F")
     u[keep] = x_keep
-    for j in range(columns.shape[1]):
-        b_elim = scale * columns[elim, j]
-        u[elim, j] = scale * (b_elim - w @ x_keep[:, j])
+    scale = scale[:, None]
+    u[elim] = scale * (scale * columns[elim] - w @ x_keep)
     return u.reshape(rhs.shape), iterations
 
 

@@ -53,12 +53,13 @@ class SolverConfig:
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
     p < 2.  prefer_direct picks a sparse LU (True) or preconditioned CG
-    (False) for the p = 2 linear solves, None by size (CG above 80 000
-    free nodes; `quadratics.solve_pinned` picks a lattice V-cycle in 2-d
-    and Jacobi in 3-d as the preconditioner); every descent factors its
-    H0 by LU whatever prefer_direct says: the p = 2 block for energies,
-    Poincare quotients and p > 2 capacities, and for p < 2 capacities the
-    Hessian with its weights frozen at the warm start.  The problem picks
+    (False) for the p = 2 linear solves and the p < 2 capacity's warm
+    start, None by size (`quadratics.solve_pinned`: CG above 2000 free
+    nodes in 2-d, with a lattice V-cycle as preconditioner, and above
+    80 000 in 3-d, with Jacobi); every descent factors its H0 by LU
+    whatever prefer_direct says: the p = 2 block for energies, Poincare
+    quotients and p > 2 capacities, and for p < 2 capacities the Hessian
+    with its weights frozen at the warm start.  The problem picks
     the path (`solve_method`), and the L-BFGS memory and line search are
     fixed in `descent`.
     """
@@ -225,13 +226,15 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
 
     Each distinct source is solved once: sources with equal values share
     one (field, report) pair, and a shared field is read-only.  The linear
-    path (p = 2) factors the pinned stiffness block once and
-    back-substitutes all distinct sources together; the descent path
-    factors the same block once as the preconditioner of every distinct
-    source's L-BFGS and minimizes them one after another.  Returns one
-    (field, report) pair per source, in order, and raises NonConvergence
-    for the first source whose solve misses the tolerance.  Non-finite
-    source values raise ValueError before any work.
+    path (p = 2) solves all distinct sources together, with one
+    factorization or one preconditioner (`quadratics.solve_pinned`), and
+    gives each report its own CG iteration count; the descent path
+    factors the pinned stiffness block once as the preconditioner of
+    every distinct source's L-BFGS and minimizes them one after another.
+    Returns one (field, report) pair per source, in order, and raises
+    NonConvergence for the first source whose solve misses the
+    tolerance.  Non-finite source values raise ValueError before any
+    work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -302,7 +305,7 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         return _in_order([finish(fields[..., column], rhs[..., column], eps_for(f),
-                                 iterations, 0)
+                                 iterations.columns[column], 0)
                           for column, f in enumerate(fs)], order)
 
     factor = stiffness_factor(grid, stiffness, pinned, nonsingular)

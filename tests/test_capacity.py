@@ -9,6 +9,7 @@ from pcompliance.capacity import (
     _capacity_gradient,
     _frozen_weight_matrix,
     capacity_sweep,
+    centered_segment,
     logarithmic_fit,
     point_capacity,
     refinement_ratio,
@@ -300,9 +301,18 @@ def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iter
 
 
 def test_capacity_descent_factors_once(monkeypatch):
-    # a p < 2 descent factors the p = 2 block for its warm start and the
-    # frozen-weight block for its H0, a p > 2 descent the p = 2 block only,
-    # and neither factors anything while L-BFGS iterates
+    # above the V-cycle's coarse size a p < 2 descent takes its p = 2 warm
+    # start from the lattice V-cycle and factors only the frozen-weight
+    # H0, a p > 2 descent factors 2(K + M) for both, and neither factors
+    # anything while L-BFGS iterates
+    factored = []
+    pinned_factor = quadratics.PinnedFactor
+
+    class CountingFactor(pinned_factor):
+        def __init__(self, matrix, pinned):
+            factored.append(matrix)
+            super().__init__(matrix, pinned)
+
     calls = []
     splu = quadratics.spla.splu
 
@@ -319,16 +329,24 @@ def test_capacity_descent_factors_once(monkeypatch):
         during.append(len(calls) - before)
         return result
 
+    monkeypatch.setattr(quadratics, "PinnedFactor", CountingFactor)
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "minimize", watched_minimize)
-    # prefer_direct only governs the linear path; descent always factors
-    config = SolverConfig(grad_tolerance=1e-7, prefer_direct=False)
-    for p, factors in ((1.5, 2), (3.0, 1)):
-        calls.clear()
+    config = SolverConfig(grad_tolerance=1e-7)
+    grid = segment_box(0.5, 24, box_half_width=1.0)
+    pinned = target_pins(centered_segment(0.5, grid), grid)
+    assert (~pinned).sum() > quadratics._COARSE_SIZE
+    block = 2.0 * (quadratics.edge_stiffness_matrix(grid)
+                   + quadratics.node_mass_matrix(grid))
+    for p in (1.5, 3.0):
+        factored.clear()
         during.clear()
-        result = segment_capacity(0.5, p, box_half_width=1.0, config=config)
+        result = segment_capacity(0.5, p, resolution=24, box_half_width=1.0,
+                                  config=config)
         assert result.iterations > 1
-        assert len(calls) == factors
+        assert len(factored) == 1
+        # the p = 2 block is H0 at p > 2 only
+        assert ((factored[0] != block).nnz == 0) == (p > 2)
         assert during == [0]
 
 

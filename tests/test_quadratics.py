@@ -83,10 +83,59 @@ def test_reduced_cg_matches_lu_column_by_column():
     tolerance = 1e-12
     lu, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
                                     prefer_direct=True)
-    cg, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
-                                    prefer_direct=False)
+    cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
+                                             prefer_direct=False)
     assert cg.shape == rhs.shape
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
+    # each column's field, bit for bit, and its own count, as if it had
+    # been solved alone
+    alone = [quadratics.solve_pinned(matrix, rhs[:, j], pinned, grad_tolerance=tolerance,
+                                     prefer_direct=False) for j in range(2)]
+    for j, (u, _) in enumerate(alone):
+        assert cg[:, j].tobytes() == u.tobytes()
+    counts = tuple(count for _, count in alone)
+    assert iterations.columns == counts
+    assert iterations == sum(counts) and min(counts) > 0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_2d_blocks_above_the_coarse_size_take_the_v_cycle(monkeypatch, extra):
+    calls = []
+    reduced_cg = quadratics._reduced_cg
+
+    def spy(*args):
+        calls.append(1)
+        return reduced_cg(*args)
+
+    monkeypatch.setattr(quadratics, "_reduced_cg", spy)
+    grid = GridDiscretization(49, 1.0, 2)
+    # the boundary and the last interior nodes pinned
+    pinned = grid.boundary_mask().copy()
+    pinned.flat[np.flatnonzero(~pinned)[quadratics._COARSE_SIZE + extra:]] = True
+    matrix = quadratics.stiffness_matrix(grid)
+    rhs = np.ones(grid.shape)
+    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12)
+    lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
+    if extra == 0:
+        assert not calls and iterations == 0 and iterations.columns == (0,)
+        assert u.tobytes() == lu.tobytes()
+    else:
+        assert calls and iterations > 0
+        assert np.abs(u - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+@pytest.mark.parametrize("build", [crack_energy_case, capacity_case])
+def test_3d_blocks_keep_the_lu_below_80000_free_nodes(monkeypatch, build):
+    def no_cg(*args):
+        raise AssertionError("3-d block sent to CG")
+
+    monkeypatch.setattr(quadratics, "_reduced_cg", no_cg)
+    matrix, rhs, pinned = build(17, 3)
+    assert quadratics._COARSE_SIZE < (~pinned).sum() <= 80_000
+    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned)
+    assert iterations == 0
+    # the parent's direct solve, bit for bit
+    assert u.tobytes() == quadratics.PinnedFactor(matrix, pinned).solve(rhs).tobytes()
 
 
 @pytest.mark.parametrize("build,nodes,dim", [

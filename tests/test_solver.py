@@ -395,6 +395,17 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
         np.testing.assert_array_equal(u, alone)
 
 
+def test_batch_reports_each_source_its_own_cg_iterations():
+    grid = GridDiscretization(65, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
+    sources = [sample_on_grid(named_source("bump", 2, 1.0), grid), np.ones(grid.shape)]
+    config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
+    batch = solve_batch(sources, mask, 2.0, config)
+    alone = [solve(f, mask, 2.0, config)[1].iterations for f in sources]
+    assert min(alone) > 0
+    assert [report.iterations for _, report in batch] == alone
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_batch_solves_each_distinct_source_once(monkeypatch, p):
     minimize, solve_pinned = descent.minimize, quadratics.solve_pinned
