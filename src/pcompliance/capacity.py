@@ -22,7 +22,6 @@ leaves constants as the only zero-energy fields, which any pin removes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -209,25 +208,27 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
             # t = 0.08 segment), so H0 is the Hessian with the weights
             # frozen at the warm start: 71-93 L-BFGS iterations on
-            # 59^2-133^2 grids -> 19-24.  The warm start needs no factor
-            # of its own, so H0's is the solve's only LU
-            factor = quadratics.PinnedFactor(
-                _frozen_weight_matrix(u, grid, p, eps), pinned)
+            # 59^2-133^2 grids -> 19-24.  Where the warm start's size rule
+            # iterates in 2-d, H0 is one lattice V-cycle; at or below the
+            # coarse size, in 3-d or with prefer_direct, it is an LU
+            h0 = quadratics.approximate_inverse(
+                _frozen_weight_matrix(u, grid, p, eps), pinned,
+                config.prefer_direct)
         else:
             # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
             # nodes for any pinning thanks to the mass term; at p > 2 the
             # frozen weights lose to it (17^3, p = 3: 27 -> 38 iterations,
             # 1.7 times the time), so its factor gives both the warm start
             # and H0
-            factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
-            u = factor.solve(2.0 * load)
+            h0 = quadratics.PinnedFactor(2.0 * matrix, pinned)
+            u = h0.solve(2.0 * load)
             u[pinned] = 1.0
         w_node = quadratics.node_weights(grid)
         result = descent.minimize(
             lambda x: _capacity_gradient(x, grid, pinned, p, eps, w_node), u,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=factor.solve)
+            precondition=h0.solve)
         u = result.x
         u[pinned] = 1.0
         iterations, reason = result.iterations, result.reason
@@ -304,6 +305,11 @@ def capacity_sweep(ts: Sequence[float], p: float, dim: int = 2, resolution: int 
         if not (0 < t <= 1.0):
             raise ValueError(f"sweep lengths must lie in (0, 1], got {t}")
     if jobs > 1:
+        # imported here: a serial sweep and every other command would pay
+        # for loading multiprocessing (14-16 ms of `python -X importtime`
+        # on a 2-core box)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(segment_capacity, t, p, dim, resolution,
                                    box_half_width, (), config) for t in ts]

@@ -3,9 +3,10 @@
 All solver contracts in this package certify convergence through the max norm
 of the projected gradient, so this loop tracks exactly that quantity.  The
 search direction is the two-loop L-BFGS recursion seeded with a caller's
-preconditioner H0, a factored block: the p = 2 block for the energy and
-Poincare solvers and the p > 2 capacity, the objective's Hessian with its
-p-density weights frozen at the warm start for the p < 2 capacity.
+SPD preconditioner H0: the factored p = 2 block for the energy and
+Poincare solvers and the p > 2 capacity, and for the p < 2 capacity the
+objective's Hessian with its p-density weights frozen at the warm start,
+factored or, on large 2-d grids, applied as one lattice V-cycle.
 Whenever it fails to be a descent direction (or the line search stalls on
 it) the memory is dropped and the step retried along -H0 grad.
 """

@@ -190,8 +190,9 @@ class PinnedFactor:
 
     pinned is the grid-shaped mask of held nodes.  One factorization
     serves any number of `solve` calls: linear solves, warm starts and a
-    descent's inverse-Hessian guess, which is a p = 2 block or, for a
-    p < 2 capacity, the frozen-weight block at the warm start.  Every
+    descent's inverse-Hessian guess H0: a p = 2 block, or a p < 2
+    capacity's frozen-weight block where `approximate_inverse` picks an
+    LU over a `LatticeCycle` (3-d, small 2-d blocks, prefer_direct).  Every
     block factored here is symmetric, so the columns are ordered by
     minimum degree on A^T + A, which on 2-d grids leaves about 40% less
     fill than the default COLAMD and halves each back-substitution.
@@ -268,15 +269,71 @@ def solve_pinned(
     Jacobi iterations -> 18, 9 per lattice).  3-d blocks have no lattice,
     and CG runs Jacobi-preconditioned there.
     """
-    free = ~pinned.ravel()
-    direct = prefer_direct
-    if direct is None:
-        direct = free.sum() <= (_COARSE_SIZE if pinned.ndim == 2 else 80_000)
-    if direct:
+    if _direct(pinned, prefer_direct):
         return (PinnedFactor(matrix, pinned).solve(rhs),
-                IterationCount([0] * (rhs.size // len(free))))
+                IterationCount([0] * (rhs.size // pinned.size)))
     u, columns = _reduced_cg(matrix.tocsr(), rhs, pinned, grad_tolerance)
     return u, IterationCount(columns)
+
+
+def _direct(pinned: np.ndarray, prefer_direct: bool | None) -> bool:
+    """The LU-or-iterate rule of `solve_pinned` and `approximate_inverse`."""
+    if prefer_direct is not None:
+        return prefer_direct
+    return (~pinned).sum() <= (_COARSE_SIZE if pinned.ndim == 2 else 80_000)
+
+
+def approximate_inverse(matrix: sp.spmatrix, pinned: np.ndarray,
+                        prefer_direct: bool | None = None
+                        ) -> PinnedFactor | LatticeCycle:
+    """An SPD approximation of the free block's inverse, for a descent's H0:
+    a `LatticeCycle` where `solve_pinned` would iterate and the block has a
+    lattice map (2-d), else a `PinnedFactor`, never Jacobi."""
+    if pinned.ndim == 2 and not _direct(pinned, prefer_direct):
+        csr = matrix.tocsr()
+        bits, elim = _diagonal_class(csr, pinned)
+        keep = ~pinned.ravel() & ~elim
+        lattices = _lattices(csr, pinned, bits, keep)
+        if all(slots is not None for _, slots in lattices):
+            return LatticeCycle(csr, elim, keep, lattices)
+    return PinnedFactor(matrix, pinned)
+
+
+class LatticeCycle:
+    """One sweep of `_reduced_cg`'s solver without the CG: the parity class
+    eliminated exactly, one V-cycle on each Schur lattice (an LU on one with
+    no coarse level) and the eliminated nodes back-substituted.  The
+    elimination is a congruence and the cycle symmetric, so `solve` applies
+    an SPD matrix, as an L-BFGS H0 must be, and keeps its hierarchies for
+    every call.
+    """
+
+    def __init__(self, csr: sp.csr_matrix, elim: np.ndarray, keep: np.ndarray,
+                 lattices: list):
+        self._elim, self._keep = elim, keep
+        self._w, self._scale = _scaled_coupling(csr, elim, keep)
+        whole = len(lattices) == 1
+        nodes = np.flatnonzero(keep)
+        self._cycles = [
+            (positions, _schur_lattice(
+                csr, [self._w if whole else self._w[:, positions]],
+                nodes[positions], slots)[1])
+            for positions, slots in lattices]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Shaped like rhs and exactly 0 at pins; rhs as for
+        `PinnedFactor.solve`."""
+        columns = rhs.reshape(len(self._keep), -1)
+        scale = self._scale[:, None]
+        b_elim = scale * columns[self._elim]
+        x_keep = columns[self._keep] - self._w.T @ b_elim
+        for positions, cycle in self._cycles:
+            for j in range(x_keep.shape[1]):
+                x_keep[positions, j] = cycle(x_keep[positions, j])
+        u = np.zeros(columns.shape, order="F")
+        u[self._keep] = x_keep
+        u[self._elim] = scale * (b_elim - self._w @ x_keep)
+        return u.reshape(rhs.shape)
 
 
 def _links(csr: sp.csr_matrix) -> sp.csr_matrix:
@@ -371,24 +428,19 @@ def _reduced_cg(csr: sp.csr_matrix, rhs: np.ndarray, pinned: np.ndarray,
     lattices = _lattices(csr, pinned, bits, keep)
     whole = len(lattices) == 1
     iterations = [0] * columns.shape[1]
+    nodes = np.flatnonzero(keep)
     while lattices:
         positions, slots = lattices.pop(0)
-        w_l = w if whole else w[:, positions]
-        schur = w_l.T.tocsr() @ w_l
-        del w_l
+        coupling = [w if whole else w[:, positions]]
         if not lattices:
             del w
-        # -W^T W + A_CC, in this order: the sum lists each row's entries in
-        # its first operand's order, and CG's products add them in it
-        schur.data *= -1.0
-        nodes = np.flatnonzero(keep)[positions]
-        schur = schur + csr[nodes][:, nodes]
-        precond = _preconditioner(schur, slots)
+        schur, cycle = _schur_lattice(csr, coupling, nodes[positions], slots)
+        precond = spla.LinearOperator(schur.shape, matvec=cycle, dtype=float)
         for j in range(columns.shape[1]):
             x_keep[positions, j], count = _pinned_cg(
                 schur, x_keep[positions, j], precond, grad_tolerance)
             iterations[j] += count
-        del schur, precond
+        del schur, cycle, precond
     w, scale = _scaled_coupling(csr, elim, keep)
     u = np.zeros(columns.shape, order="F")
     u[keep] = x_keep
@@ -407,16 +459,35 @@ _COARSE_SIZE = 2000
 _SMOOTH_WEIGHT = 0.7
 
 
-def _preconditioner(a: sp.csr_matrix, slots: np.ndarray | None) -> spla.LinearOperator:
-    """PCG's M for a lattice's Schur block a: a Galerkin V-cycle on the
-    lattice's slots, or, with no lattice (slots None), Jacobi.
+def _schur_lattice(csr: sp.csr_matrix, coupling: list, nodes: np.ndarray,
+                   slots: np.ndarray | None):
+    """A lattice's Schur block A_CC - W_l^T W_l and its `_hierarchy`.
+
+    nodes are the lattice's kept nodes, and coupling holds W_l, the scaled
+    coupling's columns at them.  The list is emptied once W_l^T W_l is
+    built, so a caller that hands over its last reference to W_l frees it
+    before the block and hierarchy take their memory.
+    """
+    w_l = coupling.pop()
+    schur = w_l.T.tocsr() @ w_l
+    del w_l
+    # -W^T W + A_CC, in this order: the sum lists each row's entries in
+    # its first operand's order, and CG's products add them in it
+    schur.data *= -1.0
+    schur = schur + csr[nodes][:, nodes]
+    return schur, _hierarchy(schur, slots)
+
+
+def _hierarchy(a: sp.csr_matrix, slots: np.ndarray | None):
+    """An approximate inverse of a lattice's Schur block a, as a function
+    of a vector: a Galerkin V-cycle on the lattice's slots, the LU alone
+    when a has no coarse level, or, with no lattice (slots None), Jacobi.
 
     Each level keeps (A, omega / diag A, R = P^T), the next matrix being
     R A P with `_prolongation`'s bilinear P, until at most _COARSE_SIZE
     unknowns are left for the LU.  Without slots there are no levels and
     the diagonal stands in for the coarsest solve.
     """
-    shape = a.shape
     levels = []
     while slots is not None and a.shape[0] > _COARSE_SIZE:
         p, slots = _prolongation(slots)
@@ -434,7 +505,7 @@ def _preconditioner(a: sp.csr_matrix, slots: np.ndarray | None) -> spla.LinearOp
         coarse = lambda v: v / diag  # noqa: E731
     else:
         coarse = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-    return spla.LinearOperator(shape, matvec=_VCycle(levels, coarse), dtype=float)
+    return _VCycle(levels, coarse) if levels else coarse
 
 
 def _prolongation(slots: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:

@@ -56,10 +56,12 @@ class SolverConfig:
     (False) for the p = 2 linear solves and the p < 2 capacity's warm
     start, None by size (`quadratics.solve_pinned`: CG above 2000 free
     nodes in 2-d, with a lattice V-cycle as preconditioner, and above
-    80 000 in 3-d, with Jacobi); every descent factors its H0 by LU
-    whatever prefer_direct says: the p = 2 block for energies, Poincare
-    quotients and p > 2 capacities, and for p < 2 capacities the Hessian
-    with its weights frozen at the warm start.  The problem picks
+    80 000 in 3-d, with Jacobi).  The energy, Poincare and p > 2 capacity
+    descents factor their H0, the p = 2 block, by LU whatever
+    prefer_direct says.  The p < 2 capacity's H0, the Hessian with its
+    weights frozen at the warm start, follows the same size rule in 2-d,
+    applied as one lattice V-cycle where the warm start iterates, and is
+    an LU in 3-d (`quadratics.approximate_inverse`).  The problem picks
     the path (`solve_method`), and the L-BFGS memory and line search are
     fixed in `descent`.
     """

@@ -301,9 +301,11 @@ def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iter
 
 
 def test_capacity_descent_factors_once(monkeypatch):
-    # above the V-cycle's coarse size a p < 2 descent takes its p = 2 warm
-    # start from the lattice V-cycle and factors only the frozen-weight
-    # H0, a p > 2 descent factors 2(K + M) for both, and neither factors
+    # above the V-cycle's coarse size a p < 2 descent takes its warm start
+    # from the lattice V-cycle and applies its frozen-weight H0 as one
+    # V-cycle, building no `PinnedFactor`; with prefer_direct or at or
+    # below that size its H0 is one factor of the frozen-weight block, a
+    # p > 2 descent factors 2(K + M) for both, and no descent factors
     # anything while L-BFGS iterates
     factored = []
     pinned_factor = quadratics.PinnedFactor
@@ -321,33 +323,88 @@ def test_capacity_descent_factors_once(monkeypatch):
         return splu(matrix, *args, **kwargs)
 
     minimize = descent.minimize
-    during = []
+    during, starts, h0s = [], [], []
 
-    def watched_minimize(*args, **kwargs):
+    def watched_minimize(fun, x0, **kwargs):
         before = len(calls)
-        result = minimize(*args, **kwargs)
+        starts.append(np.array(x0))
+        h0s.append(kwargs["precondition"].__self__)
+        result = minimize(fun, x0, **kwargs)
         during.append(len(calls) - before)
         return result
 
     monkeypatch.setattr(quadratics, "PinnedFactor", CountingFactor)
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "minimize", watched_minimize)
-    config = SolverConfig(grad_tolerance=1e-7)
-    grid = segment_box(0.5, 24, box_half_width=1.0)
-    pinned = target_pins(centered_segment(0.5, grid), grid)
-    assert (~pinned).sum() > quadratics._COARSE_SIZE
-    block = 2.0 * (quadratics.edge_stiffness_matrix(grid)
-                   + quadratics.node_mass_matrix(grid))
-    for p in (1.5, 3.0):
+    for resolution, p, prefer_direct in [(24, 1.5, None), (24, 3.0, None),
+                                         (24, 1.5, True), (4, 1.5, None)]:
         factored.clear()
         during.clear()
-        result = segment_capacity(0.5, p, resolution=24, box_half_width=1.0,
-                                  config=config)
+        starts.clear()
+        h0s.clear()
+        config = SolverConfig(grad_tolerance=1e-7, prefer_direct=prefer_direct)
+        grid = segment_box(0.5, resolution, box_half_width=1.0)
+        pinned = target_pins(centered_segment(0.5, grid), grid)
+        block = (quadratics.edge_stiffness_matrix(grid)
+                 + quadratics.node_mass_matrix(grid))
+        result = segment_capacity(0.5, p, resolution=resolution,
+                                  box_half_width=1.0, config=config)
         assert result.iterations > 1
-        assert len(factored) == 1
-        # the p = 2 block is H0 at p > 2 only
-        assert ((factored[0] != block).nnz == 0) == (p > 2)
         assert during == [0]
+        [h0] = h0s
+        if p > 2:
+            assert len(factored) == 1
+            assert (factored[0] != 2.0 * block).nnz == 0
+            assert isinstance(h0, CountingFactor)
+        elif (~pinned).sum() > quadratics._COARSE_SIZE and not prefer_direct:
+            assert factored == []
+            assert isinstance(h0, quadratics.LatticeCycle)
+        else:
+            # the p = 2 warm start's LU, then the frozen-weight H0's
+            assert len(factored) == 2
+            assert (factored[0] != block).nnz == 0
+            frozen = _frozen_weight_matrix(starts[0], grid, p, 1e-4)
+            assert (factored[1] != frozen).nnz == 0
+            assert isinstance(h0, CountingFactor)
+
+
+def test_lattice_cycle_h0_is_symmetric_positive_definite():
+    # the frozen-weight block at the warm start of C4's 133^2 length
+    grid = segment_box(0.08, 4)
+    pinned = target_pins(centered_segment(0.08, grid), grid)
+    assert pinned.shape == (133, 133)
+    matrix = (quadratics.edge_stiffness_matrix(grid)
+              + quadratics.node_mass_matrix(grid))
+    load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
+    u, _ = quadratics.solve_pinned(matrix, load, pinned, grad_tolerance=1e-8)
+    u[pinned] = 1.0
+    h0 = quadratics.approximate_inverse(_frozen_weight_matrix(u, grid, 1.5, 1e-3), pinned)
+    assert isinstance(h0, quadratics.LatticeCycle)
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2,) + pinned.shape)
+    hx, hy = h0.solve(x), h0.solve(y)
+    assert hx.shape == x.shape
+    assert not hx[pinned].any() and not hy[pinned].any()
+    xhy, hxy = np.vdot(x, hy), np.vdot(hx, y)
+    assert abs(xhy - hxy) <= 1e-12 * abs(xhy)
+    for v, hv in ((x, hx), (y, hy), (x + y, h0.solve(x + y))):
+        assert np.vdot(v, hv) > 0.0
+    stack = h0.solve(np.stack([x, y], axis=-1))
+    assert stack.shape == pinned.shape + (2,)
+    np.testing.assert_allclose(stack, np.stack([hx, hy], axis=-1),
+                               rtol=0.0, atol=1e-13 * np.abs(hx).max())
+
+
+def test_lattice_cycle_h0_matches_the_lu_h0_on_the_c4_sweep():
+    lengths = [0.08, 0.16, 0.32]
+    runs = [capacity_sweep(lengths, 1.5, config=SolverConfig(
+                grad_tolerance=1e-6, regularization_eps=1e-3,
+                prefer_direct=prefer_direct))
+            for prefer_direct in (None, True)]
+    for cycle, lu in zip(*runs):
+        assert cycle.nodes_per_side ** 2 > quadratics._COARSE_SIZE
+        assert cycle.value == pytest.approx(lu.value, rel=1e-8)
+        assert abs(cycle.iterations - lu.iterations) <= 2
 
 
 def test_capacity_descent_computes_node_weights_once(monkeypatch):

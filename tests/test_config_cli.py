@@ -253,16 +253,26 @@ def test_cli_zero_eps_below_p_2_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # only capacity.logarithmic_fit needs scipy.optimize, and it imports it
+def cli_import_loads(prefix: str) -> bool:
+    """Whether a fresh `import pcompliance.cli` loads a module named prefix*."""
     src = str(Path(pcompliance.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = ("import sys, pcompliance.cli; "
-             "print(any(m.startswith('scipy.optimize') for m in sys.modules))")
+             f"print(any(m.startswith({prefix!r}) for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # only capacity.logarithmic_fit needs scipy.optimize, and it imports it
+    assert not cli_import_loads("scipy.optimize")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only capacity_sweep(jobs > 1) needs a process pool, and it imports it
+    assert not cli_import_loads("multiprocessing")
 
 
 def test_cli_nonconvergence_exits_1(tmp_path, capsys):

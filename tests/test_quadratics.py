@@ -249,13 +249,18 @@ def test_lattice_v_cycle_matches_lu_through_two_levels(monkeypatch, kind, lattic
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
 
 
-def test_lattices_that_a_matrix_couples_fall_back_to_jacobi():
-    # links along j keep the odd-j block diagonal but couple the two
-    # i-parity lattices through the eliminated nodes
+def coupled_lattices_case():
+    """The 65^2 crack's `K` plus links along j, which keep the odd-j block
+    diagonal but couple the two i-parity lattices through the eliminated
+    nodes."""
     matrix, rhs, pinned = crack_energy_case(65, 2)
     n = pinned.shape[1]
     step = sp.diags([np.ones(n - 1), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    matrix = (matrix + sp.kron(sp.eye(n), step.T @ step)).tocsr()
+    return (matrix + sp.kron(sp.eye(n), step.T @ step)).tocsr(), rhs, pinned
+
+
+def test_lattices_that_a_matrix_couples_fall_back_to_jacobi():
+    matrix, rhs, pinned = coupled_lattices_case()
     bits, elim = quadratics._diagonal_class(matrix, pinned)
     assert bits == (0, 1)
     keep = ~pinned.ravel() & ~elim
@@ -264,6 +269,19 @@ def test_lattices_that_a_matrix_couples_fall_back_to_jacobi():
                                     prefer_direct=False)
     lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
+
+
+def test_approximate_inverse_is_a_v_cycle_or_an_lu_never_jacobi():
+    matrix, _, pinned = capacity_case(65, 2)
+    assert (~pinned).sum() > quadratics._COARSE_SIZE
+    assert isinstance(quadratics.approximate_inverse(matrix, pinned),
+                      quadratics.LatticeCycle)
+    assert isinstance(quadratics.approximate_inverse(matrix, pinned, prefer_direct=True),
+                      quadratics.PinnedFactor)
+    # no lattice map: a 3-d block, or 2-d lattices that the matrix couples
+    for matrix, _, pinned in (capacity_case(9, 3), coupled_lattices_case()):
+        h0 = quadratics.approximate_inverse(matrix, pinned, prefer_direct=False)
+        assert isinstance(h0, quadratics.PinnedFactor)
 
 
 @pytest.mark.parametrize("kind", ["energy", "capacity"])
