@@ -79,8 +79,8 @@ def _corner_gradient_squares(u: np.ndarray, grid: GridDiscretization,
     edge_squares = [d * d for d in diffs]
     squares = []
     for _, node_slc in _corners(grid.dim):
-        s = np.full(grid.cells_shape, eps * eps)
-        for k, d2 in enumerate(edge_squares):
+        s = edge_squares[0][_edge_slice(node_slc, 0)] + eps * eps
+        for k, d2 in enumerate(edge_squares[1:], start=1):
             s += d2[_edge_slice(node_slc, k)]
         squares.append(s)
     return squares, diffs

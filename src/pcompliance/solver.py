@@ -136,10 +136,15 @@ def zero_energy_modes(pinned: np.ndarray) -> tuple[bool, bool]:
 
 def density_weights(s: np.ndarray, p: float) -> np.ndarray:
     """(s)^((p-2)/2), the weight of the p-density on |grad u|^2 = s, with
-    the continuous extension 0 at s = 0 for p < 2."""
+    the continuous extension 0 at s = 0 for p < 2.
+
+    Below p = 2 a positive s, which eps > 0 always gives, takes the power
+    in one pass; s holding a 0 or a NaN takes the guarded formula, whose
+    weight is 0 there and which equals the power bit for bit elsewhere.
+    """
     if p == 2.0:
         return np.ones_like(s)
-    if p > 2.0:
+    if p > 2.0 or s.min(initial=np.inf) > 0.0:
         return s ** ((p - 2.0) / 2.0)
     return np.where(s > 0.0, s, 1.0) ** ((p - 2.0) / 2.0) * (s > 0.0)
 

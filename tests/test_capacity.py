@@ -508,6 +508,9 @@ def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
         return np.zeros(len(b)), 1
 
     monkeypatch.setattr(quadratics, "_pinned_cg", unconverged)
+    # the single lattice has no coarse level; its stand-in LU misses the
+    # tolerance, so the column falls back to the stubbed CG
+    monkeypatch.setattr(quadratics, "_hierarchy", lambda a, slots: np.zeros_like)
     config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
     with pytest.raises(NonConvergence, match="linear path residual") as err:
         segment_capacity(0.5, 2.0, box_half_width=1.0, config=config)

@@ -116,17 +116,31 @@ def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
 
 @pytest.mark.parametrize("g", [Constant(1.0), GaussianBump((0.3, -0.2), 0.5)],
                          ids=["constant", "bump"])
-def test_free_boundary_rung_cubes_take_the_v_cycle(g):
+def test_free_boundary_rung_cubes_take_the_v_cycle(monkeypatch, g):
     # the n = 8 rung's 65^2 cubes pin only their crack, and their free
     # blocks are above the V-cycle's coarse size
     params = ConstructionParams(n=8, epsilon=0.25)
     assert required_local_nodes(params) == 65
-    config = SolverConfig(grad_tolerance=1e-12)
-    lattice = local_solve(params, g, config=config)
     direct = local_solve(params, g, config=SolverConfig(grad_tolerance=1e-12,
                                                         prefer_direct=True))
+    reduced = []
+    reduced_cg = quadratics._reduced_cg
+
+    def spy(*args):
+        reduced.append(1)
+        return reduced_cg(*args)
+
+    def no_factor(*args):
+        raise AssertionError("a rung cube factored its pinned block")
+
+    monkeypatch.setattr(quadratics, "_reduced_cg", spy)
+    monkeypatch.setattr(quadratics, "PinnedFactor", no_factor)
+    lattice = local_solve(params, g, config=SolverConfig(grad_tolerance=1e-12))
+    # the Schur-lattice path, whose two lattices are at or below the coarse
+    # size and back-substitute every cube's column by their LU
+    assert reduced == [1]
     for cg, lu in zip(lattice, direct):
-        assert cg.report.iterations > 0 and lu.report.iterations == 0
+        assert cg.report.iterations == 0 and lu.report.iterations == 0
         assert cg.report.residual <= 1e-12
         assert np.abs(cg.u - lu.u).max() <= 1e-10 * np.abs(lu.u).max()
 

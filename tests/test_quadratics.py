@@ -70,7 +70,9 @@ def test_reduced_cg_matches_lu(build, nodes, dim):
     cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned,
                                              grad_tolerance=tolerance,
                                              prefer_direct=False)
-    assert iterations > 0
+    # these 2-d lattices have no coarse level, and their LU back-substitutes
+    # every column; 3-d blocks run Jacobi PCG
+    assert (iterations == 0) == (dim == 2)
     free = ~pinned.ravel()
     assert np.abs((matrix @ cg - rhs)[free]).max() <= tolerance
     assert np.all(cg[~free] == 0)
@@ -95,7 +97,8 @@ def test_reduced_cg_matches_lu_column_by_column():
         assert cg[:, j].tobytes() == u.tobytes()
     counts = tuple(count for _, count in alone)
     assert iterations.columns == counts
-    assert iterations == sum(counts) and min(counts) > 0
+    # both lattices are back-substituted by their LU, which meets the tolerance
+    assert iterations == sum(counts) and counts == (0, 0)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -120,7 +123,9 @@ def test_2d_blocks_above_the_coarse_size_take_the_v_cycle(monkeypatch, extra):
         assert not calls and iterations == 0 and iterations.columns == (0,)
         assert u.tobytes() == lu.tobytes()
     else:
-        assert calls and iterations > 0
+        # both Schur lattices are at or below the coarse size, and their LU
+        # back-substitutes in place of PCG
+        assert calls and iterations == 0
         assert np.abs(u - lu).max() <= 1e-10 * np.abs(lu).max()
 
 
@@ -366,3 +371,98 @@ def test_unit_cell_coefficients_assemble_the_integer_tables_bit_for_bit(nodes, d
             grid, [[c * ones for c in row] for row in table], scale)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(weighted, part), getattr(built, part)), name
+
+
+def mask_reference(h0, matrix, pinned, rhs):
+    """h0.solve(rhs) gathered and scattered by boolean masks, with every
+    transpose built on the spot: the reference that the index-array
+    gathers and stored CSC views must match bit for bit."""
+    columns = rhs.reshape(pinned.size, -1)
+    u = np.zeros(columns.shape, order="F")
+    if isinstance(h0, quadratics.PinnedFactor):
+        free = ~pinned.ravel()
+        u[free] = h0._lu.solve(columns[free])
+        return u.reshape(rhs.shape)
+    _, elim = quadratics._diagonal_class(matrix.tocsr(), pinned)
+    keep = ~pinned.ravel() & ~elim
+    scale = h0._scale[:, None]
+    b_elim = scale * columns[elim]
+    x_keep = columns[keep] - h0._w.transpose() @ b_elim
+    for positions, cycle in h0._cycles:
+        for j in range(x_keep.shape[1]):
+            x_keep[positions, j] = cycle(x_keep[positions, j])
+    u[keep] = x_keep
+    u[elim] = scale * (b_elim - h0._w @ x_keep)
+    return u.reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("build,nodes,dim,kind", [
+    (crack_energy_case, 33, 2, quadratics.PinnedFactor),
+    (capacity_case, 9, 3, quadratics.PinnedFactor),
+    # one rotated lattice with a coarse level; two lattices, each an LU
+    (capacity_case, 65, 2, quadratics.LatticeCycle),
+    (crack_energy_case, 65, 2, quadratics.LatticeCycle),
+])
+def test_index_array_solves_match_the_mask_solves_bit_for_bit(build, nodes, dim, kind):
+    matrix, load, pinned = build(nodes, dim)
+    h0 = (quadratics.PinnedFactor(matrix, pinned) if kind is quadratics.PinnedFactor
+          else quadratics.approximate_inverse(matrix, pinned))
+    assert isinstance(h0, kind)
+    block = np.column_stack([load, -2.0 * load[::-1], np.ones_like(load)])
+    for rhs in (load.reshape(pinned.shape), block, load):
+        u = h0.solve(rhs)
+        assert u.shape == rhs.shape
+        assert np.array_equal(u, mask_reference(h0, matrix, pinned, rhs))
+        columns = u.reshape(pinned.size, -1)
+        assert not columns[pinned.ravel()].any()
+
+
+def lattice_inverses(kind, nodes):
+    """(size, apply, coarse SuperLU) of each lattice inverse that the
+    case's `approximate_inverse` keeps: the capacity block's whole
+    `LatticeCycle` on node vectors, or each `K` lattice's V-cycle."""
+    matrix, _, pinned = CASES[kind](nodes, 2)
+    h0 = quadratics.approximate_inverse(matrix, pinned)
+    assert isinstance(h0, quadratics.LatticeCycle)
+    coarse = [(cycle.coarse if isinstance(cycle, quadratics._VCycle) else cycle).__self__
+              for _, cycle in h0._cycles]
+    if kind == "capacity":
+        return [(pinned.size, h0.solve, coarse[0])]
+    return [(len(positions), cycle, lu)
+            for (positions, cycle), lu in zip(h0._cycles, coarse)]
+
+
+@pytest.mark.parametrize("kind,nodes,lattices", [("capacity", 133, 1), ("energy", 257, 2)])
+def test_lattice_inverses_with_a_symmetric_coarse_lu_stay_spd(kind, nodes, lattices):
+    inverses = lattice_inverses(kind, nodes)
+    assert len(inverses) == lattices
+    rng = np.random.default_rng(nodes)
+    for size, apply, lu in inverses:
+        # SuperLU's symmetric mode pivots on the diagonal, so the rows are
+        # permuted as the columns are
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        x, y = rng.standard_normal((2, size))
+        cx, cy = apply(x), apply(y)
+        assert abs(np.dot(x, cy) - np.dot(cx, y)) <= (
+            1e-12 * np.linalg.norm(x) * np.linalg.norm(cy))
+        for v, cv in ((x, cx), (y, cy), (x - y, apply(x - y))):
+            assert np.dot(v, cv) > 0.0
+
+
+def test_lattice_solves_build_no_sparse_matrix(monkeypatch):
+    cycles = []
+    for kind in ("capacity", "energy"):
+        matrix, load, pinned = CASES[kind](65, 2)
+        h0 = quadratics.approximate_inverse(matrix, pinned)
+        cycles += [(h0.solve, load), (h0.solve, np.column_stack([load, load[::-1]]))]
+        cycles += [(cycle, np.ones(len(h0._keep))) for _, cycle in h0._cycles
+                   if isinstance(cycle, quadratics._VCycle)]
+    assert len(cycles) == 5
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("a lattice solve built a sparse transpose")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "transpose", no_transpose)
+    for apply, rhs in cycles:
+        apply(rhs)

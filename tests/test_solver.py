@@ -18,6 +18,7 @@ from pcompliance.solver import (
     cell_gradients_adjoint,
     cell_means,
     cell_means_adjoint,
+    density_weights,
     divergence_residual,
     energy,
     energy_and_gradient,
@@ -164,6 +165,22 @@ def test_energy_gradient_matches_finite_differences(p, eps):
         fd = (plus - minus) / (2.0 * step)
         assert grad[idx] == pytest.approx(fd, rel=5e-5, abs=1e-9)
     assert np.all(grad[mask.pinned] == 0.0)
+
+
+def test_density_weights_take_the_guarded_formula_bit_for_bit():
+    p = 1.5
+    rng = np.random.default_rng(5)
+    # squares from 1e-12 to 1e4, as |grad u|^2 + eps^2 spans them
+    s = 10.0 ** rng.uniform(-12.0, 4.0, (40, 40))
+
+    def guarded(s):
+        return np.where(s > 0.0, s, 1.0) ** ((p - 2.0) / 2.0) * (s > 0.0)
+
+    assert np.array_equal(density_weights(s, p), guarded(s))
+    s[3, 4], s[5, 6] = 0.0, np.nan
+    w = density_weights(s, p)
+    assert w[3, 4] == 0.0 and w[5, 6] == 0.0
+    assert np.array_equal(w, guarded(s))
 
 
 def test_energy_gradient_matches_finite_differences_3d():
@@ -396,7 +413,9 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
 
 
 def test_batch_reports_each_source_its_own_cg_iterations():
-    grid = GridDiscretization(65, 1.0, 2)
+    # 129^2: the Schur lattices coarsen, so each column runs PCG (at 65^2
+    # their LUs back-substitute every column without iterating)
+    grid = GridDiscretization(129, 1.0, 2)
     mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
     sources = [sample_on_grid(named_source("bump", 2, 1.0), grid), np.ones(grid.shape)]
     config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
