@@ -54,7 +54,7 @@ def _check(label: str, ok: bool) -> bool:
 
 
 def cmd_solve(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
-    """one energy solve with compliance report, field CSV, optional SVG"""
+    """one energy solve with compliance report, binary field, optional SVG"""
     job = cfg.solve
     spec = cfg.problem
     if job.cracks_file:
@@ -67,7 +67,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
         spec, cracks, named_source(job.source, spec.dim, spec.half_width),
         job.nodes_per_side, cfg.solver)
     reporting.write_compliance_report(out / "solve.csv", report, seed=cfg.seed)
-    reporting.write_field(out / "solution.csv", u, seed=cfg.seed)
+    reporting.write_field(out / "solution.npy", u)
     if job.heatmap:
         if spec.dim == 2:
             reporting.write_heatmap(out / "solution.svg", u)

@@ -128,9 +128,18 @@ def _assemble(grid: GridDiscretization, counts, scale: float) -> sp.csr_matrix:
     return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n)).tocsr()
 
 
-def _gram(grid: GridDiscretization, table: list, divisor: float) -> sp.csr_matrix:
+def _gram(grid: GridDiscretization, table: list, divisor: float,
+          weights: np.ndarray | None = None) -> sp.csr_matrix:
+    """vol * T^T diag(weights) T over the cells, T the table over divisor:
+    with weights None, the constant-coefficient form; with a cells-shaped
+    array, the form weighted cell by cell.  A zero corner pair stays out
+    of the pattern either way, and weights of all ones give the
+    unweighted matrix bit for bit."""
     t = np.array(table)  # [corner, row]
-    return _assemble(grid, t @ t.T, grid.cell_volume / divisor ** 2)
+    counts = t @ t.T
+    if weights is not None:
+        counts = [[c * weights if c else 0 for c in row] for row in counts]
+    return _assemble(grid, counts, grid.cell_volume / divisor ** 2)
 
 
 def stiffness_matrix(grid: GridDiscretization) -> sp.csr_matrix:

@@ -17,10 +17,12 @@ report records the eps actually used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import descent, quadratics
 from .errors import NonConvergence, UnpinnedMask
@@ -56,14 +58,17 @@ class SolverConfig:
     (False) for the p = 2 linear solves and the p < 2 capacity's warm
     start, None by size (`quadratics.solve_pinned`: CG above 2000 free
     nodes in 2-d, with a lattice V-cycle as preconditioner, and above
-    80 000 in 3-d, with Jacobi).  The energy, Poincare and p > 2 capacity
-    descents factor their H0, the p = 2 block, by LU whatever
-    prefer_direct says.  The p < 2 capacity's H0, the Hessian with its
-    weights frozen at the warm start, follows the same size rule in 2-d,
-    applied as one lattice V-cycle where the warm start iterates, and is
-    an LU in 3-d (`quadratics.approximate_inverse`).  The problem picks
-    the path (`solve_method`), and the L-BFGS memory and line search are
-    fixed in `descent`.
+    80 000 in 3-d, with Jacobi).  The same rule picks the H0 of the
+    energy descents and the p < 2 capacity: where a 2-d p = 2 solve would
+    iterate, one lattice V-cycle of a Hessian model
+    (`quadratics.approximate_inverse`), and otherwise an LU.  The model
+    is the p = 2 block at p > 2 and the Hessian with its weights frozen
+    at the p = 2 solution at p < 2; an energy whose pinned p = 2 block
+    is singular keeps the LU of the shifted block.  The Poincare and
+    p > 2 capacity descents factor their H0, the p = 2 block, by LU
+    whatever prefer_direct says.  The problem picks the path
+    (`solve_method`), and the L-BFGS memory and line search are fixed in
+    `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -235,9 +240,16 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     one (field, report) pair, and a shared field is read-only.  The linear
     path (p = 2) solves all distinct sources together, with one
     factorization or one preconditioner (`quadratics.solve_pinned`), and
-    gives each report its own CG iteration count; the descent path
-    factors the pinned stiffness block once as the preconditioner of
-    every distinct source's L-BFGS and minimizes them one after another.
+    gives each report its own CG iteration count.  The descent path
+    minimizes the distinct sources one after another, each L-BFGS
+    preconditioned by an H0 that `quadratics._direct`'s size rule picks.
+    Where a 2-d p = 2 solve would iterate and the pinned stiffness block
+    K is nonsingular, H0 is one lattice V-cycle: of K, shared by the
+    batch, at p > 2, and at p < 2 of the Hessian with its weights frozen
+    at the source's p = 2 solution, which is also its start (all distinct
+    sources' p = 2 solutions come from one `solve_pinned` call).
+    Otherwise K is factored once and its LU serves every source, each
+    started from zero.
     Returns one (field, report) pair per source, in order, and raises
     NonConvergence for the first source whose solve misses the
     tolerance.  Non-finite source values raise ValueError before any
@@ -301,7 +313,8 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     # descent objective and the report's work form all read that one array
     loads = (cell_means_adjoint(cell_means(f), grid.cell_volume) for f in fs)
     stiffness = quadratics.stiffness_matrix(grid)
-    if method == "linear":
+
+    def solve_p2():
         # column by column: holding every cube's cell means or load at once
         # raised a ladder's peak RSS by 8 MB
         rhs = np.empty(grid.shape + (len(fs),))
@@ -311,20 +324,46 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
             stiffness, rhs, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
+        return rhs, fields, iterations
+
+    if method == "linear":
+        rhs, fields, iterations = solve_p2()
         return _in_order([finish(fields[..., column], rhs[..., column], eps_for(f),
                                  iterations.columns[column], 0)
                           for column, f in enumerate(fs)], order)
 
-    factor = stiffness_factor(grid, stiffness, pinned, nonsingular)
+    # H0 follows `solve_pinned`'s size rule: where it would iterate (2-d,
+    # above the coarse size) and K is nonsingular, H0 is one lattice
+    # V-cycle of a Hessian model, and otherwise the shared LU of K.  At
+    # p > 2 the model is K itself, one cycle for the batch.  At p < 2 it
+    # is the Hessian with its weights frozen at the source's p = 2
+    # solution, which is also the descent's start.  Against the LU of K
+    # on the 129^2 single-solves crack at tol 1e-8: 81 -> 45 iterations
+    # at p = 1.5, 48 -> 47 at p = 3
+    starts = itertools.repeat(None)
+    if not nonsingular or grid.dim != 2 or quadratics._direct(pinned, config.prefer_direct):
+        h0 = stiffness_factor(grid, stiffness, pinned, nonsingular)
+    elif p > 2:
+        h0 = quadratics.approximate_inverse(stiffness, pinned, config.prefer_direct)
+    else:
+        # every distinct source's p = 2 solution from one call, so the
+        # sources share one V-cycle setup
+        rhs, fields, _ = solve_p2()
+        loads = (np.ascontiguousarray(rhs[..., column]) for column in range(len(fs)))
+        starts = (fields[..., column] for column in range(len(fs)))
     solved = []
-    for f, b in zip(fs, loads):
+    for f, b, start in zip(fs, loads, starts):
         eps = eps_for(f)
+        if start is not None:
+            h0 = quadratics.approximate_inverse(
+                _frozen_weight_matrix(start, grid, p, eps), pinned,
+                config.prefer_direct)
         result = descent.minimize(
             lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
-            np.zeros(grid.shape),
+            np.zeros(grid.shape) if start is None else start,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=factor.solve)
+            precondition=h0.solve)
         u = result.x
         u[pinned] = 0.0
         solved.append(finish(u, b, eps, result.iterations,
@@ -343,7 +382,10 @@ def _in_order(solved: list, order: list[int]) -> list:
 
 def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
                      nonsingular: bool) -> quadratics.PinnedFactor:
-    """The factored pinned p = 2 block whose inverse is a descent's H0.
+    """The factored pinned p = 2 block whose inverse is a descent's H0:
+    the Poincare descent's, and the energy's wherever `solve_batch`'s
+    size rule factors (at or below the coarse size, 3-d, prefer_direct,
+    or a singular block).
 
     K is the energy's Hessian at p = 2, and the two-loop recursion scales
     its inverse.  When nonsingular is false, pure-gauge modes leave the
@@ -353,6 +395,16 @@ def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
     if not nonsingular:
         block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
     return quadratics.PinnedFactor(block, pinned)
+
+
+def _frozen_weight_matrix(u: GridField, grid: GridDiscretization, p: float,
+                          eps: float) -> sp.csr_matrix:
+    """The Jacobian of the energy gradient at u with its p-density weights
+    held fixed (the Kacanov matrix): vol G^T diag(w) G, w the weights
+    `density_weights(|G u|^2 + eps^2, p)`, and exactly K where w = 1."""
+    g = cell_gradients(u, grid.h)
+    w = density_weights((g * g).sum(axis=0) + eps * eps, p)
+    return quadratics._gram(grid, *quadratics.gradient_operator(grid.dim, grid.h), w)
 
 
 def _build_report(u, b, grid, pinned, p, eps, iterations, evaluations,

@@ -11,7 +11,9 @@ from pcompliance import cli, reporting
 from pcompliance.capacity import segment_capacity
 from pcompliance.config import ExperimentConfig, config_from_text, load_config
 from pcompliance.errors import ConfigError
-from pcompliance.solver import SolverConfig
+from pcompliance.geometry import CrackSet
+from pcompliance.solver import SolverConfig, solve_cracks
+from pcompliance.sources import named_source
 
 
 def write_config(tmp_path, text):
@@ -157,14 +159,21 @@ def test_write_csv_layout(tmp_path):
 
 @pytest.mark.parametrize("shape", [(4, 5), (3, 2, 4)])
 def test_write_field_matches_per_node_write_csv(tmp_path, shape):
+    # the field file holds each node's value bit for bit, as the per-node
+    # CSV rows it replaced did through repr
     values = np.random.default_rng(3).standard_normal(shape) * 1e-3
     values.flat[:5] = [-0.0, float("nan"), float("inf"), float("-inf"), 1e300]
-    field = reporting.write_field(tmp_path / "field.csv", values, seed=4)
-    header = tuple(f"i{k}" for k in range(len(shape))) + ("value",)
-    rows = [idx + (values[idx],) for idx in np.ndindex(shape)]
-    per_node = reporting.write_csv(tmp_path / "rows.csv", header, rows, seed=4)
-    assert field.read_bytes() == per_node.read_bytes()
-    assert field.read_text().splitlines()[3] == ",".join(["0"] * len(shape) + ["-0.0"])
+    field = reporting.write_field(tmp_path / "field.npy", values)
+    loaded = np.load(field)
+    assert loaded.shape == shape and loaded.dtype == values.dtype
+    assert loaded.tobytes() == values.tobytes()
+    assert np.signbit(loaded.flat[0]) and np.isnan(loaded.flat[1])
+    for idx in np.ndindex(shape):
+        assert repr(loaded[idx]) == repr(values[idx])
+    again = reporting.write_field(tmp_path / "again.npy", values)
+    assert again.read_bytes() == field.read_bytes()
+    fortran = reporting.write_field(tmp_path / "fortran.npy", np.asfortranarray(values))
+    assert fortran.read_bytes() == field.read_bytes()
 
 
 def test_cli_solve_writes_reports(tmp_path, capsys):
@@ -178,7 +187,15 @@ heatmap = true
     code = cli.main(["solve", "--config", cfg, "--out", str(out), "--seed", "7"])
     assert code == 0
     assert (out / "solve.csv").is_file()
-    assert (out / "solution.csv").is_file()
+    assert not (out / "solution.csv").exists()
+    field = np.load(out / "solution.npy")
+    cfg_obj = load_config(cfg)
+    expected, _, _ = solve_cracks(
+        cfg_obj.problem, CrackSet.empty(),
+        named_source("bump", cfg_obj.problem.dim, cfg_obj.problem.half_width),
+        33, cfg_obj.solver)
+    assert field.shape == (33, 33)
+    assert field.tobytes() == expected.tobytes()
     svg = (out / "solution.svg").read_text()
     assert svg.startswith("<svg")
     assert "# seed=7" in (out / "solve.csv").read_text()

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.sparse as sp
 from pcompliance import quadratics
 from pcompliance.capacity import target_pins
 from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment, rasterize
-from pcompliance.solver import SolverConfig, cell_means, cell_means_adjoint, solve
+from pcompliance.solver import (SolverConfig, _frozen_weight_matrix, cell_means,
+                               cell_means_adjoint, solve)
 from pcompliance.sources import named_source, sample_on_grid
 
 
@@ -371,6 +373,53 @@ def test_unit_cell_coefficients_assemble_the_integer_tables_bit_for_bit(nodes, d
             grid, [[c * ones for c in row] for row in table], scale)
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(weighted, part), getattr(built, part)), name
+
+
+# blake2b-128 of K's indptr, indices and data bytes, recorded from the
+# constant-coefficient Gram builder before it took per-cell weights
+STIFFNESS_FINGERPRINTS = {
+    (6, 2): "89bd493caef21da696df71240c7fe73b",
+    (129, 2): "97daa43cf63d467f51243d19f09cb90d",
+    (433, 2): "0b06a29d6701a09d15004a999d2e20b3",
+    (5, 3): "c07bfc201f10981065df7b1722bb1b68",
+}
+
+
+@pytest.mark.parametrize("nodes,dim", list(STIFFNESS_FINGERPRINTS))
+def test_weighted_gram_builder_keeps_the_stiffness_bit_for_bit(nodes, dim):
+    grid = GridDiscretization(nodes, 1.0, dim)
+    stiffness = quadratics.stiffness_matrix(grid)
+    digest = hashlib.blake2b(digest_size=16)
+    for part in (stiffness.indptr, stiffness.indices, stiffness.data):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == STIFFNESS_FINGERPRINTS[nodes, dim]
+    # unit weights give K itself
+    weighted = quadratics._gram(grid, *quadratics.gradient_operator(dim, grid.h),
+                                np.ones(grid.cells_shape))
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(weighted, part), getattr(stiffness, part)), part
+
+
+def test_frozen_weight_energy_block_keeps_the_lattice_split():
+    # the p = 1.5 weights at the p = 2 field span 1.9-53 here, yet the
+    # block keeps K's X-shaped stencil, so the j-odd class stays diagonal
+    # and the V-cycle still applies
+    stiffness, load, pinned = crack_energy_case(129, 2)
+    grid = GridDiscretization(129, 1.0, 2)
+    u = quadratics.PinnedFactor(stiffness, pinned).solve(load.reshape(grid.shape))
+    block = _frozen_weight_matrix(u, grid, 1.5, 1e-8)
+    for part in ("indices", "indptr"):
+        assert np.array_equal(getattr(block, part), getattr(stiffness, part)), part
+    dense = block[: 3 * 129].toarray()
+    for offset in (1, 129):  # edge neighbours along j and i
+        node = 129 + 1
+        assert dense[node, node + offset] == 0.0
+        assert dense[node, node - offset] == 0.0
+    assert dense[130, 130 + 129 + 1] != 0.0
+    bits, _ = quadratics._diagonal_class(block, pinned)
+    assert bits == (0, 1)
+    assert isinstance(quadratics.approximate_inverse(block, pinned),
+                      quadratics.LatticeCycle)
 
 
 def mask_reference(h0, matrix, pinned, rhs):

@@ -412,6 +412,101 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
         np.testing.assert_array_equal(u, alone)
 
 
+def crack_case(nodes, dim=2):
+    grid = GridDiscretization(nodes, 1.0, dim)
+    start = (-0.5, 0.2) if dim == 2 else (-0.5, 0.0, 0.0)
+    mask = rasterize(CrackSet.of(axis_segment(start, 0, 1.0)), grid)
+    return grid, mask, sample_on_grid(named_source("bump", dim, 1.0), grid)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_energy_descent_above_the_coarse_size_factors_no_large_block(monkeypatch, p):
+    sizes = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    _, mask, f = crack_case(129)
+    _, report = solve(f, mask, p, SolverConfig(grad_tolerance=1e-8))
+    assert report.method == "descent" and report.residual <= 1e-8
+    # only the V-cycles' coarse blocks; the LU of K had 16 064 unknowns
+    assert sizes and max(sizes) <= quadratics._COARSE_SIZE
+    if p < 2:
+        # 81 iterations with the LU of K as H0
+        assert report.iterations <= 60
+
+
+def test_energy_batch_above_the_coarse_size_matches_solo_solves(monkeypatch):
+    cycles = []
+
+    class CountingCycle(quadratics.LatticeCycle):
+        def __init__(self, *args):
+            cycles.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(quadratics, "LatticeCycle", CountingCycle)
+    grid, mask, _ = crack_case(129)
+    sources = [bump_source(grid, center=(0.0, -0.3)), bump_source(grid, center=(0.4, 0.5))]
+    config = SolverConfig(grad_tolerance=1e-8)
+    # p < 2: each source's own frozen weights, from one shared p = 2 solve
+    batch = solve_batch(sources, mask, 1.5, config)
+    for f, (u, report) in zip(sources, batch):
+        alone, alone_report = solve(f, mask, 1.5, config)
+        np.testing.assert_array_equal(u, alone)
+        assert report == alone_report
+    # p > 2: one V-cycle of K serves both sources
+    cycles.clear()
+    batch = solve_batch(sources, mask, 3.0, config)
+    assert len(cycles) == 1
+    assert all(report.residual <= 1e-8 for _, report in batch)
+
+
+def lu_h0_field(f, mask, p, config, nonsingular=True):
+    """The descent with the shared LU of K as H0, from zero: the energy
+    path wherever K is factored."""
+    grid, pinned = mask.grid, mask.pinned
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    eps = config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max()), 1.0))
+    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, nonsingular)
+    result = descent.minimize(
+        lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
+        np.zeros(grid.shape), grad_tolerance=config.grad_tolerance,
+        max_iterations=config.max_iterations, precondition=factor.solve)
+    u = result.x
+    u[pinned] = 0.0
+    return u
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("case", ["33^2", "prefer_direct", "3-d", "gauge"])
+def test_energy_descent_keeps_the_lu_of_k_where_the_size_rule_factors(case, p):
+    config = SolverConfig(grad_tolerance=1e-8)
+    kwargs, nonsingular = {}, True
+    if case == "33^2":
+        _, mask, f = crack_case(33)
+    elif case == "prefer_direct":
+        # 65^2 would take the V-cycle without it
+        _, mask, f = crack_case(65)
+        config = SolverConfig(grad_tolerance=1e-8, prefer_direct=True)
+    elif case == "3-d":
+        # a 3-d block has no lattice, whatever prefer_direct says
+        _, mask, f = crack_case(9, dim=3)
+        config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
+    else:
+        # the pins of test_gauge_mask_p2_takes_descent: K is singular
+        cube = GridDiscretization(5, 1.0, 3)
+        pinned = np.zeros(cube.shape, dtype=bool)
+        pinned[1, 1:3, 1:3] = True
+        mask, f = ConstraintMask(cube, pinned), np.ones(cube.shape)
+        kwargs, nonsingular = {"require_boundary": False}, False
+    u, report = solve(f, mask, p, config, **kwargs)
+    assert report.method == "descent"
+    np.testing.assert_array_equal(u, lu_h0_field(f, mask, p, config, nonsingular))
+
+
 def test_batch_reports_each_source_its_own_cg_iterations():
     # 129^2: the Schur lattices coarsen, so each column runs PCG (at 65^2
     # their LUs back-substitute every column without iterating)
