@@ -208,9 +208,7 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
             # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
             # t = 0.08 segment), so H0 is the Hessian with the weights
             # frozen at the warm start: 71-93 L-BFGS iterations on
-            # 59^2-133^2 grids -> 19-24.  Where the warm start's size rule
-            # iterates in 2-d, H0 is one lattice V-cycle; at or below the
-            # coarse size, in 3-d or with prefer_direct, it is an LU
+            # 59^2-133^2 grids -> 19-24
             h0 = quadratics.approximate_inverse(
                 _frozen_weight_matrix(u, grid, p, eps), pinned,
                 config.prefer_direct)

@@ -3,12 +3,7 @@
 All solver contracts in this package certify convergence through the max norm
 of the projected gradient, so this loop tracks exactly that quantity.  The
 search direction is the two-loop L-BFGS recursion seeded with a caller's
-SPD preconditioner H0.  For the Poincare solver and the p > 2 capacity it
-is the factored p = 2 block.  For the energy it is the p = 2 block at
-p > 2, and at p < 2, as for the p < 2 capacity, the objective's Hessian
-with its p-density weights frozen at the p = 2 solution; on 2-d grids
-above the V-cycle's coarse size these are applied as one lattice V-cycle,
-and otherwise factored (the energy then takes the p = 2 block at every p).
+SPD preconditioner H0, an approximate inverse of the objective's Hessian.
 Whenever it fails to be a descent direction (or the line search stalls on
 it) the memory is dropped and the step retried along -H0 grad.
 """

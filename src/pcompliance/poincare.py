@@ -146,19 +146,21 @@ def _quotient_descent(grid: GridDiscretization, pinned: np.ndarray, p: float,
                       config: SolverConfig, nonsingular: bool) -> PoincareResult:
     """Minimize int|grad u|^p / int|u|^p over the unit sphere of fields.
 
-    H0 is the energy solver's: the quotient's Hessian at p = 2 is a
-    multiple of K - Q Mass, whose leading part the pinned K factor
-    inverts.
+    H0 approximates the inverse of the pinned K: the quotient's Hessian at
+    p = 2 is a multiple of K - Q Mass, whose leading part K is.
     """
     eps = config.resolve_eps(p, 1e-8)
-    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid),
-                              pinned, nonsingular)
+    stiffness = quadratics.stiffness_matrix(grid)
+    if nonsingular:
+        h0 = quadratics.approximate_inverse(stiffness, pinned, config.prefer_direct)
+    else:
+        h0 = stiffness_factor(grid, stiffness, pinned)
     result = descent.minimize(
         lambda u: _sphere_quotient(u, grid, pinned, p, eps),
         (~pinned).astype(float),
         grad_tolerance=config.grad_tolerance,
         max_iterations=config.max_iterations,
-        precondition=factor.solve)
+        precondition=h0.solve)
     residual = float(np.abs(result.gradient).max())
     report = PoincareResult(1.0 / result.value, p, 2.0 * grid.half_width, grid.h,
                             "descent", result.iterations, residual)

@@ -199,14 +199,11 @@ class PinnedFactor:
 
     pinned is the grid-shaped mask of held nodes; the free nodes are kept
     as one index array, which gathers and scatters several times faster
-    than the mask.  One factorization serves any number of `solve` calls:
-    linear solves, warm starts and a descent's inverse-Hessian guess H0: a
-    p = 2 block, or a p < 2 capacity's frozen-weight block where
-    `approximate_inverse` picks an LU over a `LatticeCycle` (3-d, small 2-d
-    blocks, prefer_direct).  Every block factored here is symmetric, so the
-    columns are ordered by minimum degree on A^T + A, which on 2-d grids
-    leaves about 40% less fill than the default COLAMD and halves each
-    back-substitution.
+    than the mask.  One factorization serves any number of `solve` calls,
+    linear solves and descent H0s alike.  Every block factored here is
+    symmetric, so the columns are ordered by minimum degree on A^T + A,
+    which on 2-d grids leaves about 40% less fill than the default COLAMD
+    and halves each back-substitution.
     """
 
     def __init__(self, matrix: sp.spmatrix, pinned: np.ndarray):
@@ -246,6 +243,10 @@ class IterationCount(int):
         count.columns = tuple(columns)
         return count
 
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes the columns
+        return (self.columns,)
+
 
 def solve_pinned(
     matrix: sp.spmatrix,
@@ -264,11 +265,8 @@ def solve_pinned(
     rhs, and the `IterationCount` of its columns.
 
     prefer_direct True factors the free block (`PinnedFactor`), False
-    runs CG, and None picks by size: CG above _COARSE_SIZE free nodes in
-    2-d, where the lattice V-cycle below beats an LU from a few thousand
-    unknowns up (161^2 capacity block on a 2-core box: 0.105 s by LU,
-    0.036 s by CG), and above 80 000 in 3-d, which has no lattice.  CG
-    first eliminates exactly the free nodes of a parity class whose
+    runs CG, and None picks by size (`_direct`).  CG first eliminates
+    exactly the free nodes of a parity class whose
     block is diagonal (`_diagonal_class`), then tightens a
     preconditioned conjugate gradient loop on the Schur complement of
     the rest, column by column, until its max-norm residual, which is
@@ -290,18 +288,31 @@ def solve_pinned(
 
 
 def _direct(pinned: np.ndarray, prefer_direct: bool | None) -> bool:
-    """The LU-or-iterate rule of `solve_pinned` and `approximate_inverse`."""
+    """The LU-or-iterate rule of `solve_pinned` and `approximate_inverse`:
+    prefer_direct if set, else an LU at or below _COARSE_SIZE free nodes
+    in every dimension (see `approximate_inverse` for the timings)."""
     if prefer_direct is not None:
         return prefer_direct
-    return (~pinned).sum() <= (_COARSE_SIZE if pinned.ndim == 2 else 80_000)
+    return (~pinned).sum() <= _COARSE_SIZE
 
 
 def approximate_inverse(matrix: sp.spmatrix, pinned: np.ndarray,
                         prefer_direct: bool | None = None
                         ) -> PinnedFactor | LatticeCycle:
-    """An SPD approximation of the free block's inverse, for a descent's H0:
-    a `LatticeCycle` where `solve_pinned` would iterate and the block has a
-    lattice map (2-d), else a `PinnedFactor`, never Jacobi."""
+    """An SPD approximation of the free block's inverse, for a descent's H0.
+
+    Every nonsingular descent H0 comes from here but the p > 2
+    capacity's, whose LU also gives its warm start; the caller only names
+    the Hessian model.  Where `solve_pinned` would iterate (`_direct`:
+    above _COARSE_SIZE free nodes unless prefer_direct is set) and the
+    block has a lattice map (2-d), H0 is one `LatticeCycle`; otherwise it
+    is a `PinnedFactor`, never Jacobi.  The same size rule serves
+    `solve_pinned`'s linear solves: the lattice
+    V-cycle's CG beats an LU from a few thousand unknowns up (161^2
+    capacity block: 0.105 s by LU, 0.036 s by CG), and in 3-d, with no
+    lattice, Jacobi CG beats it too above the coarse size (17^3 capacity
+    block: 0.109 s by LU, 0.008 s by CG; 2-core Intel Xeon).
+    """
     if pinned.ndim == 2 and not _direct(pinned, prefer_direct):
         csr = matrix.tocsr()
         bits, elim = _diagonal_class(csr, pinned)

@@ -55,20 +55,11 @@ class SolverConfig:
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
     p < 2.  prefer_direct picks a sparse LU (True) or preconditioned CG
-    (False) for the p = 2 linear solves and the p < 2 capacity's warm
-    start, None by size (`quadratics.solve_pinned`: CG above 2000 free
-    nodes in 2-d, with a lattice V-cycle as preconditioner, and above
-    80 000 in 3-d, with Jacobi).  The same rule picks the H0 of the
-    energy descents and the p < 2 capacity: where a 2-d p = 2 solve would
-    iterate, one lattice V-cycle of a Hessian model
-    (`quadratics.approximate_inverse`), and otherwise an LU.  The model
-    is the p = 2 block at p > 2 and the Hessian with its weights frozen
-    at the p = 2 solution at p < 2; an energy whose pinned p = 2 block
-    is singular keeps the LU of the shifted block.  The Poincare and
-    p > 2 capacity descents factor their H0, the p = 2 block, by LU
-    whatever prefer_direct says.  The problem picks the path
-    (`solve_method`), and the L-BFGS memory and line search are fixed in
-    `descent`.
+    (False) for the p = 2 linear solves and warm starts, and an LU or a
+    lattice V-cycle for the descent H0s; None picks by size
+    (`quadratics.approximate_inverse` states the rule).  The problem
+    picks the path (`solve_method`), and the L-BFGS memory and line
+    search are fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -242,14 +233,13 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     factorization or one preconditioner (`quadratics.solve_pinned`), and
     gives each report its own CG iteration count.  The descent path
     minimizes the distinct sources one after another, each L-BFGS
-    preconditioned by an H0 that `quadratics._direct`'s size rule picks.
-    Where a 2-d p = 2 solve would iterate and the pinned stiffness block
-    K is nonsingular, H0 is one lattice V-cycle: of K, shared by the
-    batch, at p > 2, and at p < 2 of the Hessian with its weights frozen
-    at the source's p = 2 solution, which is also its start (all distinct
-    sources' p = 2 solutions come from one `solve_pinned` call).
-    Otherwise K is factored once and its LU serves every source, each
-    started from zero.
+    preconditioned by the `quadratics.approximate_inverse` of a Hessian
+    model: the pinned stiffness block K, shared by the batch, at p > 2,
+    and at p < 2 the Hessian with its weights frozen at the source's
+    p = 2 solution, which is also its start (all distinct sources' p = 2
+    solutions come from one `solve_pinned` call).  A singular K takes the
+    LU of the shifted block (`stiffness_factor`), and each source starts
+    from zero there and at p > 2.
     Returns one (field, report) pair per source, in order, and raises
     NonConvergence for the first source whose solve misses the
     tolerance.  Non-finite source values raise ValueError before any
@@ -332,17 +322,14 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
                                  iterations.columns[column], 0)
                           for column, f in enumerate(fs)], order)
 
-    # H0 follows `solve_pinned`'s size rule: where it would iterate (2-d,
-    # above the coarse size) and K is nonsingular, H0 is one lattice
-    # V-cycle of a Hessian model, and otherwise the shared LU of K.  At
-    # p > 2 the model is K itself, one cycle for the batch.  At p < 2 it
-    # is the Hessian with its weights frozen at the source's p = 2
-    # solution, which is also the descent's start.  Against the LU of K
-    # on the 129^2 single-solves crack at tol 1e-8: 81 -> 45 iterations
-    # at p = 1.5, 48 -> 47 at p = 3
+    # H0 is the approximate inverse of a Hessian model: at p > 2 K itself,
+    # one for the batch; at p < 2 the Hessian with its weights frozen at
+    # the source's p = 2 solution, which is also the descent's start.
+    # Against the LU of K on the 129^2 single-solves crack at tol 1e-8:
+    # 81 -> 45 iterations at p = 1.5, 48 -> 47 at p = 3
     starts = itertools.repeat(None)
-    if not nonsingular or grid.dim != 2 or quadratics._direct(pinned, config.prefer_direct):
-        h0 = stiffness_factor(grid, stiffness, pinned, nonsingular)
+    if not nonsingular:
+        h0 = stiffness_factor(grid, stiffness, pinned)
     elif p > 2:
         h0 = quadratics.approximate_inverse(stiffness, pinned, config.prefer_direct)
     else:
@@ -380,21 +367,13 @@ def _in_order(solved: list, order: list[int]) -> list:
     return [solved[k] for k in order]
 
 
-def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray,
-                     nonsingular: bool) -> quadratics.PinnedFactor:
-    """The factored pinned p = 2 block whose inverse is a descent's H0:
-    the Poincare descent's, and the energy's wherever `solve_batch`'s
-    size rule factors (at or below the coarse size, 3-d, prefer_direct,
-    or a singular block).
-
-    K is the energy's Hessian at p = 2, and the two-loop recursion scales
-    its inverse.  When nonsingular is false, pure-gauge modes leave the
-    pinned block singular, and a small node mass lifts them.
-    """
-    block = stiffness
-    if not nonsingular:
-        block = stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
-    return quadratics.PinnedFactor(block, pinned)
+def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray
+                     ) -> quadratics.PinnedFactor:
+    """The LU of the pinned block K + _GAUGE_SHIFT * node mass, the H0 of
+    a descent whose pinned p = 2 block K is singular: a small node mass
+    lifts the pure-gauge modes that the pins leave."""
+    return quadratics.PinnedFactor(
+        stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid), pinned)
 
 
 def _frozen_weight_matrix(u: GridField, grid: GridDiscretization, p: float,

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -454,10 +455,14 @@ def test_frozen_weight_matrix_reproduces_the_gradient(dim, nodes):
 def test_capacity_sweep_process_pool_matches_serial():
     ts = [0.25, 0.5]
     config = SolverConfig(grad_tolerance=1e-7)
-    serial = capacity_sweep(ts, 1.5, box_half_width=1.0, config=config)
-    pooled = capacity_sweep(ts, 1.5, box_half_width=1.0, config=config, jobs=2)
-    assert [r.value for r in pooled] == [r.value for r in serial]
-    assert [r.iterations for r in pooled] == [r.iterations for r in serial]
+    # a p = 2 result's iterations are a `quadratics.IterationCount`, which
+    # the pool pickles
+    for p in (1.5, 2.0):
+        serial = capacity_sweep(ts, p, box_half_width=1.0, config=config)
+        pooled = capacity_sweep(ts, p, box_half_width=1.0, config=config, jobs=2)
+        assert [r.value for r in pooled] == [r.value for r in serial]
+        assert [r.iterations for r in pooled] == [r.iterations for r in serial]
+        assert copy.deepcopy(pooled) == pooled
 
 
 def test_capacity_nonconvergence_names_the_iteration_cap():

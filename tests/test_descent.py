@@ -3,8 +3,7 @@ import pytest
 
 from pcompliance import descent, quadratics
 from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment, rasterize
-from pcompliance.solver import (cell_means, cell_means_adjoint, energy_and_gradient,
-                                stiffness_factor)
+from pcompliance.solver import cell_means, cell_means_adjoint, energy_and_gradient
 from pcompliance.sources import named_source, sample_on_grid
 
 
@@ -107,13 +106,13 @@ def test_empty_problem_converges(precondition):
 
 
 def test_node_shaped_descent_matches_the_flat_run_bit_for_bit():
-    # the 33^2 crack energy at p = 1.5 with the stiffness factor as H0, run
+    # the 33^2 crack energy at p = 1.5 with the LU of K as H0, run
     # once on node fields and once on flat vectors
     grid = GridDiscretization(33, 1.0, 2)
     pinned = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid).pinned
     f = sample_on_grid(named_source("bump", 2, 1.0), grid)
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
-    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, True)
+    factor = quadratics.PinnedFactor(quadratics.stiffness_matrix(grid), pinned)
     p, eps = 1.5, 1e-8
 
     def flat(x):

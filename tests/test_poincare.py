@@ -218,6 +218,29 @@ def test_preconditioned_quotient_descent_converges_fast(nodes):
     assert result.best_constant == pytest.approx(tight.best_constant, rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_nonsingular_cube_above_the_coarse_size_takes_a_lattice_cycle_h0(monkeypatch, p):
+    cycles = []
+
+    class CountingCycle(quadratics.LatticeCycle):
+        def __init__(self, *args):
+            cycles.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(quadratics, "LatticeCycle", CountingCycle)
+    mask = crack_cube(1.0, 0.25, 65)
+    assert (~mask.pinned).sum() > quadratics._COARSE_SIZE
+    config = SolverConfig(grad_tolerance=1e-7)
+    result = best_poincare_constant(mask, p, config)
+    assert cycles == [1]
+    # the LU of K as H0 gives the same constant
+    cycles.clear()
+    lu = best_poincare_constant(mask, p, SolverConfig(grad_tolerance=1e-7,
+                                                      prefer_direct=True))
+    assert not cycles
+    assert result.best_constant == pytest.approx(lu.best_constant, rel=1e-6)
+
+
 def test_quotient_descent_factors_once(monkeypatch):
     calls = []
     splu = quadratics.spla.splu

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -132,17 +134,31 @@ def test_2d_blocks_above_the_coarse_size_take_the_v_cycle(monkeypatch, extra):
 
 
 @pytest.mark.parametrize("build", [crack_energy_case, capacity_case])
-def test_3d_blocks_keep_the_lu_below_80000_free_nodes(monkeypatch, build):
-    def no_cg(*args):
-        raise AssertionError("3-d block sent to CG")
+def test_3d_blocks_take_the_lu_up_to_the_coarse_size_and_cg_above(monkeypatch, build):
+    calls = []
+    reduced_cg = quadratics._reduced_cg
 
-    monkeypatch.setattr(quadratics, "_reduced_cg", no_cg)
-    matrix, rhs, pinned = build(17, 3)
-    assert quadratics._COARSE_SIZE < (~pinned).sum() <= 80_000
-    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned)
-    assert iterations == 0
-    # the parent's direct solve, bit for bit
-    assert u.tobytes() == quadratics.PinnedFactor(matrix, pinned).solve(rhs).tobytes()
+    def spy(*args):
+        calls.append(1)
+        return reduced_cg(*args)
+
+    monkeypatch.setattr(quadratics, "_reduced_cg", spy)
+    matrix, rhs, pins = build(15, 3)
+    for extra in (0, 1):
+        # the last free nodes pinned, down to the coarse size plus extra
+        pinned = pins.copy()
+        pinned.flat[np.flatnonzero(~pinned)[quadratics._COARSE_SIZE + extra:]] = True
+        assert (~pinned).sum() == quadratics._COARSE_SIZE + extra
+        calls.clear()
+        u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12)
+        lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
+        if extra == 0:
+            assert not calls and iterations == 0
+            assert u.tobytes() == lu.tobytes()
+        else:
+            # no lattice in 3-d: Jacobi CG
+            assert calls and iterations > 0
+            assert np.abs(u - lu).max() <= 1e-9 * np.abs(lu).max()
 
 
 @pytest.mark.parametrize("build,nodes,dim", [
@@ -515,3 +531,11 @@ def test_lattice_solves_build_no_sparse_matrix(monkeypatch):
         monkeypatch.setattr(cls, "transpose", no_transpose)
     for apply, rhs in cycles:
         apply(rhs)
+
+
+def test_iteration_count_survives_pickle_and_copy():
+    # a p = 2 capacity carries one across a process pool
+    count = quadratics.IterationCount([3, 0, 4])
+    for clone in (pickle.loads(pickle.dumps(count)), copy.deepcopy(count), copy.copy(count)):
+        assert type(clone) is quadratics.IterationCount
+        assert clone == 7 and clone.columns == (3, 0, 4)

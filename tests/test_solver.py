@@ -14,6 +14,7 @@ from pcompliance.geometry import (
 from pcompliance.solver import (
     ComplianceReport,
     SolverConfig,
+    _frozen_weight_matrix,
     cell_gradients,
     cell_gradients_adjoint,
     cell_means,
@@ -288,7 +289,7 @@ def test_linear_and_descent_paths_agree_for_p2():
     # takes them
     pinned = mask.pinned
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
-    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, True)
+    factor = quadratics.PinnedFactor(quadratics.stiffness_matrix(grid), pinned)
     result = descent.minimize(
         lambda u: energy_and_gradient(u, b, grid, pinned, 2.0, 0.0),
         np.zeros(grid.shape), grad_tolerance=1e-9, max_iterations=50_000,
@@ -465,15 +466,27 @@ def test_energy_batch_above_the_coarse_size_matches_solo_solves(monkeypatch):
 
 
 def lu_h0_field(f, mask, p, config, nonsingular=True):
-    """The descent with the shared LU of K as H0, from zero: the energy
-    path wherever K is factored."""
+    """The descent with the LU of its Hessian model as H0: from zero with
+    K (the gauge-shifted block where K is singular), and at p < 2 on a
+    nonsingular K from the p = 2 solution with the block whose weights
+    are frozen there."""
     grid, pinned = mask.grid, mask.pinned
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
     eps = config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max()), 1.0))
-    factor = stiffness_factor(grid, quadratics.stiffness_matrix(grid), pinned, nonsingular)
+    stiffness = quadratics.stiffness_matrix(grid)
+    start = np.zeros(grid.shape)
+    if not nonsingular:
+        factor = stiffness_factor(grid, stiffness, pinned)
+    elif p > 2:
+        factor = quadratics.PinnedFactor(stiffness, pinned)
+    else:
+        start, _ = quadratics.solve_pinned(
+            stiffness, b, pinned, grad_tolerance=config.grad_tolerance,
+            prefer_direct=config.prefer_direct)
+        factor = quadratics.PinnedFactor(_frozen_weight_matrix(start, grid, p, eps), pinned)
     result = descent.minimize(
         lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
-        np.zeros(grid.shape), grad_tolerance=config.grad_tolerance,
+        start, grad_tolerance=config.grad_tolerance,
         max_iterations=config.max_iterations, precondition=factor.solve)
     u = result.x
     u[pinned] = 0.0
@@ -483,6 +496,9 @@ def lu_h0_field(f, mask, p, config, nonsingular=True):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", ["33^2", "prefer_direct", "3-d", "gauge"])
 def test_energy_descent_keeps_the_lu_of_k_where_the_size_rule_factors(case, p):
+    # where `quadratics.approximate_inverse` factors, H0 is the LU of the
+    # Hessian model: K at p > 2, and at p < 2 the frozen-weight block at
+    # the p = 2 start; a singular K takes the shifted block's LU at any p
     config = SolverConfig(grad_tolerance=1e-8)
     kwargs, nonsingular = {}, True
     if case == "33^2":
@@ -492,7 +508,8 @@ def test_energy_descent_keeps_the_lu_of_k_where_the_size_rule_factors(case, p):
         _, mask, f = crack_case(65)
         config = SolverConfig(grad_tolerance=1e-8, prefer_direct=True)
     elif case == "3-d":
-        # a 3-d block has no lattice, whatever prefer_direct says
+        # a 3-d block has no lattice, so H0 is an LU whatever prefer_direct
+        # says, while the p = 2 start runs CG
         _, mask, f = crack_case(9, dim=3)
         config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
     else:
