@@ -21,6 +21,7 @@ leaves constants as the only zero-energy fields, which any pin removes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -163,8 +164,6 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    if config is None:
-        config = SolverConfig()
     if isinstance(target, CrackSet) and len(target) == 0:
         return CapacityResult(0.0, grid.half_width, grid.h, p,
                               grid.nodes_per_side, 0, 0, 0.0)
@@ -173,6 +172,34 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     if n_pinned == 0:
         raise DegenerateTarget(
             f"target captures no node at h = {grid.h:.4g}; refine the grid")
+    value, u, iterations, residual, reason, failure = _solve(
+        grid, pinned, p, config)
+    report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
+                            n_pinned, iterations, residual)
+    if failure is not None:
+        raise NonConvergence(failure, report=report, field=u, reason=reason)
+    return report
+
+
+def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
+           config: Optional[SolverConfig], gain: Optional[np.ndarray] = None):
+    """The capacity solve of `variational_capacity` on a pin mask:
+    (value, field, iterations, residual, descent stop reason, failure
+    message or None).
+
+    gain, a node field, multiplies the gradient in the reported residual,
+    and the solve's tolerance is grad_tolerance over its largest free
+    entry, so that residual meets grad_tolerance (`segment_capacity`'s
+    mirror part reports the full box's residual this way).
+    """
+    if config is None:
+        config = SolverConfig()
+    tolerance = config.grad_tolerance
+    if gain is not None:
+        tolerance /= float(gain[~pinned].max())
+
+    def residual_of(grad: np.ndarray) -> float:
+        return float(np.abs(grad if gain is None else grad * gain).max())
 
     # the mass term keeps the pinned p = 2 block nonsingular for any pins
     method = solve_method(p, True)
@@ -190,12 +217,12 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         # halved tolerance
         u, iterations = quadratics.solve_pinned(
             matrix, load, pinned,
-            grad_tolerance=0.5 * config.grad_tolerance,
+            grad_tolerance=0.5 * tolerance,
             prefer_direct=config.prefer_direct)
         u[pinned] = 1.0
     if method == "linear":
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
-        residual = float(np.abs(grad).max())
+        residual = residual_of(grad)
         if residual > config.grad_tolerance:
             failure = (f"linear path residual {residual:.3e} above tolerance "
                        f"{config.grad_tolerance:.3e}")
@@ -224,23 +251,21 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         w_node = quadratics.node_weights(grid)
         result = descent.minimize(
             lambda x: _capacity_gradient(x, grid, pinned, p, eps, w_node), u,
-            grad_tolerance=config.grad_tolerance,
+            grad_tolerance=tolerance,
             max_iterations=config.max_iterations,
             precondition=h0.solve)
         u = result.x
         u[pinned] = 1.0
         iterations, reason = result.iterations, result.reason
-        residual = float(np.abs(result.gradient).max())
-        if not result.converged:
+        residual = residual_of(result.gradient)
+        # a mirror part's descent can stall between its tightened tolerance
+        # and the full box's, whose residual it reports: that meets it.  A
+        # NaN residual fails
+        if not residual <= config.grad_tolerance:
             failure = (f"capacity minimization stopped ({reason}) at residual "
                        f"{residual:.3e} after {iterations} iterations")
         value, _ = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
-
-    report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
-                            n_pinned, iterations, residual)
-    if failure is not None:
-        raise NonConvergence(failure, report=report, field=u, reason=reason)
-    return report
+    return value, u, iterations, residual, reason, failure
 
 
 def check_resolution(resolution: int, name: str = "resolution") -> None:
@@ -282,8 +307,43 @@ def segment_capacity(t: float, p: float, dim: int = 2, resolution: int = 4,
                      box_half_width: Optional[float] = None,
                      center: Sequence[float] = (),
                      config: Optional[SolverConfig] = None) -> CapacityResult:
-    grid = segment_box(t, resolution, dim, box_half_width, center)
-    return variational_capacity(centered_segment(t, grid), p, grid, config)
+    """`variational_capacity` of the length-t axis segment centered in
+    `segment_box`, solved on one 2^dim-th of that box.
+
+    The segment and the box are mirror-symmetric in every node plane
+    through the box center c, and those planes split every cell whole.
+    Every term of the capacity (edge stiffness, corner p-density, node
+    mass and the frozen-weight block alike) is a sum over cells, so the
+    full objective at a symmetric field is 2^dim times that of the part
+    grid [c, c + L]^dim, L the half-width, with (n + 1) // 2 nodes per
+    side, the same h, and the half segment from c pinned.  The minimizer
+    is unique, hence symmetric, and the planes become natural boundaries.
+    On a part node with m mirror images the full gradient is 2^dim / m
+    times the part gradient, so the part solve runs at grad_tolerance /
+    2^(dim-1) and the report, value, grid, pin count and residual alike,
+    is the full box's; so is a NonConvergence's field, unfolded by
+    reflection.
+    """
+    if p <= 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    box = segment_box(t, resolution, dim, box_half_width, center)
+    half = 0.5 * box.half_width
+    part = GridDiscretization((box.nodes_per_side + 1) // 2, half, dim,
+                              tuple(c + half for c in box.center))
+    pinned = target_pins(axis_segment(box.center, 0, 0.5 * t), part)
+    # a node off the planes in k axes has 2^k mirror images
+    images = functools.reduce(
+        np.multiply.outer, [np.minimum(np.arange(part.nodes_per_side), 1) + 1] * dim)
+    value, u, iterations, residual, reason, failure = _solve(
+        part, pinned, p, config, 2 ** dim / images)
+    report = CapacityResult(2 ** dim * value, box.half_width, box.h, p,
+                            box.nodes_per_side, int(images[pinned].sum()),
+                            iterations, residual)
+    if failure is not None:
+        unfold = np.abs(np.arange(1 - part.nodes_per_side, part.nodes_per_side))
+        raise NonConvergence(failure, report=report, reason=reason,
+                             field=u[np.ix_(*[unfold] * dim)])
+    return report
 
 
 def point_capacity(p: float, grid: GridDiscretization,

@@ -553,7 +553,9 @@ def _hierarchy(a: sp.csr_matrix, slots: np.ndarray | None):
 def _prolongation(slots: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """Bilinear interpolation from the coarse slots s at 2 s, one row per
     fine slot (rows, 2), and the coarse slots of its columns; a coarse slot
-    that no row reads gets no column.
+    that no row reads gets no column, and neither does one whose column
+    depends on the others (`_dependent_ghosts`), so P has full column
+    rank and R A P stays nonsingular.
 
     A slot reads the coarse slots around it, 2^(number of odd coordinates)
     of them, each with the weight 1 / that count.
@@ -575,7 +577,55 @@ def _prolongation(slots: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     p = sp.csr_matrix((np.repeat(1.0 / count, count), column[key], indptr),
                       shape=(len(slots), int(column[-1]) + 1))
     coarse = np.stack(np.divmod(np.flatnonzero(used), width), axis=1)
+    dependent = _dependent_ghosts(p, count)
+    if len(dependent):
+        kept = np.setdiff1d(np.arange(p.shape[1]), dependent)
+        p, coarse = p[:, kept], coarse[kept]
     return p, coarse.astype(np.int32)
+
+
+def _dependent_ghosts(p: sp.csr_matrix, count: np.ndarray) -> np.ndarray:
+    """Columns of `_prolongation`'s P, with count entries per row, whose
+    removal leaves full column rank and the same range; empty unless P
+    has lost rank.
+
+    Only a ghost column, a coarse slot s with no fine slot at 2 s, can be
+    dependent: any other column c is read alone, with weight 1, by the
+    row of the fine slot 2 c, so a null vector of P is zero there.  A
+    ghost that some row reads as its only ghost is then zero in any null
+    vector as well.  On the rotated capacity lattices of 60^2 to 200^2
+    grids that peel leaves at most two ghosts, one of them dependent on
+    80^2, 100^2 and at level 1 of 142^2, and the remainder's later
+    columns that depend on its earlier ones are dropped.
+    """
+    # columns zero in every null vector: first those some row reads alone
+    zero = np.zeros(p.shape[1], dtype=bool)
+    zero[p.indices[p.indptr[:-1][count == 1]]] = True
+    ghost = np.flatnonzero(~zero[p.indices])  # the entries in ghost columns
+    row = np.searchsorted(p.indptr, ghost, side="right") - 1
+    zero[p.indices[ghost[np.bincount(row, minlength=p.shape[0])[row] == 1]]] = True
+    rest = np.flatnonzero(~zero)
+    if not len(rest):
+        return rest
+    # the rest's columns, dense on the rows that read them
+    in_rest = ~zero[p.indices[ghost]]
+    rows, block_row = np.unique(row[in_rest], return_inverse=True)
+    block = np.zeros((len(rows), len(rest)))
+    block[block_row, np.searchsorted(rest, p.indices[ghost[in_rest]])] = p.data[ghost[in_rest]]
+    # Gram-Schmidt, twice per column, keeps each column independent of the
+    # kept ones.  Elementwise sums: a first LAPACK call (a pivoted QR, say)
+    # costs a process about 1 MB of resident buffers
+    basis, dependent = [], []
+    for column, v in zip(rest, block.T.copy()):
+        size = np.sqrt((v * v).sum())
+        for q in basis + basis:
+            v -= (q * v).sum() * q
+        norm = np.sqrt((v * v).sum())
+        if norm <= 1e-10 * size:
+            dependent.append(column)
+        else:
+            basis.append(v / norm)
+    return np.array(dependent, dtype=np.int64)
 
 
 class _VCycle:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from pcompliance import descent, quadratics
+from pcompliance import capacity, descent, quadratics
 from pcompliance.capacity import (
     CapacityResult,
     _capacity_gradient,
@@ -307,7 +307,8 @@ def test_capacity_descent_factors_once(monkeypatch):
     # V-cycle, building no `PinnedFactor`; with prefer_direct or at or
     # below that size its H0 is one factor of the frozen-weight block, a
     # p > 2 descent factors 2(K + M) for both, and no descent factors
-    # anything while L-BFGS iterates
+    # anything while L-BFGS iterates.  Every block is the mirror part's,
+    # the quarter [0, 1]^2 of the box with the half segment from 0 pinned
     factored = []
     pinned_factor = quadratics.PinnedFactor
 
@@ -337,6 +338,7 @@ def test_capacity_descent_factors_once(monkeypatch):
     monkeypatch.setattr(quadratics, "PinnedFactor", CountingFactor)
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "minimize", watched_minimize)
+    h0_kinds = set()
     for resolution, p, prefer_direct in [(24, 1.5, None), (24, 3.0, None),
                                          (24, 1.5, True), (4, 1.5, None)]:
         factored.clear()
@@ -344,8 +346,9 @@ def test_capacity_descent_factors_once(monkeypatch):
         starts.clear()
         h0s.clear()
         config = SolverConfig(grad_tolerance=1e-7, prefer_direct=prefer_direct)
-        grid = segment_box(0.5, resolution, box_half_width=1.0)
-        pinned = target_pins(centered_segment(0.5, grid), grid)
+        box = segment_box(0.5, resolution, box_half_width=1.0)
+        grid = GridDiscretization((box.nodes_per_side + 1) // 2, 0.5, 2, (0.5, 0.5))
+        pinned = target_pins(axis_segment((0.0, 0.0), 0, 0.25), grid)
         block = (quadratics.edge_stiffness_matrix(grid)
                  + quadratics.node_mass_matrix(grid))
         result = segment_capacity(0.5, p, resolution=resolution,
@@ -353,6 +356,8 @@ def test_capacity_descent_factors_once(monkeypatch):
         assert result.iterations > 1
         assert during == [0]
         [h0] = h0s
+        assert starts[0].shape == grid.shape
+        h0_kinds.add(type(h0))
         if p > 2:
             assert len(factored) == 1
             assert (factored[0] != 2.0 * block).nnz == 0
@@ -367,6 +372,7 @@ def test_capacity_descent_factors_once(monkeypatch):
             frozen = _frozen_weight_matrix(starts[0], grid, p, 1e-4)
             assert (factored[1] != frozen).nnz == 0
             assert isinstance(h0, CountingFactor)
+    assert h0_kinds == {CountingFactor, quadratics.LatticeCycle}
 
 
 def test_lattice_cycle_h0_is_symmetric_positive_definite():
@@ -482,6 +488,28 @@ def test_capacity_nonconvergence_names_the_iteration_cap():
     assert report.value >= converged.value
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_capacity_failure_describes_the_full_box(dim):
+    config = SolverConfig(grad_tolerance=1e-12, max_iterations=2)
+    with pytest.raises(NonConvergence, match="iteration cap") as err:
+        segment_capacity(0.5, 3.0, dim, box_half_width=1.0, config=config)
+    grid = segment_box(0.5, 4, dim, box_half_width=1.0)
+    pinned = target_pins(centered_segment(0.5, grid), grid)
+    field, report = err.value.field, err.value.report
+    # the mirror part's field, unfolded by reflection in every axis
+    assert field.shape == grid.shape
+    for axis in range(dim):
+        np.testing.assert_array_equal(field, np.flip(field, axis))
+    assert np.all(field[pinned] == 1.0)
+    assert (report.nodes_per_side, report.box_half_width, report.pinned_nodes) == (
+        grid.nodes_per_side, grid.half_width, int(pinned.sum()))
+    # at p = 3 the descent runs at eps = 0, so the report's value and
+    # residual are the full box's objective and gradient at that field
+    value, grad = _capacity_gradient(field, grid, pinned, 3.0, 0.0)
+    assert report.value == pytest.approx(value, rel=1e-12)
+    assert report.residual == pytest.approx(float(np.abs(grad).max()), rel=1e-6)
+
+
 def test_capacity_descent_at_the_rounding_floor_stalls():
     # no tolerance is reachable: once steps round back to the same point the
     # descent must report a stall, not spin until the iteration cap
@@ -529,3 +557,53 @@ def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
     assert f"residual {report.residual:.3e} above" in str(err.value)
     converged = segment_capacity(0.5, 2.0, box_half_width=1.0)
     assert report.value >= converged.value
+
+
+# the crack-ladder rung n = 4 at a drawn epsilon: its mirror part has 80
+# nodes per side, an even lattice above the V-cycle's coarse size
+LADDER_T = 0.2571702570391694 / 4
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("t,resolution,box,dim,center", [
+    (0.5, 4, 1.0, 2, ()),                # 17^2, part 9^2
+    (0.5, 24, 1.0, 2, (0.013, -0.2)),    # 97^2 off the unit lattice, part 49^2
+    (LADDER_T, 4, None, 2, ()),          # 159^2, part 80^2
+    (0.5, 4, 1.0, 3, ()),                # 17^3, part 9^3
+])
+def test_segment_capacity_equals_the_full_box_solve(monkeypatch, t, resolution,
+                                                    box, dim, center, p):
+    # the full 17^3 descent stalls at its rounding floor near 4e-10
+    tolerance = 1e-10 if dim == 2 else 1e-9
+    config = SolverConfig(grad_tolerance=tolerance)
+    grid = segment_box(t, resolution, dim, box, center)
+    full = variational_capacity(centered_segment(t, grid), p, grid, config)
+
+    fields = []
+    gradient = _capacity_gradient
+
+    def recording(u, *args, **kwargs):
+        fields.append(u.copy())
+        return gradient(u, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "_capacity_gradient", recording)
+    part = segment_capacity(t, p, dim, resolution, box, center, config)
+    monkeypatch.undo()
+
+    assert part.nodes_per_side == full.nodes_per_side
+    assert part.box_half_width == full.box_half_width
+    assert part.grid_h == full.grid_h
+    assert part.pinned_nodes == full.pinned_nodes
+    assert part.value == pytest.approx(full.value, rel=1e-12 if p == 2 else 1e-8)
+    # the last evaluation is at the final field; unfolded by reflection it
+    # is a full-box field whose gradient's max norm the report carries
+    half = fields[-1]
+    assert half.shape == ((grid.nodes_per_side + 1) // 2,) * dim
+    unfold = np.abs(np.arange(1 - half.shape[0], half.shape[0]))
+    u = half[np.ix_(*[unfold] * dim)]
+    pinned = target_pins(centered_segment(t, grid), grid)
+    eps = config.resolve_eps(p, 1e-4)
+    _, grad = _capacity_gradient(u, grid, pinned, p, eps)
+    residual = float(np.abs(grad).max())
+    assert part.residual <= tolerance
+    assert part.residual == pytest.approx(residual, rel=1e-6)

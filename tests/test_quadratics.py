@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from pcompliance import quadratics
-from pcompliance.capacity import target_pins
+from pcompliance.capacity import target_pins, variational_capacity
 from pcompliance.geometry import CrackSet, GridDiscretization, axis_segment, rasterize
 from pcompliance.solver import (SolverConfig, _frozen_weight_matrix, cell_means,
                                cell_means_adjoint, solve)
@@ -315,6 +315,65 @@ def test_lattice_v_cycle_iterations_do_not_grow_with_the_grid(monkeypatch, kind)
     _, _, fine, _ = lattice_solve(monkeypatch, kind, 257)
     assert max(coarse + fine) <= 15
     assert all(abs(a - b) <= 3 for a, b in zip(coarse, fine))
+
+
+# even grids whose rotated capacity lattice had a dependent ghost column in
+# its bilinear P, at level 0 of 80^2 and 100^2 and at level 1 of 142^2, so
+# the Galerkin coarse matrix was singular and its LU raised
+EVEN_CAPACITY_GRIDS = [80, 100, 142]
+
+
+@pytest.mark.parametrize("nodes", EVEN_CAPACITY_GRIDS)
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_capacity_v_cycle_on_even_grids_matches_the_lu(nodes, p):
+    grid = GridDiscretization(nodes, 1.0, 2)
+    target = axis_segment((-0.25, 0.0), 0, 0.5)
+    # this target's p = 1.5 descent stalls near 1e-9 on 80^2 with either H0
+    cycle, lu = (variational_capacity(target, p, grid, SolverConfig(
+                     grad_tolerance=1e-8, prefer_direct=prefer_direct)).value
+                 for prefer_direct in (None, True))
+    assert cycle == pytest.approx(lu, rel=1e-8)
+
+
+@pytest.mark.parametrize("nodes", EVEN_CAPACITY_GRIDS)
+def test_prolongation_has_full_column_rank_on_even_grids(monkeypatch, nodes):
+    built = []
+    prolongation = quadratics._prolongation
+
+    def recorded(slots):
+        p, coarse = prolongation(slots)
+        built.append(p)
+        return p, coarse
+
+    monkeypatch.setattr(quadratics, "_prolongation", recorded)
+    matrix, rhs, pinned = capacity_case(nodes, 2)
+    quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-10,
+                            prefer_direct=False)
+    assert len(built) == (2 if nodes == 142 else 1)
+    for p in built:
+        # P^T P, exact in floating point, is SPD exactly when P has full
+        # column rank; elimination on its diagonal finds no tiny pivot
+        gram = (p.T @ p).tocsc()
+        lu = quadratics.spla.splu(gram, permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0,
+                                  options=dict(SymmetricMode=True))
+        pivots = lu.U.diagonal()
+        assert pivots.min() > 1e-6 * pivots.max()
+
+
+@pytest.mark.parametrize("nodes,iterations,compliance", [
+    (129, 14, "0x1.ef4dab1678174p-8"),
+    (433, 18, "0x1.e9974cdfebe6fp-8"),
+])
+def test_full_rank_lattice_hierarchies_are_unchanged(nodes, iterations, compliance):
+    # the p = 2 crack solves of the single-solves benchmark workload; the
+    # compliances were recorded before P dropped dependent ghost columns
+    grid = GridDiscretization(nodes, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
+    f = sample_on_grid(named_source("bump", 2, 1.0), grid)
+    _, report = solve(f, mask, 2.0, SolverConfig(grad_tolerance=1e-8))
+    assert report.iterations == iterations
+    assert report.compliance_energy_form.hex() == compliance
 
 
 @pytest.mark.parametrize("kind,nodes", sorted(JACOBI_PEAK_BYTES))
