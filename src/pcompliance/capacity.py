@@ -215,7 +215,7 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
     if method == "linear" or p < 2:
         # the nonlinear gradient is twice the row residual, hence the
         # halved tolerance
-        u, iterations = quadratics.solve_pinned(
+        u, iterations, _ = quadratics.solve_pinned(
             matrix, load, pinned,
             grad_tolerance=0.5 * tolerance,
             prefer_direct=config.prefer_direct)
@@ -243,9 +243,10 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
             # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
             # nodes for any pinning thanks to the mass term; at p > 2 the
             # frozen weights lose to it (17^3, p = 3: 27 -> 38 iterations,
-            # 1.7 times the time), so its factor gives both the warm start
-            # and H0
-            h0 = quadratics.PinnedFactor(2.0 * matrix, pinned)
+            # 1.7 times the time), so its approximate inverse gives both
+            # the warm start and H0
+            h0 = quadratics.approximate_inverse(2.0 * matrix, pinned,
+                                                config.prefer_direct)
             u = h0.solve(2.0 * load)
             u[pinned] = 1.0
         w_node = quadratics.node_weights(grid)

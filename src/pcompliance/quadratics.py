@@ -200,7 +200,9 @@ class PinnedFactor:
     pinned is the grid-shaped mask of held nodes; the free nodes are kept
     as one index array, which gathers and scatters several times faster
     than the mask.  One factorization serves any number of `solve` calls,
-    linear solves and descent H0s alike.  Every block factored here is
+    linear solves and descent H0s alike, and `lu`, the free block's own
+    SuperLU, serves a caller that works on free nodes only (the p = 2
+    Poincare eigensolver).  Every block factored here is
     symmetric, so the columns are ordered by minimum degree on A^T + A,
     which on 2-d grids leaves about 40% less fill than the default COLAMD
     and halves each back-substitution.
@@ -210,8 +212,8 @@ class PinnedFactor:
         self._size = pinned.size
         self._free = np.flatnonzero(~pinned.ravel())
         csr = matrix.tocsr()
-        self._lu = spla.splu(csr[self._free][:, self._free].tocsc(),
-                             permc_spec="MMD_AT_PLUS_A")
+        self.lu = spla.splu(csr[self._free][:, self._free].tocsc(),
+                            permc_spec="MMD_AT_PLUS_A")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The free block's inverse applied to rhs's free entries, shaped
@@ -223,29 +225,13 @@ class PinnedFactor:
         contiguous.
         """
         columns = rhs.reshape(self._size, -1)
-        x = self._lu.solve(columns.take(self._free, axis=0))
+        x = self.lu.solve(columns.take(self._free, axis=0))
         # allocated once the solve has returned and freed its copy of the
         # free right-hand sides; allocating it first keeps both alive and
         # raises the crack ladder's peak RSS
         u = np.zeros(columns.shape, order="F")
         u[self._free] = x
         return u.reshape(rhs.shape)
-
-
-class IterationCount(int):
-    """CG iterations summed over a solve's columns, with each column's own
-    count in `columns` (all 0 for a direct factorization)."""
-
-    columns: tuple[int, ...]
-
-    def __new__(cls, columns):
-        count = super().__new__(cls, sum(columns))
-        count.columns = tuple(columns)
-        return count
-
-    def __getnewargs__(self):
-        # pickle and copy rebuild through __new__, which takes the columns
-        return (self.columns,)
 
 
 def solve_pinned(
@@ -255,14 +241,15 @@ def solve_pinned(
     *,
     grad_tolerance: float = 1e-10,
     prefer_direct: bool | None = None,
-) -> tuple[np.ndarray, IterationCount]:
+) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Solve matrix @ u = rhs on free entries with pinned entries held at 0.
 
     pinned is the grid-shaped mask of held nodes, and rhs holds k
     right-hand sides in node-major order, which share one factorization
     or one preconditioner: a node field, a (*grid.shape, k) stack, a flat
     vector or an (n, k) block.  Returns the full solution, shaped like
-    rhs, and the `IterationCount` of its columns.
+    rhs, the CG iterations summed over its columns, and each column's own
+    count (all 0 for a direct factorization).
 
     prefer_direct True factors the free block (`PinnedFactor`), False
     runs CG, and None picks by size (`_direct`).  CG first eliminates
@@ -281,10 +268,9 @@ def solve_pinned(
     blocks have no lattice, and CG runs Jacobi-preconditioned there.
     """
     if _direct(pinned, prefer_direct):
-        return (PinnedFactor(matrix, pinned).solve(rhs),
-                IterationCount([0] * (rhs.size // pinned.size)))
+        return PinnedFactor(matrix, pinned).solve(rhs), 0, (0,) * (rhs.size // pinned.size)
     u, columns = _reduced_cg(matrix.tocsr(), rhs, pinned, grad_tolerance)
-    return u, IterationCount(columns)
+    return u, sum(columns), tuple(columns)
 
 
 def _direct(pinned: np.ndarray, prefer_direct: bool | None) -> bool:
@@ -301,13 +287,13 @@ def approximate_inverse(matrix: sp.spmatrix, pinned: np.ndarray,
                         ) -> PinnedFactor | LatticeCycle:
     """An SPD approximation of the free block's inverse, for a descent's H0.
 
-    Every nonsingular descent H0 comes from here but the p > 2
-    capacity's, whose LU also gives its warm start; the caller only names
-    the Hessian model.  Where `solve_pinned` would iterate (`_direct`:
-    above _COARSE_SIZE free nodes unless prefer_direct is set) and the
-    block has a lattice map (2-d), H0 is one `LatticeCycle`; otherwise it
-    is a `PinnedFactor`, never Jacobi.  The same size rule serves
-    `solve_pinned`'s linear solves: the lattice
+    Every descent H0 comes from here, and the caller only names the
+    Hessian model (a singular K's is the gauge-shifted block; the p > 2
+    capacity's `solve` also gives its warm start).  Where `solve_pinned`
+    would iterate (`_direct`: above _COARSE_SIZE free nodes unless
+    prefer_direct is set) and the block has a lattice map (2-d), H0 is
+    one `LatticeCycle`; otherwise it is a `PinnedFactor`, never Jacobi.
+    The same size rule serves `solve_pinned`'s linear solves: the lattice
     V-cycle's CG beats an LU from a few thousand unknowns up (161^2
     capacity block: 0.105 s by LU, 0.036 s by CG), and in 3-d, with no
     lattice, Jacobi CG beats it too above the coarse size (17^3 capacity
@@ -659,22 +645,13 @@ class _VCycle:
 
 def _pinned_cg(a_ff, b: np.ndarray, precond, grad_tolerance: float) -> tuple[np.ndarray, int]:
     x = np.zeros(len(b))
-    iterations = 0
     atol = max(0.3 * grad_tolerance, 1e-14 * float(np.linalg.norm(b)))
+    steps = []
     for _ in range(4):
-        counter = _IterationCounter()
-        x, info = spla.cg(a_ff, b, x0=x, rtol=0.0, atol=atol, maxiter=20 * len(b), M=precond, callback=counter)
-        iterations += counter.count
+        x, info = spla.cg(a_ff, b, x0=x, rtol=0.0, atol=atol, maxiter=20 * len(b), M=precond,
+                          callback=lambda _: steps.append(1))
         residual = np.abs(b - a_ff @ x).max(initial=0.0)
         if residual <= grad_tolerance or info != 0:
             break
         atol *= 0.05
-    return x, iterations
-
-
-class _IterationCounter:
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, _):
-        self.count += 1
+    return x, len(steps)

@@ -56,10 +56,11 @@ class SolverConfig:
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
     p < 2.  prefer_direct picks a sparse LU (True) or preconditioned CG
     (False) for the p = 2 linear solves and warm starts, and an LU or a
-    lattice V-cycle for the descent H0s; None picks by size
-    (`quadratics.approximate_inverse` states the rule).  The problem
-    picks the path (`solve_method`), and the L-BFGS memory and line
-    search are fixed in `descent`.
+    lattice V-cycle for every descent H0; None picks by size
+    (`quadratics.approximate_inverse` states the rule).  The p = 2
+    Poincare eigensolver needs an exact inverse and factors K at every
+    size.  The problem picks the path (`solve_method`), and the L-BFGS
+    memory and line search are fixed in `descent`.
     """
 
     grad_tolerance: float = 1e-8
@@ -238,8 +239,8 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     and at p < 2 the Hessian with its weights frozen at the source's
     p = 2 solution, which is also its start (all distinct sources' p = 2
     solutions come from one `solve_pinned` call).  A singular K takes the
-    LU of the shifted block (`stiffness_factor`), and each source starts
-    from zero there and at p > 2.
+    approximate inverse of the shifted block (`gauge_shifted`) at any p,
+    and each source starts from zero there and at p > 2.
     Returns one (field, report) pair per source, in order, and raises
     NonConvergence for the first source whose solve misses the
     tolerance.  Non-finite source values raise ValueError before any
@@ -310,28 +311,29 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
         rhs = np.empty(grid.shape + (len(fs),))
         for column, b in enumerate(loads):
             rhs[..., column] = b
-        fields, iterations = quadratics.solve_pinned(
+        fields, _, columns = quadratics.solve_pinned(
             stiffness, rhs, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        return rhs, fields, iterations
+        return rhs, fields, columns
 
     if method == "linear":
-        rhs, fields, iterations = solve_p2()
+        rhs, fields, columns = solve_p2()
         return _in_order([finish(fields[..., column], rhs[..., column], eps_for(f),
-                                 iterations.columns[column], 0)
+                                 columns[column], 0)
                           for column, f in enumerate(fs)], order)
 
-    # H0 is the approximate inverse of a Hessian model: at p > 2 K itself,
-    # one for the batch; at p < 2 the Hessian with its weights frozen at
-    # the source's p = 2 solution, which is also the descent's start.
-    # Against the LU of K on the 129^2 single-solves crack at tol 1e-8:
-    # 81 -> 45 iterations at p = 1.5, 48 -> 47 at p = 3
+    # H0 is the approximate inverse of a Hessian model.  At p > 2, and at
+    # any p where K is singular, that is K (gauge-shifted if singular),
+    # one for the batch; at p < 2 it is the Hessian with its weights
+    # frozen at the source's p = 2 solution, which is also the descent's
+    # start.  Against the LU of K on the 129^2 single-solves crack at tol
+    # 1e-8: 81 -> 45 iterations at p = 1.5, 48 -> 47 at p = 3
     starts = itertools.repeat(None)
-    if not nonsingular:
-        h0 = stiffness_factor(grid, stiffness, pinned)
-    elif p > 2:
-        h0 = quadratics.approximate_inverse(stiffness, pinned, config.prefer_direct)
+    if not nonsingular or p > 2:
+        h0 = quadratics.approximate_inverse(
+            stiffness if nonsingular else gauge_shifted(grid, stiffness),
+            pinned, config.prefer_direct)
     else:
         # every distinct source's p = 2 solution from one call, so the
         # sources share one V-cycle setup
@@ -367,13 +369,11 @@ def _in_order(solved: list, order: list[int]) -> list:
     return [solved[k] for k in order]
 
 
-def stiffness_factor(grid: GridDiscretization, stiffness, pinned: np.ndarray
-                     ) -> quadratics.PinnedFactor:
-    """The LU of the pinned block K + _GAUGE_SHIFT * node mass, the H0 of
-    a descent whose pinned p = 2 block K is singular: a small node mass
-    lifts the pure-gauge modes that the pins leave."""
-    return quadratics.PinnedFactor(
-        stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid), pinned)
+def gauge_shifted(grid: GridDiscretization, stiffness: sp.spmatrix) -> sp.csr_matrix:
+    """K + _GAUGE_SHIFT * node mass, the Hessian model of a descent whose
+    pinned p = 2 block K is singular: a small node mass lifts the
+    pure-gauge modes that the pins leave."""
+    return stiffness + _GAUGE_SHIFT * quadratics.node_mass_matrix(grid)
 
 
 def _frozen_weight_matrix(u: GridField, grid: GridDiscretization, p: float,

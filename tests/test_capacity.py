@@ -163,7 +163,7 @@ def test_linear_and_descent_capacities_agree_for_p2():
     pinned = target_pins(seg, grid)
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
-    factor = quadratics.PinnedFactor(2.0 * matrix, pinned)
+    factor = quadratics.approximate_inverse(2.0 * matrix, pinned)
     x0 = factor.solve(-2.0 * (matrix @ pinned.ravel().astype(float)).reshape(grid.shape))
     x0[pinned] = 1.0
     result = descent.minimize(lambda x: _capacity_gradient(x, grid, pinned, 2.0, 0.0),
@@ -304,9 +304,10 @@ def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iter
 def test_capacity_descent_factors_once(monkeypatch):
     # above the V-cycle's coarse size a p < 2 descent takes its warm start
     # from the lattice V-cycle and applies its frozen-weight H0 as one
-    # V-cycle, building no `PinnedFactor`; with prefer_direct or at or
-    # below that size its H0 is one factor of the frozen-weight block, a
-    # p > 2 descent factors 2(K + M) for both, and no descent factors
+    # V-cycle, and a p > 2 descent takes both from one V-cycle of
+    # 2(K + M), building no `PinnedFactor`; with prefer_direct or at or
+    # below that size a p < 2 H0 is one factor of the frozen-weight block
+    # and a p > 2 descent factors 2(K + M) for both.  No descent factors
     # anything while L-BFGS iterates.  Every block is the mirror part's,
     # the quarter [0, 1]^2 of the box with the half segment from 0 pinned
     factored = []
@@ -340,7 +341,8 @@ def test_capacity_descent_factors_once(monkeypatch):
     monkeypatch.setattr(descent, "minimize", watched_minimize)
     h0_kinds = set()
     for resolution, p, prefer_direct in [(24, 1.5, None), (24, 3.0, None),
-                                         (24, 1.5, True), (4, 1.5, None)]:
+                                         (24, 1.5, True), (24, 3.0, True),
+                                         (4, 1.5, None), (4, 3.0, None)]:
         factored.clear()
         during.clear()
         starts.clear()
@@ -358,11 +360,19 @@ def test_capacity_descent_factors_once(monkeypatch):
         [h0] = h0s
         assert starts[0].shape == grid.shape
         h0_kinds.add(type(h0))
-        if p > 2:
+        cycle = (~pinned).sum() > quadratics._COARSE_SIZE and not prefer_direct
+        if p > 2 and cycle:
+            assert factored == []
+            assert isinstance(h0, quadratics.LatticeCycle)
+            # the cycle of 2(K + M), bit for bit
+            probe = np.random.default_rng(3).standard_normal(grid.shape)
+            reference = quadratics.approximate_inverse(2.0 * block, pinned)
+            assert h0.solve(probe).tobytes() == reference.solve(probe).tobytes()
+        elif p > 2:
             assert len(factored) == 1
             assert (factored[0] != 2.0 * block).nnz == 0
             assert isinstance(h0, CountingFactor)
-        elif (~pinned).sum() > quadratics._COARSE_SIZE and not prefer_direct:
+        elif cycle:
             assert factored == []
             assert isinstance(h0, quadratics.LatticeCycle)
         else:
@@ -383,7 +393,7 @@ def test_lattice_cycle_h0_is_symmetric_positive_definite():
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
     load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
-    u, _ = quadratics.solve_pinned(matrix, load, pinned, grad_tolerance=1e-8)
+    u, _, _ = quadratics.solve_pinned(matrix, load, pinned, grad_tolerance=1e-8)
     u[pinned] = 1.0
     h0 = quadratics.approximate_inverse(_frozen_weight_matrix(u, grid, 1.5, 1e-3), pinned)
     assert isinstance(h0, quadratics.LatticeCycle)
@@ -461,8 +471,8 @@ def test_frozen_weight_matrix_reproduces_the_gradient(dim, nodes):
 def test_capacity_sweep_process_pool_matches_serial():
     ts = [0.25, 0.5]
     config = SolverConfig(grad_tolerance=1e-7)
-    # a p = 2 result's iterations are a `quadratics.IterationCount`, which
-    # the pool pickles
+    # the pool pickles each result, a p = 2 one with the linear solve's
+    # summed CG count
     for p in (1.5, 2.0):
         serial = capacity_sweep(ts, p, box_half_width=1.0, config=config)
         pooled = capacity_sweep(ts, p, box_half_width=1.0, config=config, jobs=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from pcompliance import quadratics
 from pcompliance.errors import NonConvergence, UnpinnedMask
@@ -175,10 +176,9 @@ def test_quotient_descent_nonconvergence_names_the_iteration_cap():
 
 
 def test_eigen_path_gates_the_eigsh_residual():
-    # 65^2 has more free nodes than the dense eigh handles, so eigsh runs
     mask = crack_cube(1.0, 0.25, 65)
     result = _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
-    assert 0.0 < result.best_constant < 1.0 and result.residual <= 1e-12
+    assert 0.0 < result.best_constant < 1.0 and 0.0 < result.residual <= 1e-12
     # the 3-d cube's pinned stiffness block is singular (a pure-gauge mode
     # clears the pins), so eigsh returns a spurious mu with residual ~ 1
     mask = crack_cube(1.0, 0.25, 17, dim=3)
@@ -198,10 +198,49 @@ def test_eigen_path_gates_the_eigsh_residual():
 
 
 def test_eigen_path_gates_the_dense_residual():
-    # 17^2 has few enough free nodes for the dense eigh
+    # 17^2 once took a dense eigh; eigsh now runs at every size and must
+    # keep the same residual gate there
     mask = crack_cube(1.0, 0.25, 17)
     result = _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
     assert 0.0 < result.best_constant < 1.0 and 0.0 < result.residual <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", [17, 33, 65])
+def test_eigen_path_factors_once_and_matches_a_dense_oracle(monkeypatch, nodes):
+    calls = []
+    splu = quadratics.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
+    mask = crack_cube(1.0, 0.25, nodes)
+    result = _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
+    free = ~mask.pinned.ravel()
+    assert calls == [(free.sum(),) * 2]
+    k_ff = quadratics.stiffness_matrix(mask.grid)[free][:, free]
+    m_ff = quadratics.mass_matrix(mask.grid)[free][:, free]
+    if nodes < 65:
+        # the dense generalized eigenproblem of the same free blocks
+        oracle = scipy.linalg.eigh(m_ff.toarray(), k_ff.toarray(), eigvals_only=True)[-1]
+    else:
+        # a dense eigh takes about 20 s here; eigsh with SciPy's own K^-1
+        oracle = spla.eigsh(m_ff, k=1, M=k_ff.tocsc(), which="LA",
+                            return_eigenvectors=False)[0]
+    assert result.best_constant == pytest.approx(oracle, rel=1e-12)
+
+
+def test_eigen_path_takes_one_free_node_without_arpack():
+    # eigsh warns and gives up for k >= n, so one free node is M / K
+    grid = GridDiscretization(3, 0.5, 2)
+    pinned = np.ones(grid.shape, dtype=bool)
+    pinned[1, 1] = False
+    result = _largest_mass_over_stiffness(grid, pinned, 2.0)
+    k = quadratics.stiffness_matrix(grid)[4, 4]
+    m = quadratics.mass_matrix(grid)[4, 4]
+    assert result.best_constant == pytest.approx(m / k, rel=1e-15)
+    assert result.residual == 0.0
 
 
 @pytest.mark.parametrize("nodes", [17, 33, 65])

@@ -1,6 +1,4 @@
-import copy
 import hashlib
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -69,11 +67,11 @@ def test_eliminated_parity_class_has_a_diagonal_block(build, nodes, dim, bits):
 def test_reduced_cg_matches_lu(build, nodes, dim):
     matrix, rhs, pinned = build(nodes, dim)
     tolerance = 1e-12
-    lu, _ = quadratics.solve_pinned(matrix, rhs, pinned,
-                                    grad_tolerance=tolerance, prefer_direct=True)
-    cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned,
-                                             grad_tolerance=tolerance,
-                                             prefer_direct=False)
+    lu, _, _ = quadratics.solve_pinned(matrix, rhs, pinned,
+                                       grad_tolerance=tolerance, prefer_direct=True)
+    cg, iterations, _ = quadratics.solve_pinned(matrix, rhs, pinned,
+                                                grad_tolerance=tolerance,
+                                                prefer_direct=False)
     # these 2-d lattices have no coarse level, and their LU back-substitutes
     # every column; 3-d blocks run Jacobi PCG
     assert (iterations == 0) == (dim == 2)
@@ -87,20 +85,21 @@ def test_reduced_cg_matches_lu_column_by_column():
     matrix, load, pinned = crack_energy_case(33, 2)
     rhs = np.column_stack([load, -2.0 * load[::-1]])
     tolerance = 1e-12
-    lu, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
-                                    prefer_direct=True)
-    cg, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
-                                             prefer_direct=False)
+    lu, _, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=tolerance,
+                                       prefer_direct=True)
+    cg, iterations, columns = quadratics.solve_pinned(matrix, rhs, pinned,
+                                                      grad_tolerance=tolerance,
+                                                      prefer_direct=False)
     assert cg.shape == rhs.shape
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
     # each column's field, bit for bit, and its own count, as if it had
     # been solved alone
     alone = [quadratics.solve_pinned(matrix, rhs[:, j], pinned, grad_tolerance=tolerance,
                                      prefer_direct=False) for j in range(2)]
-    for j, (u, _) in enumerate(alone):
+    for j, (u, _, _) in enumerate(alone):
         assert cg[:, j].tobytes() == u.tobytes()
-    counts = tuple(count for _, count in alone)
-    assert iterations.columns == counts
+    counts = tuple(count for _, count, _ in alone)
+    assert columns == counts
     # both lattices are back-substituted by their LU, which meets the tolerance
     assert iterations == sum(counts) and counts == (0, 0)
 
@@ -121,10 +120,11 @@ def test_2d_blocks_above_the_coarse_size_take_the_v_cycle(monkeypatch, extra):
     pinned.flat[np.flatnonzero(~pinned)[quadratics._COARSE_SIZE + extra:]] = True
     matrix = quadratics.stiffness_matrix(grid)
     rhs = np.ones(grid.shape)
-    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12)
+    u, iterations, columns = quadratics.solve_pinned(matrix, rhs, pinned,
+                                                     grad_tolerance=1e-12)
     lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
     if extra == 0:
-        assert not calls and iterations == 0 and iterations.columns == (0,)
+        assert not calls and iterations == 0 and columns == (0,)
         assert u.tobytes() == lu.tobytes()
     else:
         # both Schur lattices are at or below the coarse size, and their LU
@@ -150,7 +150,7 @@ def test_3d_blocks_take_the_lu_up_to_the_coarse_size_and_cg_above(monkeypatch, b
         pinned.flat[np.flatnonzero(~pinned)[quadratics._COARSE_SIZE + extra:]] = True
         assert (~pinned).sum() == quadratics._COARSE_SIZE + extra
         calls.clear()
-        u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12)
+        u, iterations, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12)
         lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
         if extra == 0:
             assert not calls and iterations == 0
@@ -211,7 +211,7 @@ def test_tiny_free_blocks_solve(prefer_direct, free_center):
     pinned = np.ones(grid.shape, dtype=bool)
     pinned[1, 1] = not free_center
     rhs = np.ones(grid.n_nodes)
-    u, _ = quadratics.solve_pinned(matrix, rhs, pinned, prefer_direct=prefer_direct)
+    u, _, _ = quadratics.solve_pinned(matrix, rhs, pinned, prefer_direct=prefer_direct)
     assert np.all(u[pinned.ravel()] == 0)
     assert np.abs((matrix @ u - rhs)[~pinned.ravel()]).max(initial=0.0) <= 1e-12
 
@@ -253,8 +253,8 @@ def lattice_solve(monkeypatch, kind, nodes):
     monkeypatch.setattr(quadratics, "_pinned_cg", counted_cg)
     monkeypatch.setattr(quadratics, "_prolongation", counted_prolongation)
     matrix, rhs, pinned = CASES[kind](nodes, 2)
-    u, iterations = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
-                                            prefer_direct=False)
+    u, iterations, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
+                                               prefer_direct=False)
     assert sum(counts) == iterations
     return (matrix, rhs, pinned), u, counts, levels
 
@@ -288,8 +288,8 @@ def test_lattices_that_a_matrix_couples_fall_back_to_jacobi():
     assert bits == (0, 1)
     keep = ~pinned.ravel() & ~elim
     assert [slots for _, slots in quadratics._lattices(matrix, pinned, bits, keep)] == [None]
-    cg, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
-                                    prefer_direct=False)
+    cg, _, _ = quadratics.solve_pinned(matrix, rhs, pinned, grad_tolerance=1e-12,
+                                       prefer_direct=False)
     lu = quadratics.PinnedFactor(matrix, pinned).solve(rhs)
     assert np.abs(cg - lu).max() <= 1e-10 * np.abs(lu).max()
 
@@ -505,7 +505,7 @@ def mask_reference(h0, matrix, pinned, rhs):
     u = np.zeros(columns.shape, order="F")
     if isinstance(h0, quadratics.PinnedFactor):
         free = ~pinned.ravel()
-        u[free] = h0._lu.solve(columns[free])
+        u[free] = h0.lu.solve(columns[free])
         return u.reshape(rhs.shape)
     _, elim = quadratics._diagonal_class(matrix.tocsr(), pinned)
     keep = ~pinned.ravel() & ~elim
@@ -590,11 +590,3 @@ def test_lattice_solves_build_no_sparse_matrix(monkeypatch):
         monkeypatch.setattr(cls, "transpose", no_transpose)
     for apply, rhs in cycles:
         apply(rhs)
-
-
-def test_iteration_count_survives_pickle_and_copy():
-    # a p = 2 capacity carries one across a process pool
-    count = quadratics.IterationCount([3, 0, 4])
-    for clone in (pickle.loads(pickle.dumps(count)), copy.deepcopy(count), copy.copy(count)):
-        assert type(clone) is quadratics.IterationCount
-        assert clone == 7 and clone.columns == (3, 0, 4)

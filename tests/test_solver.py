@@ -26,10 +26,10 @@ from pcompliance.solver import (
     energy_gradient,
     flux,
     flux_pnorm,
+    gauge_shifted,
     gradient_pnorm,
     solve,
     solve_batch,
-    stiffness_factor,
     zero_energy_modes,
 )
 from pcompliance.sources import GaussianBump, named_source, random_smooth, sample_on_grid
@@ -476,11 +476,11 @@ def lu_h0_field(f, mask, p, config, nonsingular=True):
     stiffness = quadratics.stiffness_matrix(grid)
     start = np.zeros(grid.shape)
     if not nonsingular:
-        factor = stiffness_factor(grid, stiffness, pinned)
+        factor = quadratics.PinnedFactor(gauge_shifted(grid, stiffness), pinned)
     elif p > 2:
         factor = quadratics.PinnedFactor(stiffness, pinned)
     else:
-        start, _ = quadratics.solve_pinned(
+        start, _, _ = quadratics.solve_pinned(
             stiffness, b, pinned, grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
         factor = quadratics.PinnedFactor(_frozen_weight_matrix(start, grid, p, eps), pinned)
