@@ -156,11 +156,19 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
                          config: Optional[SolverConfig] = None) -> CapacityResult:
     """Capacity estimate for a target pinned to 1 inside `grid`'s box.
 
+    On an odd grid whose pins are mirror-symmetric in every node plane
+    through the box center, the solve runs on one 2^dim-th of the box:
+    the planes split every cell, the objective is a cell sum, and the
+    unique minimizer is symmetric.  A part node with m mirror images
+    carries 2^dim / m times the part gradient, so the part solve runs at
+    grad_tolerance / 2^(dim-1).  Either way the report (value, grid, pin
+    count, residual) is the full box's.
+
     Raises DegenerateTarget when a nonempty segment target captures no
     node at this resolution, and NonConvergence when the linear or descent
-    solve stops above grad_tolerance, with the last field and a partial
-    CapacityResult whose value, the eps = 0 objective at that admissible
-    field, is still an upper bound.  The empty set returns exactly 0.
+    solve stops above grad_tolerance, with the last full-box field and a
+    partial CapacityResult whose value, the eps = 0 objective at that
+    admissible field, is still an upper bound.  The empty set returns 0.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -172,31 +180,47 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     if n_pinned == 0:
         raise DegenerateTarget(
             f"target captures no node at h = {grid.h:.4g}; refine the grid")
-    value, u, iterations, residual, reason, failure = _solve(
-        grid, pinned, p, config)
+    dim, mid = grid.dim, grid.nodes_per_side // 2
+    fold = grid.nodes_per_side % 2 == 1 and all(
+        np.array_equal(pinned, np.flip(pinned, k)) for k in range(dim))
+    if fold:
+        # a node off the planes in k axes has 2^k mirror images
+        images = functools.reduce(
+            np.multiply.outer, [np.minimum(np.arange(mid + 1), 1) + 1] * dim)
+        # the solve reads only h and the shape, so the part keeps c at 0
+        value, u, iterations, residual, reason, failure = _solve(
+            GridDiscretization(mid + 1, 0.5 * grid.half_width, dim),
+            pinned[(slice(mid, None),) * dim], p, config, 2 ** dim / images)
+        value *= 2 ** dim
+    else:
+        value, u, iterations, residual, reason, failure = _solve(
+            grid, pinned, p, config)
     report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
                             n_pinned, iterations, residual)
     if failure is not None:
+        if fold:  # unfold the part's field by reflection in every axis
+            u = u[np.ix_(*[np.abs(np.arange(-mid, mid + 1))] * dim)]
         raise NonConvergence(failure, report=report, field=u, reason=reason)
     return report
 
 
 def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
            config: Optional[SolverConfig], gain: Optional[np.ndarray] = None):
-    """The capacity solve of `variational_capacity` on a pin mask:
-    (value, field, iterations, residual, descent stop reason, failure
-    message or None).
+    """The capacity solve of `variational_capacity` on a pin mask, of the
+    full box or of its mirror part: (value, field, iterations, residual,
+    descent stop reason, failure message or None), all of `grid`.
 
     gain, a node field, multiplies the gradient in the reported residual,
     and the solve's tolerance is grad_tolerance over its largest free
-    entry, so that residual meets grad_tolerance (`segment_capacity`'s
-    mirror part reports the full box's residual this way).
+    entry (1 on a fully pinned grid), so that residual meets
+    grad_tolerance (a mirror part, with gain 2^dim / images, reports the
+    full box's residual this way).
     """
     if config is None:
         config = SolverConfig()
     tolerance = config.grad_tolerance
     if gain is not None:
-        tolerance /= float(gain[~pinned].max())
+        tolerance /= float(gain[~pinned].max(initial=1.0))
 
     def residual_of(grad: np.ndarray) -> float:
         return float(np.abs(grad if gain is None else grad * gain).max())
@@ -309,42 +333,9 @@ def segment_capacity(t: float, p: float, dim: int = 2, resolution: int = 4,
                      center: Sequence[float] = (),
                      config: Optional[SolverConfig] = None) -> CapacityResult:
     """`variational_capacity` of the length-t axis segment centered in
-    `segment_box`, solved on one 2^dim-th of that box.
-
-    The segment and the box are mirror-symmetric in every node plane
-    through the box center c, and those planes split every cell whole.
-    Every term of the capacity (edge stiffness, corner p-density, node
-    mass and the frozen-weight block alike) is a sum over cells, so the
-    full objective at a symmetric field is 2^dim times that of the part
-    grid [c, c + L]^dim, L the half-width, with (n + 1) // 2 nodes per
-    side, the same h, and the half segment from c pinned.  The minimizer
-    is unique, hence symmetric, and the planes become natural boundaries.
-    On a part node with m mirror images the full gradient is 2^dim / m
-    times the part gradient, so the part solve runs at grad_tolerance /
-    2^(dim-1) and the report, value, grid, pin count and residual alike,
-    is the full box's; so is a NonConvergence's field, unfolded by
-    reflection.
-    """
-    if p <= 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    `segment_box`, mirror-symmetric, so solved on one 2^dim-th of it."""
     box = segment_box(t, resolution, dim, box_half_width, center)
-    half = 0.5 * box.half_width
-    part = GridDiscretization((box.nodes_per_side + 1) // 2, half, dim,
-                              tuple(c + half for c in box.center))
-    pinned = target_pins(axis_segment(box.center, 0, 0.5 * t), part)
-    # a node off the planes in k axes has 2^k mirror images
-    images = functools.reduce(
-        np.multiply.outer, [np.minimum(np.arange(part.nodes_per_side), 1) + 1] * dim)
-    value, u, iterations, residual, reason, failure = _solve(
-        part, pinned, p, config, 2 ** dim / images)
-    report = CapacityResult(2 ** dim * value, box.half_width, box.h, p,
-                            box.nodes_per_side, int(images[pinned].sum()),
-                            iterations, residual)
-    if failure is not None:
-        unfold = np.abs(np.arange(1 - part.nodes_per_side, part.nodes_per_side))
-        raise NonConvergence(failure, report=report, reason=reason,
-                             field=u[np.ix_(*[unfold] * dim)])
-    return report
+    return variational_capacity(centered_segment(t, box), p, box, config)
 
 
 def point_capacity(p: float, grid: GridDiscretization,
@@ -486,6 +477,8 @@ def refinement_ratio(t: float, p: float, dim: int, box_half_width: float,
     The fine grid doubles every cell of the coarse one, so the ratio
     isolates the resolution dependence: it stays near 1 where segments
     carry positive capacity and keeps sinking where they are removable.
+    The centered segment folds onto one 2^dim-th of every odd grid: the
+    fine one always, the coarse one when base_nodes is odd.
     """
     coarse_grid = GridDiscretization(base_nodes, box_half_width, dim)
     fine_grid = GridDiscretization(2 * base_nodes - 1, box_half_width, dim)

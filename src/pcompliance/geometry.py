@@ -326,6 +326,9 @@ def _segment_node_distances(coords: np.ndarray, seg: Segment) -> np.ndarray:
 def rasterize(cracks: CrackSet, grid: GridDiscretization, include_boundary: bool = True) -> ConstraintMask:
     """Pin every node within h/2 of a crack segment (plus the box boundary).
 
+    Distances are measured only on nodes in each segment's bounding box
+    widened by the cutoff, where every pinned node lies.
+
     A segment that captures no node at the current spacing is kept in the
     geometry but triggers a ResolutionWarning, since the discrete problem
     cannot see it.
@@ -339,9 +342,13 @@ def rasterize(cracks: CrackSet, grid: GridDiscretization, include_boundary: bool
             raise ValueError("crack set is not contained in the closed box")
     pinned = grid.boundary_mask() if include_boundary else np.zeros(grid.shape, dtype=bool)
     if cracks.segments:
-        coords = grid.node_coordinates()
         cutoff = 0.5 * grid.h * (1.0 + _PIN_SLACK)
         for seg in cracks.segments:
+            lo = (np.minimum(seg.a, seg.b) - cutoff - grid.lower_corner) / grid.h
+            hi = (np.maximum(seg.a, seg.b) + cutoff - grid.lower_corner) / grid.h
+            block = tuple(slice(max(math.floor(a), 0), math.ceil(b) + 1) for a, b in zip(lo, hi))
+            coords = np.stack(np.meshgrid(*(grid.axis(k)[s] for k, s in enumerate(block)),
+                                          indexing="ij"), axis=-1)
             captured = _segment_node_distances(coords, seg) <= cutoff
             if not captured.any():
                 warnings.warn(
@@ -350,7 +357,7 @@ def rasterize(cracks: CrackSet, grid: GridDiscretization, include_boundary: bool
                     ResolutionWarning,
                     stacklevel=2,
                 )
-            pinned |= captured
+            pinned[block] |= captured
     return ConstraintMask(grid, pinned)
 
 

@@ -158,6 +158,20 @@ def test_c5_removability_threshold():
              f"3d ratio {deep.ratio:.4f} above 0.7")
 
 
+def test_c5_third_refinement_level():
+    # a second halving of h in 3d keeps draining the segment's capacity;
+    # the 129^3 box at h = 1/32 folds onto a 65^3 part
+    with criterion(5, "removability, third level") as failures:
+        deep = refinement_ratio(0.25, 2.0, 3, 2.0, 33)
+        third = segment_capacity(0.25, 2.0, 3, resolution=8, box_half_width=2.0)
+        need(failures, (third.nodes_per_side, third.grid_h) == (129, 2.0 / 64),
+             f"third level on {third.nodes_per_side} nodes at h {third.grid_h}")
+        caps = (deep.coarse.value, deep.fine.value, third.value)
+        need(failures, caps[0] > caps[1] > caps[2],
+             "3d capacities at h = 1/8, 1/16, 1/32 do not strictly decrease: "
+             + ", ".join(f"{c:.6f}" for c in caps))
+
+
 def test_c6_poincare_constant_scaling():
     with criterion(6, "poincare constant scaling") as failures:
         # doubling the cube side multiplies the best constant by 2^p

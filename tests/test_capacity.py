@@ -1,4 +1,5 @@
 import copy
+import itertools
 import re
 
 import numpy as np
@@ -501,23 +502,27 @@ def test_capacity_nonconvergence_names_the_iteration_cap():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_segment_capacity_failure_describes_the_full_box(dim):
     config = SolverConfig(grad_tolerance=1e-12, max_iterations=2)
-    with pytest.raises(NonConvergence, match="iteration cap") as err:
-        segment_capacity(0.5, 3.0, dim, box_half_width=1.0, config=config)
     grid = segment_box(0.5, 4, dim, box_half_width=1.0)
-    pinned = target_pins(centered_segment(0.5, grid), grid)
-    field, report = err.value.field, err.value.report
-    # the mirror part's field, unfolded by reflection in every axis
-    assert field.shape == grid.shape
-    for axis in range(dim):
-        np.testing.assert_array_equal(field, np.flip(field, axis))
-    assert np.all(field[pinned] == 1.0)
-    assert (report.nodes_per_side, report.box_half_width, report.pinned_nodes) == (
-        grid.nodes_per_side, grid.half_width, int(pinned.sum()))
-    # at p = 3 the descent runs at eps = 0, so the report's value and
-    # residual are the full box's objective and gradient at that field
-    value, grad = _capacity_gradient(field, grid, pinned, 3.0, 0.0)
-    assert report.value == pytest.approx(value, rel=1e-12)
-    assert report.residual == pytest.approx(float(np.abs(grad).max()), rel=1e-6)
+    segment = centered_segment(0.5, grid)
+    pinned = target_pins(segment, grid)
+    for entry in (lambda: segment_capacity(0.5, 3.0, dim, box_half_width=1.0,
+                                           config=config),
+                  lambda: variational_capacity(segment, 3.0, grid, config)):
+        with pytest.raises(NonConvergence, match="iteration cap") as err:
+            entry()
+        field, report = err.value.field, err.value.report
+        # the mirror part's field, unfolded by reflection in every axis
+        assert field.shape == grid.shape
+        for axis in range(dim):
+            np.testing.assert_array_equal(field, np.flip(field, axis))
+        assert np.all(field[pinned] == 1.0)
+        assert (report.nodes_per_side, report.box_half_width, report.pinned_nodes) == (
+            grid.nodes_per_side, grid.half_width, int(pinned.sum()))
+        # at p = 3 the descent runs at eps = 0, so the report's value and
+        # residual are the full box's objective and gradient at that field
+        value, grad = _capacity_gradient(field, grid, pinned, 3.0, 0.0)
+        assert report.value == pytest.approx(value, rel=1e-12)
+        assert report.residual == pytest.approx(float(np.abs(grad).max()), rel=1e-6)
 
 
 def test_capacity_descent_at_the_rounding_floor_stalls():
@@ -587,7 +592,11 @@ def test_segment_capacity_equals_the_full_box_solve(monkeypatch, t, resolution,
     tolerance = 1e-10 if dim == 2 else 1e-9
     config = SolverConfig(grad_tolerance=tolerance)
     grid = segment_box(t, resolution, dim, box, center)
-    full = variational_capacity(centered_segment(t, grid), p, grid, config)
+    pinned = target_pins(centered_segment(t, grid), grid)
+    # both public entries fold this box, so the reference is the unfolded
+    # solve itself
+    full_value, _, _, _, _, failure = capacity._solve(grid, pinned, p, config)
+    assert failure is None
 
     fields = []
     gradient = _capacity_gradient
@@ -600,20 +609,77 @@ def test_segment_capacity_equals_the_full_box_solve(monkeypatch, t, resolution,
     part = segment_capacity(t, p, dim, resolution, box, center, config)
     monkeypatch.undo()
 
-    assert part.nodes_per_side == full.nodes_per_side
-    assert part.box_half_width == full.box_half_width
-    assert part.grid_h == full.grid_h
-    assert part.pinned_nodes == full.pinned_nodes
-    assert part.value == pytest.approx(full.value, rel=1e-12 if p == 2 else 1e-8)
+    assert part.nodes_per_side == grid.nodes_per_side
+    assert part.box_half_width == grid.half_width
+    assert part.grid_h == grid.h
+    assert part.pinned_nodes == int(pinned.sum())
+    assert part.value == pytest.approx(full_value, rel=1e-12 if p == 2 else 1e-8)
     # the last evaluation is at the final field; unfolded by reflection it
     # is a full-box field whose gradient's max norm the report carries
     half = fields[-1]
     assert half.shape == ((grid.nodes_per_side + 1) // 2,) * dim
     unfold = np.abs(np.arange(1 - half.shape[0], half.shape[0]))
     u = half[np.ix_(*[unfold] * dim)]
-    pinned = target_pins(centered_segment(t, grid), grid)
     eps = config.resolve_eps(p, 1e-4)
     _, grad = _capacity_gradient(u, grid, pinned, p, eps)
     residual = float(np.abs(grad).max())
     assert part.residual <= tolerance
     assert part.residual == pytest.approx(residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("nodes", [33, 65])
+def test_refinement_ratio_boxes_fold_bit_for_bit(nodes):
+    # C5's 3-d boxes: the folded capacity is the unfolded one to the last
+    # bit with BLAS on one thread, as conftest sets it (other boxes agree
+    # to a few ulp, the folded sums being reordered)
+    grid = GridDiscretization(nodes, 2.0, 3)
+    seg = centered_segment(0.25, grid)
+    full_value, _, _, _, _, failure = capacity._solve(
+        grid, target_pins(seg, grid), 2.0, None)
+    assert failure is None
+    assert variational_capacity(seg, 2.0, grid).value == full_value
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_variational_capacity_folds_exactly_the_mirror_symmetric_pins(monkeypatch, dim):
+    def at(x, y):
+        return (x, y) + (0.0,) * (dim - 2)
+
+    odd = GridDiscretization(17 if dim == 2 else 9, 1.0, dim)
+    even = GridDiscretization(16 if dim == 2 else 8, 1.0, dim)
+    pair = CrackSet.of(axis_segment(at(-0.25, 0.25), 0, 0.5),
+                       axis_segment(at(-0.25, -0.25), 0, 0.5))
+    lopsided = CrackSet.of(axis_segment(at(-0.25, 0.25), 0, 0.5),
+                           axis_segment(at(-0.25, -0.5), 0, 0.5))
+    # segments a half cell off the center line pin a mirror-symmetric set
+    # on the even grid, but no node plane halves that grid
+    h = even.h
+    straddling = CrackSet.of(*(axis_segment((-0.5,) + offset, 0, 1.0) for offset in
+                               itertools.product((-h / 2, h / 2), repeat=dim - 1)))
+    even_pins = target_pins(straddling, even)
+    assert all(np.array_equal(even_pins, np.flip(even_pins, k)) for k in range(dim))
+    shapes = []
+    solve = capacity._solve
+
+    def spying(grid, *args, **kwargs):
+        shapes.append(grid.shape)
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(capacity, "_solve", spying)
+    for solve_it in (lambda: variational_capacity(centered_segment(0.5, odd), 2.0, odd),
+                     lambda: point_capacity(2.0, odd),
+                     lambda: variational_capacity(pair, 2.0, odd)):
+        solve_it()
+        assert shapes.pop() == ((odd.nodes_per_side + 1) // 2,) * dim
+    # a fully pinned box folds onto a part with no free node; its capacity
+    # is the mass of the constant 1, the box volume
+    tiny = GridDiscretization(3, 1.0, dim)
+    rows = CrackSet.of(*(axis_segment((-1.0,) + offset, 0, 2.0) for offset in
+                         itertools.product((-1.0, 0.0, 1.0), repeat=dim - 1)))
+    assert variational_capacity(rows, 2.0, tiny).value == pytest.approx(2.0 ** dim)
+    assert shapes.pop() == (2,) * dim
+    for target, grid in ((axis_segment(at(-0.25, 0.25), 0, 0.5), odd),
+                         (straddling, even),
+                         (lopsided, odd)):
+        variational_capacity(target, 2.0, grid)
+        assert shapes.pop() == grid.shape

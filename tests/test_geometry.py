@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from pcompliance import geometry
 from pcompliance.errors import ResolutionWarning
 from pcompliance.geometry import (
     ConstraintMask,
@@ -160,6 +163,62 @@ def test_rasterize_warns_when_crack_invisible():
     with pytest.warns(ResolutionWarning):
         mask = rasterize(thin, grid, include_boundary=False)
     assert mask.n_pinned == 0
+
+
+def _random_cracks(rng: np.random.Generator, grid: GridDiscretization, kind: int) -> CrackSet:
+    """One to three segments in the closed box: diagonal, lattice-aligned,
+    touching the boundary, or shorter than a cell."""
+    axes = [grid.axis(k) for k in range(grid.dim)]
+    lo, hi = grid.lower_corner, grid.lower_corner + 2.0 * grid.half_width
+    count, segments = rng.integers(1, 4), []
+    while len(segments) < count:
+        a = rng.uniform(lo, hi)
+        if kind == 0:
+            b = rng.uniform(lo, hi)
+        elif kind == 1:
+            a = np.array([ax[rng.integers(grid.nodes_per_side)] for ax in axes])
+            b = a.copy()
+            axis = rng.integers(grid.dim)
+            b[axis] = axes[axis][rng.integers(grid.nodes_per_side)]
+        elif kind == 2:
+            b = rng.uniform(lo, hi)
+            axis = rng.integers(grid.dim)
+            a[axis] = axes[axis][0] if rng.integers(2) else axes[axis][-1]
+        else:
+            b = np.clip(a + rng.uniform(-0.6, 0.6, grid.dim) * grid.h, lo, hi)
+        if np.any(a != b):
+            segments.append(Segment(tuple(a), tuple(b)))
+    return CrackSet(tuple(segments))
+
+
+@pytest.mark.parametrize("include_boundary", [True, False])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rasterize_matches_the_all_nodes_reference(dim, include_boundary):
+    # rasterize measures distances on each segment's widened bounding box
+    # only; the mask and its warnings must be the all-nodes ones
+    rng = np.random.default_rng(20 + dim)
+    invisible = 0
+    for case in range(120):
+        nodes = int(rng.integers(3, 40 if dim == 2 else 14))
+        center = tuple(rng.uniform(-1.0, 1.0, dim)) if case % 2 else ()
+        grid = GridDiscretization(nodes, float(rng.uniform(0.3, 2.0)), dim, center)
+        cracks = _random_cracks(rng, grid, case % 4)
+        coords = grid.node_coordinates()
+        cutoff = 0.5 * grid.h * (1.0 + geometry._PIN_SLACK)
+        captured = [geometry._segment_node_distances(coords, seg) <= cutoff
+                    for seg in cracks]
+        reference = grid.boundary_mask() if include_boundary else np.zeros(grid.shape, bool)
+        for c in captured:
+            reference |= c
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResolutionWarning)
+            mask = rasterize(cracks, grid, include_boundary)
+        np.testing.assert_array_equal(mask.pinned, reference)
+        blind = sum(not c.any() for c in captured)
+        assert sum(issubclass(w.category, ResolutionWarning) for w in caught) == blind
+        invisible += blind
+    # the short segments put invisible ones among the cases
+    assert invisible > 0
 
 
 def test_mask_counts():
