@@ -62,10 +62,10 @@ def target_pins(target, grid: GridDiscretization) -> np.ndarray:
     point = np.asarray(target, dtype=float)
     if point.shape != (grid.dim,):
         raise ValueError(f"target must be a CrackSet, Segment, or point of dim {grid.dim}")
-    offsets = grid.node_coordinates() - point
-    dist_sq = (offsets * offsets).sum(axis=-1)
+    # the squared distance is a sum over axes, so its first argmin over
+    # all nodes is the first argmin along each axis
     pinned = np.zeros(grid.shape, dtype=bool)
-    pinned[np.unravel_index(np.argmin(dist_sq), grid.shape)] = True
+    pinned[tuple(int(np.argmin(np.abs(grid.axis(k) - x))) for k, x in enumerate(point))] = True
     return pinned
 
 
@@ -160,9 +160,9 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     through the box center, the solve runs on one 2^dim-th of the box:
     the planes split every cell, the objective is a cell sum, and the
     unique minimizer is symmetric.  A part node with m mirror images
-    carries 2^dim / m times the part gradient, so the part solve runs at
-    grad_tolerance / 2^(dim-1).  Either way the report (value, grid, pin
-    count, residual) is the full box's.
+    carries 2^dim / m times the part gradient, and the part descent stops
+    on that full-box gradient, at grad_tolerance.  Either way the report
+    (value, grid, pin count, residual) is the full box's.
 
     Raises DegenerateTarget when a nonempty segment target captures no
     node at this resolution, and NonConvergence when the linear or descent
@@ -205,26 +205,20 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
 
 
 def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
-           config: Optional[SolverConfig], gain: Optional[np.ndarray] = None):
+           config: Optional[SolverConfig], gain: float | np.ndarray = 1.0):
     """The capacity solve of `variational_capacity` on a pin mask, of the
     full box or of its mirror part: (value, field, iterations, residual,
     descent stop reason, failure message or None), all of `grid`.
 
-    gain, a node field, multiplies the gradient in the reported residual,
-    and the solve's tolerance is grad_tolerance over its largest free
-    entry (1 on a fully pinned grid), so that residual meets
-    grad_tolerance (a mirror part, with gain 2^dim / images, reports the
-    full box's residual this way).
+    gain, a node field of powers of two (1 for the full box), turns the
+    gradient into the one the report carries: a mirror part, with gain
+    2^dim / images, reports the full box's.  The descent runs in
+    y = x / gain, whose gradient is gain times x's, so it stops exactly
+    when that residual meets grad_tolerance; scaling by powers of two is
+    exact, so its iterates are the unscaled descent's bit for bit.
     """
     if config is None:
         config = SolverConfig()
-    tolerance = config.grad_tolerance
-    if gain is not None:
-        tolerance /= float(gain[~pinned].max(initial=1.0))
-
-    def residual_of(grad: np.ndarray) -> float:
-        return float(np.abs(grad if gain is None else grad * gain).max())
-
     # the mass term keeps the pinned p = 2 block nonsingular for any pins
     method = solve_method(p, True)
     # the p = 2 minimizer of u^T(K+M)u is the linear path's answer and the
@@ -237,16 +231,17 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
     load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
     reason = failure = None
     if method == "linear" or p < 2:
-        # the nonlinear gradient is twice the row residual, hence the
-        # halved tolerance
+        # the nonlinear gradient is twice the row residual, and gain times
+        # that is the reported one, hence the tightened tolerance
+        largest = np.broadcast_to(gain, grid.shape)[~pinned].max(initial=1.0)
         u, iterations, _ = quadratics.solve_pinned(
             matrix, load, pinned,
-            grad_tolerance=0.5 * tolerance,
+            grad_tolerance=0.5 * config.grad_tolerance / largest,
             prefer_direct=config.prefer_direct)
         u[pinned] = 1.0
     if method == "linear":
         value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
-        residual = residual_of(grad)
+        residual = float(np.abs(gain * grad).max())
         if residual > config.grad_tolerance:
             failure = (f"linear path residual {residual:.3e} above tolerance "
                        f"{config.grad_tolerance:.3e}")
@@ -274,19 +269,21 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
             u = h0.solve(2.0 * load)
             u[pinned] = 1.0
         w_node = quadratics.node_weights(grid)
+
+        def scaled(y):
+            value, grad = _capacity_gradient(gain * y, grid, pinned, p, eps, w_node)
+            return value, gain * grad
+
         result = descent.minimize(
-            lambda x: _capacity_gradient(x, grid, pinned, p, eps, w_node), u,
-            grad_tolerance=tolerance,
+            scaled, u / gain,
+            grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=h0.solve)
-        u = result.x
+            precondition=lambda r: h0.solve(r / gain) / gain)
+        u = gain * result.x
         u[pinned] = 1.0
         iterations, reason = result.iterations, result.reason
-        residual = residual_of(result.gradient)
-        # a mirror part's descent can stall between its tightened tolerance
-        # and the full box's, whose residual it reports: that meets it.  A
-        # NaN residual fails
-        if not residual <= config.grad_tolerance:
+        residual = float(np.abs(result.gradient).max())
+        if not result.converged:
             failure = (f"capacity minimization stopped ({reason}) at residual "
                        f"{residual:.3e} after {iterations} iterations")
         value, _ = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)

@@ -17,7 +17,6 @@ report records the eps actually used.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,7 +49,9 @@ class SolverConfig:
     """Stopping and regularization knobs shared by every solve.
 
     grad_tolerance bounds the max-norm of the projected gradient at the
-    returned field, and max_iterations caps each L-BFGS descent.
+    returned field, and every descent stops on that norm (a capacity
+    solved on a mirror part on the full box's gradient); max_iterations
+    caps each L-BFGS descent, which starts at its p = 2 solution.
     regularization_eps = None picks 0 for p >= 2 and below that each solver's
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
@@ -234,13 +235,14 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     factorization or one preconditioner (`quadratics.solve_pinned`), and
     gives each report its own CG iteration count.  The descent path
     minimizes the distinct sources one after another, each L-BFGS
-    preconditioned by the `quadratics.approximate_inverse` of a Hessian
-    model: the pinned stiffness block K, shared by the batch, at p > 2,
-    and at p < 2 the Hessian with its weights frozen at the source's
-    p = 2 solution, which is also its start (all distinct sources' p = 2
-    solutions come from one `solve_pinned` call).  A singular K takes the
-    approximate inverse of the shifted block (`gauge_shifted`) at any p,
-    and each source starts from zero there and at p > 2.
+    starting at its source's p = 2 solution and preconditioned by the
+    `quadratics.approximate_inverse` H0 of a Hessian model.  At p < 2 on
+    a nonsingular K, the start is the exact p = 2 solution (one
+    `solve_pinned` call for all distinct sources) and the model is the
+    Hessian with its weights frozen there.  Every other descent (p > 2,
+    or a singular K at any p) shares one H0, of the pinned stiffness
+    block K or of its gauge-shifted block (`gauge_shifted`) if K is
+    singular, and starts at H0 applied to its load.
     Returns one (field, report) pair per source, in order, and raises
     NonConvergence for the first source whose solve misses the
     tolerance.  Non-finite source values raise ValueError before any
@@ -301,55 +303,45 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     fs = distinct
     # a source enters only through its node load b = vol * M^T M f, the
     # p = 2 mass matrix applied to f: the linear right-hand side, the
-    # descent objective and the report's work form all read that one array
-    loads = (cell_means_adjoint(cell_means(f), grid.cell_volume) for f in fs)
+    # descent objective and the report's work form all read that one
+    # array.  The stack is filled column by column: holding every cube's
+    # cell means at once raised a ladder's peak RSS by 8 MB
+    loads = np.empty(grid.shape + (len(fs),))
+    for column, f in enumerate(fs):
+        loads[..., column] = cell_means_adjoint(cell_means(f), grid.cell_volume)
     stiffness = quadratics.stiffness_matrix(grid)
-
-    def solve_p2():
-        # column by column: holding every cube's cell means or load at once
-        # raised a ladder's peak RSS by 8 MB
-        rhs = np.empty(grid.shape + (len(fs),))
-        for column, b in enumerate(loads):
-            rhs[..., column] = b
+    # starts and H0s as the docstring says.  Against the LU of K from zero
+    # on the 129^2 single-solves crack at tol 1e-8: 81 -> 45 iterations at
+    # p = 1.5; at p = 3 the V-cycle of K takes 47 from zero or its start
+    fields = None
+    if nonsingular and p <= 2:
+        # the linear path's answers and the p < 2 starts from one call, so
+        # the sources share one factorization or V-cycle setup
         fields, _, columns = quadratics.solve_pinned(
-            stiffness, rhs, pinned,
+            stiffness, loads, pinned,
             grad_tolerance=config.grad_tolerance,
             prefer_direct=config.prefer_direct)
-        return rhs, fields, columns
-
     if method == "linear":
-        rhs, fields, columns = solve_p2()
-        return _in_order([finish(fields[..., column], rhs[..., column], eps_for(f),
+        return _in_order([finish(fields[..., column], loads[..., column], eps_for(f),
                                  columns[column], 0)
                           for column, f in enumerate(fs)], order)
-
-    # H0 is the approximate inverse of a Hessian model.  At p > 2, and at
-    # any p where K is singular, that is K (gauge-shifted if singular),
-    # one for the batch; at p < 2 it is the Hessian with its weights
-    # frozen at the source's p = 2 solution, which is also the descent's
-    # start.  Against the LU of K on the 129^2 single-solves crack at tol
-    # 1e-8: 81 -> 45 iterations at p = 1.5, 48 -> 47 at p = 3
-    starts = itertools.repeat(None)
-    if not nonsingular or p > 2:
+    if fields is None:
         h0 = quadratics.approximate_inverse(
             stiffness if nonsingular else gauge_shifted(grid, stiffness),
             pinned, config.prefer_direct)
-    else:
-        # every distinct source's p = 2 solution from one call, so the
-        # sources share one V-cycle setup
-        rhs, fields, _ = solve_p2()
-        loads = (np.ascontiguousarray(rhs[..., column]) for column in range(len(fs)))
-        starts = (fields[..., column] for column in range(len(fs)))
     solved = []
-    for f, b, start in zip(fs, loads, starts):
+    for column, f in enumerate(fs):
+        b = np.ascontiguousarray(loads[..., column])
         eps = eps_for(f)
-        if start is not None:
+        if fields is None:
+            start = h0.solve(b)
+        else:
+            start = fields[..., column]
             h0 = quadratics.approximate_inverse(
                 _frozen_weight_matrix(start, grid, p, eps), pinned,
                 config.prefer_direct)
         result = descent.minimize(
-            lambda u: energy_and_gradient(u, b, grid, pinned, p, eps),
-            np.zeros(grid.shape) if start is None else start,
+            lambda u: energy_and_gradient(u, b, grid, pinned, p, eps), start,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
             precondition=h0.solve)

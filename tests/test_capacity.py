@@ -27,6 +27,12 @@ from pcompliance.poincare import crack_poincare
 from pcompliance.solver import SolverConfig, solve
 
 
+def mirror_gain(part: GridDiscretization) -> np.ndarray:
+    """2^dim / images on a mirror part, whose mirror planes are its index-0
+    sides: a node on k of them has 2^(dim - k) images, so its gain is 2^k."""
+    return 2.0 ** sum(np.indices(part.shape)[k] == 0 for k in range(part.dim))
+
+
 @pytest.mark.parametrize("p,eps", [(1.5, 1e-2), (2.0, 0.0), (3.0, 0.0)])
 def test_capacity_gradient_matches_finite_differences(p, eps):
     rng = np.random.default_rng(17)
@@ -302,6 +308,42 @@ def test_preconditioned_capacity_descent_converges_fast(t, p, dim, box, max_iter
     assert result.value == pytest.approx(run(1e-9).value, rel=1e-6)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_target_pins_the_all_nodes_nearest_node(dim):
+    # per axis the nearest node, against the first argmin of the squared
+    # distance over every node: inside and outside the box, on offset
+    # centers, at nodes and at midpoints between them
+    rng = np.random.default_rng(dim)
+    rounded_ties = 0
+    for case in range(400):
+        center = tuple(rng.uniform(-2.0, 2.0, dim)) if case % 2 else ()
+        grid = GridDiscretization(int(rng.integers(2, 12)), float(rng.uniform(0.1, 3.0)),
+                                  dim, center)
+        axes = [grid.axis(k) for k in range(dim)]
+        nodes = np.array([a[rng.integers(len(a))] for a in axes])
+        midpoints = np.array([0.5 * (a[i] + a[i + 1]) for a, i in
+                              zip(axes, rng.integers(0, grid.nodes_per_side - 1, dim))])
+        outside = rng.uniform(-3.0, 3.0, dim) * grid.half_width + grid.lower_corner
+        mixed = np.where(rng.random(dim) < 0.5, nodes, midpoints)
+        for point in (nodes, outside, midpoints, mixed):
+            offsets = grid.node_coordinates() - point
+            dist_sq = (offsets * offsets).sum(axis=-1)
+            [ours] = np.argwhere(target_pins(point, grid))
+            theirs = np.unravel_index(np.argmin(dist_sq), grid.shape)
+            if tuple(ours) == theirs:
+                continue
+            # only where a midpoint's summed squares round to a tie, which
+            # the all-nodes pass breaks by node order: the pin is as near
+            # along every axis and strictly nearer along one
+            assert point is midpoints or point is mixed
+            assert dist_sq[tuple(ours)] == dist_sq[theirs]
+            near, far = np.abs(offsets[tuple(ours)]), np.abs(offsets[theirs])
+            assert (near <= far).all() and (near < far).any()
+            rounded_ties += 1
+    # 0 of 1600 points in 2-d and 2 in 3-d with these seeds
+    assert rounded_ties <= 8
+
+
 def test_capacity_descent_factors_once(monkeypatch):
     # above the V-cycle's coarse size a p < 2 descent takes its warm start
     # from the lattice V-cycle and applies its frozen-weight H0 as one
@@ -332,14 +374,21 @@ def test_capacity_descent_factors_once(monkeypatch):
     def watched_minimize(fun, x0, **kwargs):
         before = len(calls)
         starts.append(np.array(x0))
-        h0s.append(kwargs["precondition"].__self__)
         result = minimize(fun, x0, **kwargs)
         during.append(len(calls) - before)
         return result
 
+    approximate_inverse = quadratics.approximate_inverse
+
+    def recorded_inverse(*args, **kwargs):
+        # the descent's H0 is the one inverse the capacity solve builds
+        h0s.append(approximate_inverse(*args, **kwargs))
+        return h0s[-1]
+
     monkeypatch.setattr(quadratics, "PinnedFactor", CountingFactor)
     monkeypatch.setattr(quadratics.spla, "splu", counting_splu)
     monkeypatch.setattr(descent, "minimize", watched_minimize)
+    monkeypatch.setattr(quadratics, "approximate_inverse", recorded_inverse)
     h0_kinds = set()
     for resolution, p, prefer_direct in [(24, 1.5, None), (24, 3.0, None),
                                          (24, 1.5, True), (24, 3.0, True),
@@ -367,7 +416,7 @@ def test_capacity_descent_factors_once(monkeypatch):
             assert isinstance(h0, quadratics.LatticeCycle)
             # the cycle of 2(K + M), bit for bit
             probe = np.random.default_rng(3).standard_normal(grid.shape)
-            reference = quadratics.approximate_inverse(2.0 * block, pinned)
+            reference = approximate_inverse(2.0 * block, pinned)
             assert h0.solve(probe).tobytes() == reference.solve(probe).tobytes()
         elif p > 2:
             assert len(factored) == 1
@@ -380,7 +429,9 @@ def test_capacity_descent_factors_once(monkeypatch):
             # the p = 2 warm start's LU, then the frozen-weight H0's
             assert len(factored) == 2
             assert (factored[0] != block).nnz == 0
-            frozen = _frozen_weight_matrix(starts[0], grid, p, 1e-4)
+            # the descent runs in x / gain, so its start is the warm
+            # start over the gain
+            frozen = _frozen_weight_matrix(starts[0] * mirror_gain(grid), grid, p, 1e-4)
             assert (factored[1] != frozen).nnz == 0
             assert isinstance(h0, CountingFactor)
     assert h0_kinds == {CountingFactor, quadratics.LatticeCycle}
@@ -625,6 +676,80 @@ def test_segment_capacity_equals_the_full_box_solve(monkeypatch, t, resolution,
     residual = float(np.abs(grad).max())
     assert part.residual <= tolerance
     assert part.residual == pytest.approx(residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mirror_part_descent_stops_on_the_full_box_residual(monkeypatch, dim, p):
+    # the part descent's iterates are the unscaled part descent's bit for
+    # bit, and it stops at the first of them whose full-box residual
+    # max |gain * gradient| meets the tolerance
+    config = SolverConfig(grad_tolerance=1e-8)
+    box = segment_box(0.5, 4, dim, box_half_width=1.0)
+    mid = box.nodes_per_side // 2
+    part = GridDiscretization(mid + 1, 0.5 * box.half_width, dim)
+    pinned = target_pins(centered_segment(0.5, box), box)[(slice(mid, None),) * dim]
+    gain = mirror_gain(part)
+
+    approximate_inverse, gradient = quadratics.approximate_inverse, _capacity_gradient
+    h0s, folded = [], []
+
+    def recorded_inverse(*args, **kwargs):
+        h0s.append(approximate_inverse(*args, **kwargs))
+        return h0s[-1]
+
+    def recorded_gradient(x, *args, **kwargs):
+        folded.append(x.copy())
+        return gradient(x, *args, **kwargs)
+
+    monkeypatch.setattr(quadratics, "approximate_inverse", recorded_inverse)
+    monkeypatch.setattr(capacity, "_capacity_gradient", recorded_gradient)
+    _, u, iterations, residual, _, failure = capacity._solve(part, pinned, p, config, gain)
+    monkeypatch.undo()
+    assert failure is None and residual <= config.grad_tolerance
+    # the last evaluation is the reported value's, at the final field, and
+    # the first is the descent's at the warm start
+    *folded, final = folded
+    assert final.tobytes() == u.tobytes()
+    [h0] = h0s
+
+    # the unscaled descent from the same warm start with the same H0; H0
+    # runs at the start and once per accepted step, on that iterate's
+    # gradient
+    eps = config.resolve_eps(p, 1e-4)
+    w_node = quadratics.node_weights(part)
+    unscaled, gradients = [], []
+
+    def objective(x):
+        unscaled.append(x.copy())
+        return gradient(x, part, pinned, p, eps, w_node)
+
+    def recorded_h0(r):
+        gradients.append(r.copy())
+        return h0.solve(r)
+
+    result = descent.minimize(objective, folded[0], grad_tolerance=1e-300,
+                              max_iterations=iterations, precondition=recorded_h0)
+    assert len(folded) == len(unscaled)
+    for mine, theirs in zip(folded, unscaled):
+        assert mine.tobytes() == theirs.tobytes()
+    assert u.tobytes() == result.x.tobytes()
+    full_box_residuals = [float(np.abs(gain * r).max()) for r in gradients]
+    assert len(full_box_residuals) == iterations + 1
+    assert full_box_residuals[-1] == residual
+    assert min(full_box_residuals[:-1]) > config.grad_tolerance
+
+
+def test_mirror_part_stop_ends_the_rounding_floor_cases():
+    # the 159^2 ladder box at p = 3 took 205 iterations on its 80^2 part,
+    # and 17^3 at p = 1.5 took 66, while the tightened part tolerance
+    # grad_tolerance / 2^(dim - 1) sat near their rounding floors
+    ladder = segment_capacity(LADDER_T, 3.0, config=SolverConfig(
+        grad_tolerance=1e-10, max_iterations=120))
+    assert ladder.residual <= 1e-10
+    cube = segment_capacity(0.5, 1.5, 3, box_half_width=1.0, config=SolverConfig(
+        grad_tolerance=1e-9, max_iterations=40))
+    assert cube.residual <= 1e-9
 
 
 @pytest.mark.parametrize("nodes", [33, 65])

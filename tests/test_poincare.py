@@ -257,6 +257,14 @@ def test_preconditioned_quotient_descent_converges_fast(nodes):
     assert result.best_constant == pytest.approx(tight.best_constant, rel=1e-8)
 
 
+def test_p15_quotient_descent_converges_at_tight_tolerance():
+    # with plain Armijo this cube stalled at 1.9e-9 after 641 iterations;
+    # the approximate Wolfe steps converge in 221
+    result = crack_poincare(1.0, 0.5, 129, 1.5, config=SolverConfig(
+        grad_tolerance=1e-10, max_iterations=300))
+    assert result.residual <= 1e-10
+
+
 @pytest.mark.parametrize("p", [3.0, 1.5])
 def test_nonsingular_cube_above_the_coarse_size_takes_a_lattice_cycle_h0(monkeypatch, p):
     cycles = []

@@ -386,7 +386,11 @@ def test_preconditioned_energy_descent_converges_fast(p):
     _, report = solve(f, mask, p, SolverConfig(grad_tolerance=1e-8))
     assert report.residual <= 1e-8
     assert report.iterations <= 200
-    _, tight = solve(f, mask, p, SolverConfig(grad_tolerance=1e-10))
+    # at tol 1e-12, plain Armijo steps, which near the rounding floor left
+    # the value unchanged, ran p = 1.5 to its iteration cap and took p = 3
+    # 797 iterations; the approximate Wolfe steps take 81 and 86
+    _, tight = solve(f, mask, p, SolverConfig(grad_tolerance=1e-12, max_iterations=100))
+    assert tight.residual <= 1e-12
     assert report.compliance_energy_form == pytest.approx(
         tight.compliance_energy_form, rel=1e-6)
 
@@ -466,19 +470,18 @@ def test_energy_batch_above_the_coarse_size_matches_solo_solves(monkeypatch):
 
 
 def lu_h0_field(f, mask, p, config, nonsingular=True):
-    """The descent with the LU of its Hessian model as H0: from zero with
-    K (the gauge-shifted block where K is singular), and at p < 2 on a
-    nonsingular K from the p = 2 solution with the block whose weights
-    are frozen there."""
+    """The descent with the LU of its Hessian model as H0: with K (the
+    gauge-shifted block where K is singular) from that LU's solution, and
+    at p < 2 on a nonsingular K from the p = 2 solution with the block
+    whose weights are frozen there."""
     grid, pinned = mask.grid, mask.pinned
     b = cell_means_adjoint(cell_means(f), grid.cell_volume)
     eps = config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max()), 1.0))
     stiffness = quadratics.stiffness_matrix(grid)
-    start = np.zeros(grid.shape)
-    if not nonsingular:
-        factor = quadratics.PinnedFactor(gauge_shifted(grid, stiffness), pinned)
-    elif p > 2:
-        factor = quadratics.PinnedFactor(stiffness, pinned)
+    if not nonsingular or p > 2:
+        factor = quadratics.PinnedFactor(
+            stiffness if nonsingular else gauge_shifted(grid, stiffness), pinned)
+        start = factor.solve(b)
     else:
         start, _, _ = quadratics.solve_pinned(
             stiffness, b, pinned, grad_tolerance=config.grad_tolerance,
@@ -498,7 +501,9 @@ def lu_h0_field(f, mask, p, config, nonsingular=True):
 def test_energy_descent_keeps_the_lu_of_k_where_the_size_rule_factors(case, p):
     # where `quadratics.approximate_inverse` factors, H0 is the LU of the
     # Hessian model: K at p > 2, and at p < 2 the frozen-weight block at
-    # the p = 2 start; a singular K takes the shifted block's LU at any p
+    # the p = 2 start; a singular K takes the shifted block's LU at any p.
+    # Every descent starts at its p = 2 solution, the H0 LU's where that
+    # LU is of K or of the shifted block
     config = SolverConfig(grad_tolerance=1e-8)
     kwargs, nonsingular = {}, True
     if case == "33^2":
