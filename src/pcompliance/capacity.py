@@ -29,12 +29,12 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import descent, quadratics
+from . import quadratics
 from .errors import DegenerateTarget, NonConvergence
 from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
                        rasterize)
 from .quadratics import _corners
-from .solver import SolverConfig, density_weights, p_density, solve_method
+from .solver import SolverConfig, descend, density_weights, p_density
 
 
 @dataclass(frozen=True)
@@ -210,84 +210,51 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
     full box or of its mirror part: (value, field, iterations, residual,
     descent stop reason, failure message or None), all of `grid`.
 
+    The start, H0 and stop are `solver.descend`'s: its p = 2 model is
+    K + M with curvature 2 (the objective's p = 2 Hessian is 2(K + M),
+    SPD on the free nodes for any pins thanks to the mass term), its
+    lift the unit pins and its Kacanov builder `_frozen_weight_matrix`.
     gain, a node field of powers of two (1 for the full box), turns the
     gradient into the one the report carries: a mirror part, with gain
-    2^dim / images, reports the full box's.  The descent runs in
-    y = x / gain, whose gradient is gain times x's, so it stops exactly
-    when that residual meets grad_tolerance; scaling by powers of two is
-    exact, so its iterates are the unscaled descent's bit for bit.
+    2^dim / images, reports the full box's, and its descent stops
+    exactly when that residual meets grad_tolerance.
     """
     if config is None:
         config = SolverConfig()
-    # the mass term keeps the pinned p = 2 block nonsingular for any pins
-    method = solve_method(p, True)
     # the p = 2 minimizer of u^T(K+M)u is the linear path's answer and the
-    # descent's warm start: it already carries the right decay profile, so
+    # descent's start: it already carries the right decay profile, so
     # descent only corrects the p-dependent shape
     matrix = (quadratics.edge_stiffness_matrix(grid)
               + quadratics.node_mass_matrix(grid))
     # the unit pins, lifted into the load: with v = 0 at the pins and
     # (K+M)v = load on the free nodes, u = v + pins solves (K+M)u = 0 there
     load = -(matrix @ pinned.ravel().astype(float)).reshape(grid.shape)
-    reason = failure = None
-    if method == "linear" or p < 2:
-        # the nonlinear gradient is twice the row residual, and gain times
-        # that is the reported one, hence the tightened tolerance
-        largest = np.broadcast_to(gain, grid.shape)[~pinned].max(initial=1.0)
-        u, iterations, _ = quadratics.solve_pinned(
-            matrix, load, pinned,
-            grad_tolerance=0.5 * config.grad_tolerance / largest,
-            prefer_direct=config.prefer_direct)
-        u[pinned] = 1.0
-    if method == "linear":
-        value, grad = _capacity_gradient(u, grid, pinned, p, 0.0)
+    # near-zero far-field gradients blow up the p < 2 weights; 1e-4 caps
+    # that stiffness and moves the value by O(eps^p), below grid noise.
+    # At p < 2 the weights move the Hessian's diagonal far from 2(K+M)'s
+    # (2-8 -> 2.5-124 on the 133^2 start of a t = 0.08 segment), so H0 is
+    # the Kacanov matrix at the start: 71-93 L-BFGS iterations on
+    # 59^2-133^2 grids -> 19-24.  At p > 2 it loses to 2(K+M) (17^3,
+    # p = 3: 27 -> 38 iterations, 1.7 times the time)
+    eps = config.resolve_eps(p, 1e-4)
+    w_node = quadratics.node_weights(grid)
+    [(u, result)] = descend(
+        lambda x, b, eps_k: _capacity_gradient(x, grid, pinned, p, eps_k, w_node),
+        lambda x, eps_k: _frozen_weight_matrix(x, grid, p, eps_k),
+        load[..., None], pinned, p, [eps], matrix, config,
+        curvature=2.0, lift=1.0, gain=gain)
+    value, grad = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
+    if isinstance(result, int):  # the linear answer and its CG count
         residual = float(np.abs(gain * grad).max())
-        if residual > config.grad_tolerance:
-            failure = (f"linear path residual {residual:.3e} above tolerance "
-                       f"{config.grad_tolerance:.3e}")
-    else:
-        # near-zero far-field gradients blow up the p < 2 weights; 1e-4 caps
-        # that stiffness and moves the value by O(eps^p), below grid noise
-        eps = config.resolve_eps(p, 1e-4)
-        if p < 2:
-            # the p-density weights move the Hessian's diagonal far from
-            # 2(K+M)'s (2-8 -> 2.5-124 on the 133^2 warm start of a
-            # t = 0.08 segment), so H0 is the Hessian with the weights
-            # frozen at the warm start: 71-93 L-BFGS iterations on
-            # 59^2-133^2 grids -> 19-24
-            h0 = quadratics.approximate_inverse(
-                _frozen_weight_matrix(u, grid, p, eps), pinned,
-                config.prefer_direct)
-        else:
-            # 2(K+M) is the objective's Hessian at p = 2, SPD on the free
-            # nodes for any pinning thanks to the mass term; at p > 2 the
-            # frozen weights lose to it (17^3, p = 3: 27 -> 38 iterations,
-            # 1.7 times the time), so its approximate inverse gives both
-            # the warm start and H0
-            h0 = quadratics.approximate_inverse(2.0 * matrix, pinned,
-                                                config.prefer_direct)
-            u = h0.solve(2.0 * load)
-            u[pinned] = 1.0
-        w_node = quadratics.node_weights(grid)
-
-        def scaled(y):
-            value, grad = _capacity_gradient(gain * y, grid, pinned, p, eps, w_node)
-            return value, gain * grad
-
-        result = descent.minimize(
-            scaled, u / gain,
-            grad_tolerance=config.grad_tolerance,
-            max_iterations=config.max_iterations,
-            precondition=lambda r: h0.solve(r / gain) / gain)
-        u = gain * result.x
-        u[pinned] = 1.0
-        iterations, reason = result.iterations, result.reason
-        residual = float(np.abs(result.gradient).max())
-        if not result.converged:
-            failure = (f"capacity minimization stopped ({reason}) at residual "
-                       f"{residual:.3e} after {iterations} iterations")
-        value, _ = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
-    return value, u, iterations, residual, reason, failure
+        failure = (f"linear path residual {residual:.3e} above tolerance "
+                   f"{config.grad_tolerance:.3e}")
+        return (value, u, result, residual, None,
+                failure if residual > config.grad_tolerance else None)
+    residual = float(np.abs(result.gradient).max())
+    failure = (f"capacity minimization stopped ({result.reason}) at residual "
+               f"{residual:.3e} after {result.iterations} iterations")
+    return (value, u, result.iterations, residual, result.reason,
+            None if result.converged else failure)
 
 
 def check_resolution(resolution: int, name: str = "resolution") -> None:

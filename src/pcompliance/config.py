@@ -113,6 +113,9 @@ class VanishingJob:
             raise ValueError("epsilon must lie in (0, 1)")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be a nonempty list of integers >= 1")
+        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ValueError(f"n_list must be strictly increasing, got "
+                             f"{' '.join(map(str, self.n_list))}")
         if self.divergence_samples < 0:
             raise ValueError("divergence_samples must be >= 0")
         if self.bound_safety < 1:

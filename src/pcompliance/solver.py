@@ -18,7 +18,7 @@ report records the eps actually used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +51,8 @@ class SolverConfig:
     grad_tolerance bounds the max-norm of the projected gradient at the
     returned field, and every descent stops on that norm (a capacity
     solved on a mirror part on the full box's gradient); max_iterations
-    caps each L-BFGS descent, which starts at its p = 2 solution.
+    caps each L-BFGS descent.  Every energy and capacity descent starts
+    at its p = 2 solution and stops by one rule, `descend`'s.
     regularization_eps = None picks 0 for p >= 2 and below that each solver's
     default (`resolve_eps`): 1e-8 * max(max|f|, 1) for energies, 1e-4 for
     capacities, 1e-8 for Poincare quotients; an explicit 0 is rejected for
@@ -230,19 +231,16 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     """`solve` for several sources on one mask.
 
     Each distinct source is solved once: sources with equal values share
-    one (field, report) pair, and a shared field is read-only.  The linear
-    path (p = 2) solves all distinct sources together, with one
-    factorization or one preconditioner (`quadratics.solve_pinned`), and
-    gives each report its own CG iteration count.  The descent path
-    minimizes the distinct sources one after another, each L-BFGS
-    starting at its source's p = 2 solution and preconditioned by the
-    `quadratics.approximate_inverse` H0 of a Hessian model.  At p < 2 on
-    a nonsingular K, the start is the exact p = 2 solution (one
-    `solve_pinned` call for all distinct sources) and the model is the
-    Hessian with its weights frozen there.  Every other descent (p > 2,
-    or a singular K at any p) shares one H0, of the pinned stiffness
-    block K or of its gauge-shifted block (`gauge_shifted`) if K is
-    singular, and starts at H0 applied to its load.
+    one (field, report) pair, and a shared field is read-only.  The
+    distinct sources' node loads go to `descend` as one stack, with the
+    energy as objective, K (or its `gauge_shifted` block where K is
+    singular) as the p = 2 model and `_frozen_weight_matrix` as the
+    Kacanov builder, so its start, H0 and stop rules are the ones every
+    energy and capacity solve follows.  The linear path (p = 2 on a
+    nonsingular K) solves all distinct sources together, with one
+    factorization or one preconditioner, and gives each report its own
+    CG iteration count; the descent path minimizes them one after
+    another, each from its source's p = 2 solution.
     Returns one (field, report) pair per source, in order, and raises
     NonConvergence for the first source whose solve misses the
     tolerance.  Non-finite source values raise ValueError before any
@@ -273,10 +271,11 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
                 "energy is unbounded below; widen the crack or refine the grid")
     method = solve_method(p, nonsingular)
 
-    def eps_for(f: np.ndarray) -> float:
-        return config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
-
-    def finish(u, b, eps, iterations, evaluations, reason=descent.CONVERGED):
+    def finish(u, b, eps, result):
+        # the linear path's result is its CG count
+        iterations, evaluations, reason = (
+            (result, 0, descent.CONVERGED) if method == "linear" else
+            (result.iterations, result.evaluations, result.reason))
         report = _build_report(u, b, grid, pinned, p, eps,
                                iterations, evaluations, method, crack_length,
                                length_penalty)
@@ -310,46 +309,93 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     for column, f in enumerate(fs):
         loads[..., column] = cell_means_adjoint(cell_means(f), grid.cell_volume)
     stiffness = quadratics.stiffness_matrix(grid)
-    # starts and H0s as the docstring says.  Against the LU of K from zero
-    # on the 129^2 single-solves crack at tol 1e-8: 81 -> 45 iterations at
-    # p = 1.5; at p = 3 the V-cycle of K takes 47 from zero or its start
-    fields = None
+    eps = [config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
+           for f in fs]
+    solved = descend(
+        lambda u, b, eps_k: energy_and_gradient(u, b, grid, pinned, p, eps_k),
+        lambda u, eps_k: _frozen_weight_matrix(u, grid, p, eps_k),
+        loads, pinned, p, eps,
+        stiffness if nonsingular else gauge_shifted(grid, stiffness), config,
+        nonsingular=nonsingular)
+    # each report is built, and a failure raised, before the next source
+    # is solved
+    return _in_order([finish(u, loads[..., column], eps[column], result)
+                      for column, (u, result) in enumerate(solved)], order)
+
+
+def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
+            eps, model: sp.spmatrix, config: SolverConfig, *,
+            nonsingular: bool = True, curvature: float = 1.0, lift: float = 0.0,
+            gain: float | np.ndarray = 1.0) -> Iterator[tuple]:
+    """The start, H0 and stop of every energy and capacity solve: per
+    column of the (*pinned.shape, k) stack loads in turn, the field and
+    its `descent.DescentResult`, or at p = 2 on a nonsingular model the
+    linear answer and its CG count.  A caller that stops iterating
+    (on a failed column, say) solves no later column.
+
+    The caller declares what is its own.  objective(x, b, eps) is the
+    (value, gradient) of the problem with load b (column k's, with
+    eps[k]), and at p = 2 its gradient at free nodes is
+    curvature * (model @ x - b): model is the pinned p = 2 block, or a
+    `gauge_shifted` stand-in where nonsingular is False, which sends
+    p = 2 to descent too.  Every field holds lift at pinned nodes.
+    kacanov(x, eps) is the Hessian with its p-density weights frozen
+    at x.  gain, a node field of powers of two (or 1), turns the
+    gradient into the one the caller reports.
+
+    - Start.  On a nonsingular model at p <= 2, one
+      `quadratics.solve_pinned` call serves every column: it gives the
+      linear answers, or the p < 2 starts.  Every other descent (p > 2,
+      or a singular model at any p) starts at H0 applied to
+      curvature * b, the p = 2 solution as far as H0 is exact.
+    - H0.  `quadratics.approximate_inverse` of kacanov at the column's
+      start at p < 2 on a nonsingular model, else one of
+      curvature * model that every column shares.  Against the LU of K
+      from zero on the 129^2 single-solves crack at tol 1e-8: 81 -> 45
+      iterations at p = 1.5; at p = 3 the V-cycle of K takes 47 from
+      zero or its start.
+    - Stop.  The descent runs in y = x / gain, whose gradient is gain
+      times x's, so it stops exactly when the reported residual meets
+      grad_tolerance; scaling by powers of two is exact, so its
+      iterates are the unscaled descent's bit for bit.  The linear
+      solve stops where curvature * gain times its row residual does.
+    """
     if nonsingular and p <= 2:
-        # the linear path's answers and the p < 2 starts from one call, so
-        # the sources share one factorization or V-cycle setup
+        # the linear answers and the p < 2 starts from one call, so the
+        # columns share one factorization or V-cycle setup; the reported
+        # gradient is curvature * gain times the row residual
+        largest = np.broadcast_to(gain, pinned.shape)[~pinned].max(initial=1.0)
         fields, _, columns = quadratics.solve_pinned(
-            stiffness, loads, pinned,
-            grad_tolerance=config.grad_tolerance,
+            model, loads, pinned,
+            grad_tolerance=config.grad_tolerance / (curvature * largest),
             prefer_direct=config.prefer_direct)
-    if method == "linear":
-        return _in_order([finish(fields[..., column], loads[..., column], eps_for(f),
-                                 columns[column], 0)
-                          for column, f in enumerate(fs)], order)
-    if fields is None:
-        h0 = quadratics.approximate_inverse(
-            stiffness if nonsingular else gauge_shifted(grid, stiffness),
-            pinned, config.prefer_direct)
-    solved = []
-    for column, f in enumerate(fs):
+        fields[pinned] = lift
+        if solve_method(p, nonsingular) == "linear":
+            yield from zip(np.moveaxis(fields, -1, 0), columns)
+            return
+    else:
+        h0 = quadratics.approximate_inverse(curvature * model, pinned,
+                                            config.prefer_direct)
+    for column, eps_k in enumerate(eps):
         b = np.ascontiguousarray(loads[..., column])
-        eps = eps_for(f)
-        if fields is None:
-            start = h0.solve(b)
-        else:
+        if nonsingular and p < 2:
             start = fields[..., column]
-            h0 = quadratics.approximate_inverse(
-                _frozen_weight_matrix(start, grid, p, eps), pinned,
-                config.prefer_direct)
+            h0 = quadratics.approximate_inverse(kacanov(start, eps_k), pinned,
+                                                config.prefer_direct)
+        else:
+            start = h0.solve(curvature * b)
+            start[pinned] = lift
+
+        def scaled(y):
+            value, grad = objective(gain * y, b, eps_k)
+            return value, gain * grad
+
         result = descent.minimize(
-            lambda u: energy_and_gradient(u, b, grid, pinned, p, eps), start,
+            scaled, start / gain,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
-            precondition=h0.solve)
-        u = result.x
-        u[pinned] = 0.0
-        solved.append(finish(u, b, eps, result.iterations,
-                             result.evaluations, result.reason))
-    return _in_order(solved, order)
+            precondition=lambda r: h0.solve(r / gain) / gain)
+        yield np.where(pinned, lift, gain * result.x), result
 
 
 def _in_order(solved: list, order: list[int]) -> list:

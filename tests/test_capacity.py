@@ -437,6 +437,41 @@ def test_capacity_descent_factors_once(monkeypatch):
     assert h0_kinds == {CountingFactor, quadratics.LatticeCycle}
 
 
+def test_p3_mirror_part_descent_above_the_coarse_size_starts_at_its_h0_solve(monkeypatch):
+    # the 49^2 mirror part of a t = 0.5 segment's 97^2 box at p = 3: H0 is
+    # the lattice V-cycle of 2(K + M), and the descent starts at H0 applied
+    # to twice the lifted load with the pins at 1, bit for bit (in x; the
+    # descent runs in x / gain)
+    approximate_inverse, minimize = quadratics.approximate_inverse, descent.minimize
+    h0s, starts = [], []
+
+    def recorded_inverse(*args, **kwargs):
+        h0s.append(approximate_inverse(*args, **kwargs))
+        return h0s[-1]
+
+    def recorded_minimize(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(quadratics, "approximate_inverse", recorded_inverse)
+    monkeypatch.setattr(descent, "minimize", recorded_minimize)
+    config = SolverConfig(grad_tolerance=1e-7)
+    result = segment_capacity(0.5, 3.0, resolution=24, box_half_width=1.0, config=config)
+    assert result.residual <= 1e-7
+    box = segment_box(0.5, 24, box_half_width=1.0)
+    mid = box.nodes_per_side // 2
+    part = GridDiscretization(mid + 1, 0.5 * box.half_width, 2)
+    pinned = target_pins(centered_segment(0.5, box), box)[mid:, mid:]
+    assert (~pinned).sum() > quadratics._COARSE_SIZE
+    [h0], [start] = h0s, starts
+    assert isinstance(h0, quadratics.LatticeCycle)
+    block = quadratics.edge_stiffness_matrix(part) + quadratics.node_mass_matrix(part)
+    load = -(block @ pinned.ravel().astype(float)).reshape(part.shape)
+    expected = h0.solve(2.0 * load)
+    expected[pinned] = 1.0
+    assert (start * mirror_gain(part)).tobytes() == expected.tobytes()
+
+
 def test_lattice_cycle_h0_is_symmetric_positive_definite():
     # the frozen-weight block at the warm start of C4's 133^2 length
     grid = segment_box(0.08, 4)

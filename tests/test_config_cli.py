@@ -239,6 +239,7 @@ _INVALID_SETTINGS = [
     ("solve", "source", "foo", "must be one of one, zero, bump, got 'foo'"),
     ("sweep-vanishing", "local_nodes", "1", "must be >= 3, got 1"),
     ("poincare", "doubling_tolerance", "-1", "must be positive"),
+    ("sweep-vanishing", "n_list", "4 2", "must be strictly increasing, got 4 2"),
 ]
 
 

@@ -469,6 +469,32 @@ def test_energy_batch_above_the_coarse_size_matches_solo_solves(monkeypatch):
     assert all(report.residual <= 1e-8 for _, report in batch)
 
 
+def test_p3_energy_descent_above_the_coarse_size_starts_at_its_h0_solve(monkeypatch):
+    # the 129^2 single-solves crack at p = 3: H0 is the lattice V-cycle of
+    # K, and the descent starts at that cycle applied to the load, bit for
+    # bit (lu_h0_field checks the same start where H0 is an LU)
+    approximate_inverse, minimize = quadratics.approximate_inverse, descent.minimize
+    h0s, starts = [], []
+
+    def recorded_inverse(*args, **kwargs):
+        h0s.append(approximate_inverse(*args, **kwargs))
+        return h0s[-1]
+
+    def recorded_minimize(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(quadratics, "approximate_inverse", recorded_inverse)
+    monkeypatch.setattr(descent, "minimize", recorded_minimize)
+    grid, mask, f = crack_case(129)
+    _, report = solve(f, mask, 3.0, SolverConfig(grad_tolerance=1e-8))
+    assert report.method == "descent" and report.residual <= 1e-8
+    [h0], [start] = h0s, starts
+    assert isinstance(h0, quadratics.LatticeCycle)
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    assert start.tobytes() == h0.solve(b).tobytes()
+
+
 def lu_h0_field(f, mask, p, config, nonsingular=True):
     """The descent with the LU of its Hessian model as H0: with K (the
     gauge-shifted block where K is singular) from that LU's solution, and
