@@ -53,7 +53,8 @@ def target_pins(target, grid: GridDiscretization) -> np.ndarray:
     """Boolean node mask for a CrackSet, Segment, or point target.
 
     Segments pin the nodes `rasterize` pins, those within h/2; a bare
-    point pins its nearest node, so point targets never degenerate.
+    point pins its nearest node, so point targets never degenerate; a
+    point with a non-finite coordinate raises ValueError.
     """
     if isinstance(target, Segment):
         target = CrackSet.of(target)
@@ -62,6 +63,8 @@ def target_pins(target, grid: GridDiscretization) -> np.ndarray:
     point = np.asarray(target, dtype=float)
     if point.shape != (grid.dim,):
         raise ValueError(f"target must be a CrackSet, Segment, or point of dim {grid.dim}")
+    if not np.isfinite(point).all():
+        raise ValueError(f"point target {point.tolist()} has a non-finite coordinate")
     # the squared distance is a sum over axes, so its first argmin over
     # all nodes is the first argmin along each axis
     pinned = np.zeros(grid.shape, dtype=bool)
@@ -164,18 +167,26 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     on that full-box gradient, at grad_tolerance.  Either way the report
     (value, grid, pin count, residual) is the full box's.
 
-    Raises DegenerateTarget when a nonempty segment target captures no
-    node at this resolution, and NonConvergence when the linear or descent
-    solve stops above grad_tolerance, with the last full-box field and a
-    partial CapacityResult whose value, the eps = 0 objective at that
-    admissible field, is still an upper bound.  The empty set returns 0.
+    The report's iterations and residual are those of the solve's
+    `descent.DescentResult`.  Raises ValueError for a target outside the
+    closed box, DegenerateTarget when a nonempty segment target captures
+    no node at this resolution, and NonConvergence, with the result's
+    reason, when the linear or descent solve stops above grad_tolerance,
+    with the last full-box field and a partial CapacityResult whose
+    value, the eps = 0 objective at that admissible field, is still an
+    upper bound.  The empty set returns 0.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
+    config = config or SolverConfig()
     if isinstance(target, CrackSet) and len(target) == 0:
         return CapacityResult(0.0, grid.half_width, grid.h, p,
                               grid.nodes_per_side, 0, 0, 0.0)
     pinned = target_pins(target, grid)
+    # `rasterize` rejects segments outside the closed box
+    if not isinstance(target, (Segment, CrackSet)) and not grid.contains(target):
+        raise ValueError(f"point target {np.asarray(target).tolist()} lies "
+                         f"outside the closed box")
     n_pinned = int(pinned.sum())
     if n_pinned == 0:
         raise DegenerateTarget(
@@ -188,27 +199,33 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
         images = functools.reduce(
             np.multiply.outer, [np.minimum(np.arange(mid + 1), 1) + 1] * dim)
         # the solve reads only h and the shape, so the part keeps c at 0
-        value, u, iterations, residual, reason, failure = _solve(
+        value, u, result = _solve(
             GridDiscretization(mid + 1, 0.5 * grid.half_width, dim),
             pinned[(slice(mid, None),) * dim], p, config, 2 ** dim / images)
         value *= 2 ** dim
     else:
-        value, u, iterations, residual, reason, failure = _solve(
-            grid, pinned, p, config)
+        value, u, result = _solve(grid, pinned, p, config)
+    residual = float(np.abs(result.gradient).max())
     report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
-                            n_pinned, iterations, residual)
-    if failure is not None:
+                            n_pinned, result.iterations, residual)
+    if not result.converged:
         if fold:  # unfold the part's field by reflection in every axis
             u = u[np.ix_(*[np.abs(np.arange(-mid, mid + 1))] * dim)]
-        raise NonConvergence(failure, report=report, field=u, reason=reason)
+        raise NonConvergence(
+            f"capacity solve stopped ({result.reason}) after "
+            f"{result.iterations} iterations at residual {residual:.3e} above "
+            f"tolerance {config.grad_tolerance:.3e}",
+            report=report, field=u, reason=result.reason)
     return report
 
 
 def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
            config: Optional[SolverConfig], gain: float | np.ndarray = 1.0):
     """The capacity solve of `variational_capacity` on a pin mask, of the
-    full box or of its mirror part: (value, field, iterations, residual,
-    descent stop reason, failure message or None), all of `grid`.
+    full box or of its mirror part: (value, field, `descent.DescentResult`),
+    all of `grid`.  value is the eps = 0 objective at the field, and the
+    result's gradient, gain times the objective's, is the one the report
+    carries.
 
     The start, H0 and stop are `solver.descend`'s: its p = 2 model is
     K + M with curvature 2 (the objective's p = 2 Hessian is 2(K + M),
@@ -238,23 +255,16 @@ def _solve(grid: GridDiscretization, pinned: np.ndarray, p: float,
     # p = 3: 27 -> 38 iterations, 1.7 times the time)
     eps = config.resolve_eps(p, 1e-4)
     w_node = quadratics.node_weights(grid)
-    [(u, result)] = descend(
+    [result] = descend(
         lambda x, b, eps_k: _capacity_gradient(x, grid, pinned, p, eps_k, w_node),
         lambda x, eps_k: _frozen_weight_matrix(x, grid, p, eps_k),
         load[..., None], pinned, p, [eps], matrix, config,
         curvature=2.0, lift=1.0, gain=gain)
-    value, grad = _capacity_gradient(u, grid, pinned, p, 0.0, w_node)
-    if isinstance(result, int):  # the linear answer and its CG count
-        residual = float(np.abs(gain * grad).max())
-        failure = (f"linear path residual {residual:.3e} above tolerance "
-                   f"{config.grad_tolerance:.3e}")
-        return (value, u, result, residual, None,
-                failure if residual > config.grad_tolerance else None)
-    residual = float(np.abs(result.gradient).max())
-    failure = (f"capacity minimization stopped ({result.reason}) at residual "
-               f"{residual:.3e} after {result.iterations} iterations")
-    return (value, u, result.iterations, residual, result.reason,
-            None if result.converged else failure)
+    # the report's value is the unregularized objective at the field,
+    # which the descent's last evaluation already is where eps = 0
+    value = (result.value if eps == 0
+             else _capacity_gradient(result.x, grid, pinned, p, 0.0, w_node)[0])
+    return value, result.x, result
 
 
 def check_resolution(resolution: int, name: str = "resolution") -> None:

@@ -35,6 +35,9 @@ import numpy as np
 CONVERGED = "converged"
 ITERATION_CAP = "iteration cap"
 LINE_SEARCH_STALL = "line-search stall"
+# why a p = 2 linear answer (`solver.descend`) failed: its CG stopped
+# above the tolerance
+LINEAR_PATH_RESIDUAL = "linear path residual"
 
 # backtracking: each failed trial halves the step; Armijo accepts a step
 # that gains this fraction of the first-order decrease

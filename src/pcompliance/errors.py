@@ -5,8 +5,10 @@ class NonConvergence(RuntimeError):
     """A solve stopped above its tolerance.
 
     Carries the partially converged field and its report so callers can
-    inspect the last residual, and the descent's stop reason ("iteration
-    cap" or "line-search stall"; None for a linear solve).
+    inspect the last residual, and the reason the solve stopped: a
+    descent's "iteration cap" or "line-search stall", a p = 2 linear
+    answer's "linear path residual", or the Poincare eigensolver's
+    "eigensolver residual".
     """
 
     def __init__(self, message, report=None, field=None, reason=None):

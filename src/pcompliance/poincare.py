@@ -30,8 +30,9 @@ from .solver import (SolverConfig, gauge_shifted, p_density, solve_method,
                      zero_energy_modes)
 
 # largest |M v - mu K v|_inf / (|M v|_inf + mu |K v|_inf) accepted from
-# the eigensolver
+# the eigensolver, and the NonConvergence reason of a mu that fails it
 _EIG_RELATIVE_RESIDUAL = 1e-8
+EIGEN_RESIDUAL = "eigensolver residual"
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def _largest_mass_over_stiffness(grid: GridDiscretization, pinned: np.ndarray,
         raise NonConvergence(
             f"eigensolver returned mu = {mu:.6g} at relative residual "
             f"{relative:.3e} > {_EIG_RELATIVE_RESIDUAL:.0e}",
-            report=result, field=field)
+            report=result, field=field, reason=EIGEN_RESIDUAL)
     return result
 
 

@@ -71,12 +71,15 @@ class SolverConfig:
     prefer_direct: Optional[bool] = None
 
     def __post_init__(self):
-        if not (self.grad_tolerance > 0):
-            raise ValueError(f"grad_tolerance must be positive, got {self.grad_tolerance}")
+        if not (0 < self.grad_tolerance < np.inf):
+            raise ValueError(f"grad_tolerance must be positive and finite, "
+                             f"got {self.grad_tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.regularization_eps is not None and self.regularization_eps < 0:
-            raise ValueError("regularization_eps must be >= 0")
+        if self.regularization_eps is not None and not (
+                0 <= self.regularization_eps < np.inf):
+            raise ValueError(f"regularization_eps must be finite and >= 0, "
+                             f"got {self.regularization_eps}")
 
     def resolve_eps(self, p: float, default: float) -> float:
         if self.regularization_eps is None:
@@ -216,8 +219,8 @@ def solve(f: np.ndarray, mask: ConstraintMask, p: float,
     """Minimize the energy over fields on mask.grid vanishing on the mask.
 
     Returns the minimizer and a filled ComplianceReport.  Raises
-    NonConvergence (with the partial report attached) when the iteration
-    budget runs out above tolerance.
+    NonConvergence (with the reason and the partial report attached)
+    when the solve stops above tolerance.
     """
     return solve_batch([f], mask, p, config, crack_length=crack_length,
                        length_penalty=length_penalty,
@@ -238,13 +241,15 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     Kacanov builder, so its start, H0 and stop rules are the ones every
     energy and capacity solve follows.  The linear path (p = 2 on a
     nonsingular K) solves all distinct sources together, with one
-    factorization or one preconditioner, and gives each report its own
-    CG iteration count; the descent path minimizes them one after
-    another, each from its source's p = 2 solution.
+    factorization or one preconditioner; the descent path minimizes them
+    one after another, each from its source's p = 2 solution.  Either
+    way each report is read off its column's `descent.DescentResult`:
+    the energy and residual at the returned field, and the CG count or
+    the descent's iterations and evaluations.
     Returns one (field, report) pair per source, in order, and raises
-    NonConvergence for the first source whose solve misses the
-    tolerance.  Non-finite source values raise ValueError before any
-    work.
+    NonConvergence, with the result's reason, for the first source whose
+    solve misses the tolerance.  Non-finite source values raise
+    ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -271,23 +276,31 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
                 "energy is unbounded below; widen the crack or refine the grid")
     method = solve_method(p, nonsingular)
 
-    def finish(u, b, eps, result):
-        # the linear path's result is its CG count
-        iterations, evaluations, reason = (
-            (result, 0, descent.CONVERGED) if method == "linear" else
-            (result.iterations, result.evaluations, result.reason))
-        report = _build_report(u, b, grid, pinned, p, eps,
-                               iterations, evaluations, method, crack_length,
-                               length_penalty)
-        if reason != descent.CONVERGED:
+    def finish(b, eps, result):
+        u = result.x
+        q = p / (p - 1.0)
+        # the unregularized flux has |sigma|^p' = |grad u|^p cell by cell,
+        # so one p-norm serves both compliance forms
+        pnorm = gradient_pnorm(u, grid, p)
+        report = ComplianceReport(
+            p=p,
+            energy=result.value,
+            compliance_energy_form=pnorm / q,
+            compliance_work_form=float(np.dot(b.ravel(), u.ravel())) / q,
+            flux_pnorm=pnorm,
+            crack_length=crack_length,
+            penalized_objective=pnorm / q + length_penalty * crack_length,
+            iterations=result.iterations,
+            residual=float(np.abs(result.gradient).max()),
+            regularization_eps=eps,
+            method=method,
+            evaluations=result.evaluations)
+        if not result.converged:
             raise NonConvergence(
-                f"no convergence ({reason}) in {iterations} iterations, "
-                f"residual {report.residual:.3e} > {config.grad_tolerance:.3e}",
-                report=report, field=u, reason=reason)
-        if report.residual > config.grad_tolerance:
-            raise NonConvergence(
-                f"linear path residual {report.residual:.3e} above "
-                f"tolerance {config.grad_tolerance:.3e}", report=report, field=u)
+                f"energy solve stopped ({result.reason}) after "
+                f"{result.iterations} iterations at residual "
+                f"{report.residual:.3e} above tolerance {config.grad_tolerance:.3e}",
+                report=report, field=u, reason=result.reason)
         return u, report
 
     # a rung's cubes all carry the default g = 1, so one solve serves them
@@ -319,19 +332,24 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
         nonsingular=nonsingular)
     # each report is built, and a failure raised, before the next source
     # is solved
-    return _in_order([finish(u, loads[..., column], eps[column], result)
-                      for column, (u, result) in enumerate(solved)], order)
+    return _in_order([finish(loads[..., column], eps[column], result)
+                      for column, result in enumerate(solved)], order)
 
 
 def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
             eps, model: sp.spmatrix, config: SolverConfig, *,
             nonsingular: bool = True, curvature: float = 1.0, lift: float = 0.0,
-            gain: float | np.ndarray = 1.0) -> Iterator[tuple]:
+            gain: float | np.ndarray = 1.0) -> Iterator[descent.DescentResult]:
     """The start, H0 and stop of every energy and capacity solve: per
-    column of the (*pinned.shape, k) stack loads in turn, the field and
-    its `descent.DescentResult`, or at p = 2 on a nonsingular model the
-    linear answer and its CG count.  A caller that stops iterating
-    (on a failed column, say) solves no later column.
+    column of the (*pinned.shape, k) stack loads in turn, one
+    `descent.DescentResult`, whose x is the column's field, whose value
+    and gradient are the objective's there (the gradient times gain),
+    and whose reason says whether it met grad_tolerance.  At p = 2 on a
+    nonsingular model x is the linear answer, evaluated once:
+    iterations is its CG count, evaluations 0, and the reason
+    `descent.CONVERGED` or `descent.LINEAR_PATH_RESIDUAL`.  A caller
+    that stops iterating (on a failed column, say) solves no later
+    column.
 
     The caller declares what is its own.  objective(x, b, eps) is the
     (value, gradient) of the problem with load b (column k's, with
@@ -371,7 +389,14 @@ def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
             prefer_direct=config.prefer_direct)
         fields[pinned] = lift
         if solve_method(p, nonsingular) == "linear":
-            yield from zip(np.moveaxis(fields, -1, 0), columns)
+            for column, iterations in enumerate(columns):
+                u = fields[..., column]
+                value, grad = objective(u, loads[..., column], eps[column])
+                grad = gain * grad
+                reason = (descent.CONVERGED
+                          if np.abs(grad).max() <= config.grad_tolerance
+                          else descent.LINEAR_PATH_RESIDUAL)
+                yield descent.DescentResult(u, value, grad, iterations, 0, reason)
             return
     else:
         h0 = quadratics.approximate_inverse(curvature * model, pinned,
@@ -395,7 +420,8 @@ def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
             grad_tolerance=config.grad_tolerance,
             max_iterations=config.max_iterations,
             precondition=lambda r: h0.solve(r / gain) / gain)
-        yield np.where(pinned, lift, gain * result.x), result
+        result.x = np.where(pinned, lift, gain * result.x)
+        yield result
 
 
 def _in_order(solved: list, order: list[int]) -> list:
@@ -422,30 +448,6 @@ def _frozen_weight_matrix(u: GridField, grid: GridDiscretization, p: float,
     g = cell_gradients(u, grid.h)
     w = density_weights((g * g).sum(axis=0) + eps * eps, p)
     return quadratics._gram(grid, *quadratics.gradient_operator(grid.dim, grid.h), w)
-
-
-def _build_report(u, b, grid, pinned, p, eps, iterations, evaluations,
-                  method, crack_length, length_penalty) -> ComplianceReport:
-    value, grad = energy_and_gradient(u, b, grid, pinned, p, eps)
-    q = p / (p - 1.0)
-    # the unregularized flux has |sigma|^p' = |grad u|^p cell by cell, so
-    # one p-norm serves both forms
-    pnorm = gradient_pnorm(u, grid, p)
-    c_energy = pnorm / q
-    c_work = float(np.dot(b.ravel(), u.ravel())) / q
-    return ComplianceReport(
-        p=p,
-        energy=value,
-        compliance_energy_form=c_energy,
-        compliance_work_form=c_work,
-        flux_pnorm=pnorm,
-        crack_length=crack_length,
-        penalized_objective=c_energy + length_penalty * crack_length,
-        iterations=iterations,
-        residual=float(np.abs(grad).max()),
-        regularization_eps=eps,
-        method=method,
-        evaluations=evaluations)
 
 
 def solve_cracks(spec, cracks: CrackSet, f, nodes_per_side: int,

@@ -113,6 +113,22 @@ def test_point_target_always_pins_one_node():
     assert result.value > 0.0
 
 
+def test_point_target_outside_the_box_or_not_finite_is_rejected():
+    grid = GridDiscretization(17, 1.0, 2)
+    # this once returned the corner node's capacity, 0.4070634078226125
+    with pytest.raises(ValueError, match="outside the closed box"):
+        point_capacity(2.0, grid, position=(5.0, 5.0))
+    # a NaN coordinate once pinned index 0 along its axis
+    for bad in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            point_capacity(2.0, grid, position=bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            target_pins(np.array(bad), grid)
+    # a point on the boundary is in the closed box
+    corner = point_capacity(2.0, grid, position=(1.0, -1.0))
+    assert corner.pinned_nodes == 1 and corner.value > 0.0
+
+
 def test_capacity_monotone_in_target():
     grid = GridDiscretization(33, 2.0, 2)
     short = variational_capacity(axis_segment((-0.125, 0.0), 0, 0.25), 2.0, grid)
@@ -649,7 +665,7 @@ def test_capacity_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
     with pytest.raises(NonConvergence, match="linear path residual") as err:
         segment_capacity(0.5, 2.0, box_half_width=1.0, config=config)
     assert err.value.field.shape == (17, 17)
-    assert err.value.reason is None
+    assert err.value.reason == descent.LINEAR_PATH_RESIDUAL
     report = err.value.report
     assert isinstance(report, CapacityResult)
     # one stubbed CG call on the capacity block's single lattice
@@ -681,8 +697,8 @@ def test_segment_capacity_equals_the_full_box_solve(monkeypatch, t, resolution,
     pinned = target_pins(centered_segment(t, grid), grid)
     # both public entries fold this box, so the reference is the unfolded
     # solve itself
-    full_value, _, _, _, _, failure = capacity._solve(grid, pinned, p, config)
-    assert failure is None
+    full_value, _, result = capacity._solve(grid, pinned, p, config)
+    assert result.converged
 
     fields = []
     gradient = _capacity_gradient
@@ -739,19 +755,21 @@ def test_mirror_part_descent_stops_on_the_full_box_residual(monkeypatch, dim, p)
 
     monkeypatch.setattr(quadratics, "approximate_inverse", recorded_inverse)
     monkeypatch.setattr(capacity, "_capacity_gradient", recorded_gradient)
-    _, u, iterations, residual, _, failure = capacity._solve(part, pinned, p, config, gain)
+    _, u, result = capacity._solve(part, pinned, p, config, gain)
     monkeypatch.undo()
-    assert failure is None and residual <= config.grad_tolerance
-    # the last evaluation is the reported value's, at the final field, and
-    # the first is the descent's at the warm start
-    *folded, final = folded
+    iterations, residual = result.iterations, float(np.abs(result.gradient).max())
+    assert result.converged and residual <= config.grad_tolerance
+    # the last evaluation is at the final field: the reported value's
+    # where eps > 0, else the descent's own last one; the first is the
+    # descent's at the warm start
+    eps = config.resolve_eps(p, 1e-4)
+    final = folded.pop() if eps > 0 else folded[-1]
     assert final.tobytes() == u.tobytes()
     [h0] = h0s
 
     # the unscaled descent from the same warm start with the same H0; H0
     # runs at the start and once per accepted step, on that iterate's
     # gradient
-    eps = config.resolve_eps(p, 1e-4)
     w_node = quadratics.node_weights(part)
     unscaled, gradients = [], []
 
@@ -794,9 +812,9 @@ def test_refinement_ratio_boxes_fold_bit_for_bit(nodes):
     # to a few ulp, the folded sums being reordered)
     grid = GridDiscretization(nodes, 2.0, 3)
     seg = centered_segment(0.25, grid)
-    full_value, _, _, _, _, failure = capacity._solve(
+    full_value, _, result = capacity._solve(
         grid, target_pins(seg, grid), 2.0, None)
-    assert failure is None
+    assert result.converged
     assert variational_capacity(seg, 2.0, grid).value == full_value
 
 
@@ -843,3 +861,36 @@ def test_variational_capacity_folds_exactly_the_mirror_symmetric_pins(monkeypatc
                          (lopsided, odd)):
         variational_capacity(target, 2.0, grid)
         assert shapes.pop() == grid.shape
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("fold", [False, True])
+def test_capacity_solve_evaluates_its_objective_once_past_the_descent(monkeypatch, fold, p):
+    # the reported value is the descent's last evaluation where eps = 0,
+    # and one more, at eps = 0, where eps > 0; a linear answer is
+    # evaluated once
+    kernel, minimize = _capacity_gradient, descent.minimize
+    shapes, results = [], []
+
+    def counting(u, *args):
+        shapes.append(u.shape)
+        return kernel(u, *args)
+
+    def recording(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(capacity, "_capacity_gradient", counting)
+    monkeypatch.setattr(descent, "minimize", recording)
+    grid = GridDiscretization(17, 1.0, 2)
+    # the centered segment folds onto the 9^2 mirror part, the shifted one
+    # solves on the full box
+    start = (-0.25, 0.0) if fold else (-0.5, 0.25)
+    variational_capacity(axis_segment(start, 0, 0.5), p, grid,
+                         SolverConfig(grad_tolerance=1e-8))
+    assert set(shapes) == {(9, 9) if fold else (17, 17)}
+    if p == 2.0:
+        assert not results and len(shapes) == 1
+    else:
+        [result] = results
+        assert len(shapes) == result.evaluations + (p < 2)

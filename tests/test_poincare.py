@@ -184,6 +184,7 @@ def test_eigen_path_gates_the_eigsh_residual():
     mask = crack_cube(1.0, 0.25, 17, dim=3)
     with pytest.raises(NonConvergence, match="relative residual") as err:
         _largest_mass_over_stiffness(mask.grid, mask.pinned, 2.0)
+    assert err.value.reason == "eigensolver residual"
     # the rejected eigenvector rides along, scattered onto the grid
     field = err.value.field
     assert field.shape == mask.grid.shape

@@ -646,6 +646,13 @@ def test_solver_config_validation():
         SolverConfig(regularization_eps=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(regularization_eps=0.0).resolve_eps(1.5, 1.0)
+    # a NaN or infinite eps once reached SuperLU's "Factor is exactly
+    # singular" in a p = 1.5 solve, and an infinite tolerance stops at once
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="grad_tolerance must be positive and finite"):
+            SolverConfig(grad_tolerance=bad)
+        with pytest.raises(ValueError, match="regularization_eps must be finite"):
+            SolverConfig(regularization_eps=bad)
 
 
 def test_zero_energy_detectors_2d():
@@ -722,3 +729,68 @@ def test_stencil_load_equals_mass_matrix_times_source(dim, nodes):
     expected = quadratics.mass_matrix(grid) @ f.ravel()
     assert np.abs(load - expected).max() <= 1e-14 * np.abs(expected).max()
 
+
+
+def test_energy_linear_path_fails_loudly_when_cg_stops_early(monkeypatch):
+    calls = []
+
+    def unconverged(a, b, precond, grad_tolerance):
+        calls.append(len(b))
+        return np.zeros(len(b)), 1
+
+    monkeypatch.setattr(quadratics, "_pinned_cg", unconverged)
+    # no lattice of the 17^2 stiffness block has a coarse level; their
+    # stand-in LUs miss the tolerance, so the column falls back to the
+    # stubbed CG on each
+    monkeypatch.setattr(quadratics, "_hierarchy", lambda a, slots: np.zeros_like)
+    grid = GridDiscretization(17, 1.0, 2)
+    mask = rasterize(CrackSet.empty(), grid)
+    f = bump_source(grid)
+    config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
+    with pytest.raises(NonConvergence, match="linear path residual") as err:
+        solve(f, mask, 2.0, config)
+    assert err.value.field.shape == grid.shape
+    assert err.value.reason == descent.LINEAR_PATH_RESIDUAL
+    report = err.value.report
+    assert isinstance(report, ComplianceReport)
+    assert report.method == "linear" and report.evaluations == 0
+    # one stubbed CG call per lattice of the one column
+    assert calls and report.iterations == len(calls)
+    assert report.residual > 1e-8
+    assert f"residual {report.residual:.3e} above" in str(err.value)
+    # the energy and residual are the objective's at the returned field
+    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
+    value, grad = energy_and_gradient(err.value.field, b, grid, mask.pinned, 2.0, 0.0)
+    assert report.energy == pytest.approx(value, rel=1e-12)
+    assert report.residual == float(np.abs(grad).max())
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_energy_solve_evaluates_its_objective_only_in_the_descent(monkeypatch, p):
+    # the report reads the descent's last evaluation, at the returned
+    # field, and a linear answer is evaluated once
+    from pcompliance import solver
+
+    kernel, minimize = solver.energy_and_gradient, descent.minimize
+    calls, results = [], []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return kernel(*args)
+
+    def recording(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "energy_and_gradient", counting)
+    monkeypatch.setattr(descent, "minimize", recording)
+    grid = GridDiscretization(33, 1.0, 2)
+    mask = rasterize(CrackSet.of(axis_segment((-0.5, 0.2), 0, 1.0)), grid)
+    _, report = solve(bump_source(grid), mask, p, SolverConfig(grad_tolerance=1e-8))
+    if p == 2.0:
+        assert report.method == "linear" and not results
+        assert len(calls) == 1 and report.evaluations == 0
+    else:
+        [result] = results
+        assert report.method == "descent"
+        assert len(calls) == result.evaluations == report.evaluations
