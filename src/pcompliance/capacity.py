@@ -21,7 +21,6 @@ leaves constants as the only zero-energy fields, which any pin removes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ import scipy.sparse as sp
 from . import quadratics
 from .errors import DegenerateTarget, NonConvergence
 from .geometry import (CrackSet, GridDiscretization, Segment, axis_segment,
-                       rasterize)
+                       mirror_part, rasterize)
 from .quadratics import _corners
 from .solver import SolverConfig, descend, density_weights, p_density
 
@@ -159,13 +158,12 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
                          config: Optional[SolverConfig] = None) -> CapacityResult:
     """Capacity estimate for a target pinned to 1 inside `grid`'s box.
 
-    On an odd grid whose pins are mirror-symmetric in every node plane
-    through the box center, the solve runs on one 2^dim-th of the box:
-    the planes split every cell, the objective is a cell sum, and the
-    unique minimizer is symmetric.  A part node with m mirror images
-    carries 2^dim / m times the part gradient, and the part descent stops
-    on that full-box gradient, at grad_tolerance.  Either way the report
-    (value, grid, pin count, residual) is the full box's.
+    Where `geometry.mirror_part` folds the pins (an odd grid, pins
+    mirror-symmetric in every node plane through the box center), the
+    solve runs on that one 2^dim-th of the box, as the energy solves'
+    do: the part descent stops on the full box's gradient, gain times
+    the part's, at grad_tolerance.  Either way the report (value, grid,
+    pin count, residual) is the full box's.
 
     The report's iterations and residual are those of the solve's
     `descent.DescentResult`.  Raises ValueError for a target outside the
@@ -191,26 +189,18 @@ def variational_capacity(target, p: float, grid: GridDiscretization,
     if n_pinned == 0:
         raise DegenerateTarget(
             f"target captures no node at h = {grid.h:.4g}; refine the grid")
-    dim, mid = grid.dim, grid.nodes_per_side // 2
-    fold = grid.nodes_per_side % 2 == 1 and all(
-        np.array_equal(pinned, np.flip(pinned, k)) for k in range(dim))
-    if fold:
-        # a node off the planes in k axes has 2^k mirror images
-        images = functools.reduce(
-            np.multiply.outer, [np.minimum(np.arange(mid + 1), 1) + 1] * dim)
-        # the solve reads only h and the shape, so the part keeps c at 0
-        value, u, result = _solve(
-            GridDiscretization(mid + 1, 0.5 * grid.half_width, dim),
-            pinned[(slice(mid, None),) * dim], p, config, 2 ** dim / images)
-        value *= 2 ** dim
+    part = mirror_part(grid, pinned)
+    if part is not None:
+        value, u, result = _solve(part.grid, part.pinned, p, config, part.gain)
+        value *= 2 ** grid.dim
     else:
         value, u, result = _solve(grid, pinned, p, config)
     residual = float(np.abs(result.gradient).max())
     report = CapacityResult(value, grid.half_width, grid.h, p, grid.nodes_per_side,
                             n_pinned, result.iterations, residual)
     if not result.converged:
-        if fold:  # unfold the part's field by reflection in every axis
-            u = u[np.ix_(*[np.abs(np.arange(-mid, mid + 1))] * dim)]
+        if part is not None:
+            u = u[part.unfold]
         raise NonConvergence(
             f"capacity solve stopped ({result.reason}) after "
             f"{result.iterations} iterations at residual {residual:.3e} above "

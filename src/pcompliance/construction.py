@@ -28,7 +28,8 @@ from .errors import ResolutionTooCoarse
 from .geometry import (CrackSet, GridDiscretization, ProblemSpec, axis_segment,
                        rasterize)
 from .solver import (ComplianceReport, SolverConfig, cell_means,
-                     divergence_residual, flux, solve_batch, solve_cracks)
+                     divergence_residual, flux, group_by_value, in_order,
+                     solve_batch, solve_cracks)
 from .sources import Constant, sample_on_grid
 
 
@@ -132,7 +133,8 @@ def local_solve(params: ConstructionParams, g,
     centered cracks rasterize alike node for node, so the first cube's
     grid and mask serve them all: one rasterization, one assembly and one
     factorization (or one V-cycle, `quadratics.solve_pinned`) per rung.
-    Each source is sampled on its own cube.
+    Each source is sampled on its own cube, and cubes whose samples are
+    equal share one solve, one source norm and one read-only field.
     """
     if local_nodes is None:
         local_nodes = required_local_nodes(params)
@@ -147,16 +149,18 @@ def local_solve(params: ConstructionParams, g,
             f"side (n = {params.n}); need >= {CRACK_SPAN_CELLS:g}")
     crack = centered_segment(params.crack_length, grid)
     mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
-    sources = [sample_on_grid(g, cube) for cube in grids]
+    # a constant g samples alike on every cube, so a rung keeps, solves
+    # and integrates one source
+    sources, order = group_by_value(sample_on_grid(g, cube) for cube in grids)
     solved = solve_batch(sources, mask, params.p, config,
                          crack_length=params.crack_length,
                          require_boundary=False)
     q = params.p / (params.p - 1.0)
-    return [LocalSolveResult(
-                grid=cube, u=u, report=report,
-                source_dual_pnorm=cube.cell_volume * float(
-                    np.sum(np.abs(cell_means(source)) ** q)))
-            for cube, source, (u, report) in zip(grids, sources, solved)]
+    per_source = in_order(
+        [(u, report, grid.cell_volume * float(np.sum(np.abs(cell_means(source)) ** q)))
+         for source, (u, report) in zip(sources, solved)], order)
+    return [LocalSolveResult(grid=cube, u=u, report=report, source_dual_pnorm=norm)
+            for cube, (u, report, norm) in zip(grids, per_source)]
 
 
 def assemble_flux(results: Sequence[LocalSolveResult], params: ConstructionParams,

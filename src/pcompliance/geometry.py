@@ -15,6 +15,7 @@ the same length units as the box.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -252,10 +253,18 @@ class GridDiscretization:
         return np.linspace(lo, hi, self.nodes_per_side)
 
     def node_coordinates(self) -> np.ndarray:
-        """Array of node positions, shape grid.shape + (dim,)."""
-        axes = [self.axis(k) for k in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """Array of node positions, shape grid.shape + (dim,).
+
+        Each axis is broadcast into one preallocated array: a meshgrid
+        and its stack copy every coordinate twice, and a crack-ladder rung
+        samples its source on every cube's grid.
+        """
+        coords = np.empty(self.shape + (self.dim,))
+        for k in range(self.dim):
+            shape = [1] * self.dim
+            shape[k] = -1
+            coords[..., k] = self.axis(k).reshape(shape)
+        return coords
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros(self.shape, dtype=bool)
@@ -310,6 +319,55 @@ class ConstraintMask:
 
     def interior_pinned(self) -> int:
         return int((self.pinned & ~self.grid.boundary_mask()).sum())
+
+
+@dataclass(frozen=True, eq=False)
+class MirrorPart:
+    """One 2^dim-th of an odd grid's box, cut off by the node planes
+    through its center, on which a mirror-symmetric problem is solved.
+
+    grid is the part's own grid (the same h, (nodes_per_side + 1) / 2
+    nodes per side), pinned and fields the part slices of the full
+    arrays, gain the node field 2^dim / images, images the count of a
+    part node's mirror copies in the full box (2 per axis it lies off
+    the planes of), and unfold the index that reflects a part field
+    into the full box: full = part[unfold].
+    """
+
+    grid: GridDiscretization
+    pinned: np.ndarray
+    fields: tuple[np.ndarray, ...]
+    gain: np.ndarray
+    unfold: tuple[np.ndarray, ...]
+
+
+def mirror_part(grid: GridDiscretization, pinned: np.ndarray,
+                *fields: np.ndarray) -> MirrorPart | None:
+    """The mirror part of `grid`'s box, or None when no fold applies.
+
+    A fold applies when the node count per side is odd, so the node
+    planes through the center split every cell, and the pins and every
+    given field equal their `np.flip` along every axis, bit for bit.
+    A cell-sum objective of a symmetric field is then 2^dim times its
+    part's sum, its gradient at a part node gain times the part's, and
+    a convex problem's unique minimizer is symmetric, so the part
+    solve gives the full box's answer.
+    """
+    n, dim = grid.nodes_per_side, grid.dim
+    if n % 2 == 0 or not all(
+            a.tobytes() == np.flip(a, k).tobytes()
+            for a in (pinned,) + fields for k in range(dim)):
+        return None
+    mid = n // 2
+    part = (slice(mid, None),) * dim
+    # a node off the planes in k axes has 2^k mirror images
+    images = functools.reduce(
+        np.multiply.outer, [np.minimum(np.arange(mid + 1), 1) + 1] * dim)
+    return MirrorPart(
+        GridDiscretization(mid + 1, 0.5 * grid.half_width, dim,
+                           tuple(c + 0.5 * grid.half_width for c in grid.center)),
+        pinned[part], tuple(f[part] for f in fields), 2 ** dim / images,
+        np.ix_(*[np.abs(np.arange(-mid, mid + 1))] * dim))
 
 
 def _segment_node_distances(coords: np.ndarray, seg: Segment) -> np.ndarray:

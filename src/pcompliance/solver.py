@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import descent, quadratics
 from .errors import NonConvergence, UnpinnedMask
 from .geometry import (ConstraintMask, CrackSet, GridDiscretization, build_grid,
-                       rasterize, total_length)
+                       mirror_part, rasterize, total_length)
 from .quadratics import (_corners, cell_gradients, cell_gradients_adjoint,
                          cell_means, cell_means_adjoint)
 from .sources import sample_on_grid
@@ -189,9 +189,8 @@ def energy_and_gradient(u: GridField, b: np.ndarray, grid: GridDiscretization,
 
 def energy_gradient(u: GridField, f: np.ndarray, mask: ConstraintMask, p: float,
                     eps: float = 0.0) -> GridField:
-    grid = mask.grid
-    b = cell_means_adjoint(cell_means(f), grid.cell_volume)
-    _, grad = energy_and_gradient(u, b, grid, mask.pinned, p, eps)
+    _, grad = energy_and_gradient(u, node_load(f, mask.grid), mask.grid,
+                                  mask.pinned, p, eps)
     return grad
 
 
@@ -242,14 +241,20 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
     energy and capacity solve follows.  The linear path (p = 2 on a
     nonsingular K) solves all distinct sources together, with one
     factorization or one preconditioner; the descent path minimizes them
-    one after another, each from its source's p = 2 solution.  Either
-    way each report is read off its column's `descent.DescentResult`:
-    the energy and residual at the returned field, and the CG count or
-    the descent's iterations and evaluations.
+    one after another, each from its source's p = 2 solution.  Where
+    `geometry.mirror_part` folds the pins and every distinct source, all
+    of them solve on that one 2^dim-th of the box, whose loads are the
+    part-grid cell means of the sources' part slices, and whose descent
+    stops on the full box's gradient (`descend`'s gain).  Either way each
+    report is the full box's, read off its column's
+    `descent.DescentResult`: the energy (2^dim times a part's) and
+    residual at the returned field, the p-norm and work form of the
+    (unfolded) field, and the CG count or the descent's iterations and
+    evaluations.
     Returns one (field, report) pair per source, in order, and raises
-    NonConvergence, with the result's reason, for the first source whose
-    solve misses the tolerance.  Non-finite source values raise
-    ValueError before any work.
+    NonConvergence, with the result's reason and the full-box field, for
+    the first source whose solve misses the tolerance.  Non-finite
+    source values raise ValueError before any work.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -275,16 +280,32 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
                 "the pins admit a zero-energy mode with nonzero mean, so the "
                 "energy is unbounded below; widen the crack or refine the grid")
     method = solve_method(p, nonsingular)
+    # sources with equal values share one solve
+    fs, order = group_by_value(fs)
+    eps = [config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
+           for f in fs]
+    # a nonsingular full block leaves its mirror part nonsingular too: a
+    # part mode unfolds to a full one
+    part = mirror_part(grid, pinned, *fs)
+    solve_grid, solve_pins, parts, gain = (
+        (grid, pinned, fs, 1.0) if part is None
+        else (part.grid, part.pinned, part.fields, part.gain))
 
-    def finish(b, eps, result):
-        u = result.x
+    def finish(column, result):
+        if part is None:
+            u, b, energy_value = result.x, loads[..., column], result.value
+        else:
+            # the full box's report: its load, the unfolded field, and
+            # 2^dim times the part's energy
+            u, b = result.x[part.unfold], node_load(fs[column], grid)
+            energy_value = 2 ** grid.dim * result.value
         q = p / (p - 1.0)
         # the unregularized flux has |sigma|^p' = |grad u|^p cell by cell,
         # so one p-norm serves both compliance forms
         pnorm = gradient_pnorm(u, grid, p)
         report = ComplianceReport(
             p=p,
-            energy=result.value,
+            energy=energy_value,
             compliance_energy_form=pnorm / q,
             compliance_work_form=float(np.dot(b.ravel(), u.ravel())) / q,
             flux_pnorm=pnorm,
@@ -292,7 +313,7 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
             penalized_objective=pnorm / q + length_penalty * crack_length,
             iterations=result.iterations,
             residual=float(np.abs(result.gradient).max()),
-            regularization_eps=eps,
+            regularization_eps=eps[column],
             method=method,
             evaluations=result.evaluations)
         if not result.converged:
@@ -303,37 +324,45 @@ def solve_batch(fs, mask: ConstraintMask, p: float,
                 report=report, field=u, reason=result.reason)
         return u, report
 
-    # a rung's cubes all carry the default g = 1, so one solve serves them
-    position: dict[bytes, int] = {}
-    distinct, order = [], []
-    for f in fs:
-        key = np.asarray(f, dtype=float).tobytes()
-        if key not in position:
-            position[key] = len(distinct)
-            distinct.append(f)
-        order.append(position[key])
-    fs = distinct
     # a source enters only through its node load b = vol * M^T M f, the
     # p = 2 mass matrix applied to f: the linear right-hand side, the
     # descent objective and the report's work form all read that one
     # array.  The stack is filled column by column: holding every cube's
     # cell means at once raised a ladder's peak RSS by 8 MB
-    loads = np.empty(grid.shape + (len(fs),))
-    for column, f in enumerate(fs):
-        loads[..., column] = cell_means_adjoint(cell_means(f), grid.cell_volume)
-    stiffness = quadratics.stiffness_matrix(grid)
-    eps = [config.resolve_eps(p, 1e-8 * max(float(np.abs(f).max(initial=0.0)), 1.0))
-           for f in fs]
+    loads = np.empty(solve_grid.shape + (len(fs),))
+    for column, f in enumerate(parts):
+        loads[..., column] = node_load(f, solve_grid)
+    stiffness = quadratics.stiffness_matrix(solve_grid)
     solved = descend(
-        lambda u, b, eps_k: energy_and_gradient(u, b, grid, pinned, p, eps_k),
-        lambda u, eps_k: _frozen_weight_matrix(u, grid, p, eps_k),
-        loads, pinned, p, eps,
-        stiffness if nonsingular else gauge_shifted(grid, stiffness), config,
-        nonsingular=nonsingular)
+        lambda u, b, eps_k: energy_and_gradient(u, b, solve_grid, solve_pins, p, eps_k),
+        lambda u, eps_k: _frozen_weight_matrix(u, solve_grid, p, eps_k),
+        loads, solve_pins, p, eps,
+        stiffness if nonsingular else gauge_shifted(solve_grid, stiffness), config,
+        nonsingular=nonsingular, gain=gain)
     # each report is built, and a failure raised, before the next source
     # is solved
-    return _in_order([finish(loads[..., column], eps[column], result)
-                      for column, result in enumerate(solved)], order)
+    return in_order([finish(column, result) for column, result in enumerate(solved)],
+                    order)
+
+
+def node_load(f: np.ndarray, grid: GridDiscretization) -> np.ndarray:
+    """vol * M^T M f, the node load of source f on grid."""
+    return cell_means_adjoint(cell_means(f), grid.cell_volume)
+
+
+def group_by_value(arrays) -> tuple[list, list[int]]:
+    """The distinct arrays of an iterable by value, in first-seen order,
+    and each array's index among them: one bytes key per array, and an
+    integer array equals its float copy."""
+    position: dict[bytes, int] = {}
+    distinct, order = [], []
+    for a in arrays:
+        key = np.asarray(a, dtype=float).tobytes()
+        if key not in position:
+            position[key] = len(distinct)
+            distinct.append(a)
+        order.append(position[key])
+    return distinct, order
 
 
 def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
@@ -424,12 +453,13 @@ def descend(objective, kacanov, loads: np.ndarray, pinned: np.ndarray, p: float,
         yield result
 
 
-def _in_order(solved: list, order: list[int]) -> list:
-    """solved[k] for each source's distinct index k; a field that several
-    sources share is made read-only, so writing to one fails loudly."""
-    for (u, _), uses in zip(solved, np.bincount(order, minlength=len(solved))):
+def in_order(solved: list, order: list[int]) -> list:
+    """solved[k] for each source's distinct index k, solved[k] a tuple
+    whose first entry is a field; a field that several sources share is
+    made read-only, so writing to one fails loudly."""
+    for item, uses in zip(solved, np.bincount(order, minlength=len(solved))):
         if uses > 1:
-            u.flags.writeable = False
+            item[0].flags.writeable = False
     return [solved[k] for k in order]
 
 

@@ -894,3 +894,24 @@ def test_capacity_solve_evaluates_its_objective_once_past_the_descent(monkeypatc
     else:
         [result] = results
         assert len(shapes) == result.evaluations + (p < 2)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("t,dim", [(0.5, 2), (LADDER_T, 2), (0.5, 3)])
+def test_capacity_fold_is_the_hand_cut_part_solve_bit_for_bit(t, dim, p):
+    # `geometry.mirror_part` cuts the part that `variational_capacity`
+    # cut by hand before the fold served energy solves too: a grid of the
+    # same h centered at 0, the pins' upper slice and the gain 2^dim /
+    # images, so values and iteration counts stay bit for bit
+    box_half_width = None if t == LADDER_T else 1.0
+    config = SolverConfig(grad_tolerance=1e-8)
+    grid = segment_box(t, 4, dim, box_half_width)
+    mid = grid.nodes_per_side // 2
+    part = GridDiscretization(mid + 1, 0.5 * grid.half_width, dim)
+    pinned = target_pins(centered_segment(t, grid), grid)
+    value, _, result = capacity._solve(
+        part, pinned[(slice(mid, None),) * dim], p, config, mirror_gain(part))
+    folded = segment_capacity(t, p, dim, 4, box_half_width, config=config)
+    assert folded.value == 2 ** dim * value
+    assert folded.iterations == result.iterations
+    assert folded.residual == float(np.abs(result.gradient).max())

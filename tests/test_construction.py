@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcompliance import construction, quadratics
+from pcompliance import construction, quadratics, solver
 from pcompliance.capacity import centered_segment, segment_capacity
 from pcompliance.construction import (
     ConstructionParams,
@@ -15,7 +15,7 @@ from pcompliance.construction import (
 from pcompliance.errors import ResolutionTooCoarse
 from pcompliance.geometry import (CrackSet, GridDiscretization, rasterize,
                                  total_length)
-from pcompliance.solver import SolverConfig, cell_means, flux_pnorm, solve
+from pcompliance.solver import SolverConfig, cell_means, flux_pnorm, solve, solve_batch
 from pcompliance.sources import Constant, GaussianBump, sample_on_grid
 
 
@@ -114,15 +114,19 @@ def test_rung_factors_once_and_matches_standalone_solves(monkeypatch):
     assert len(calls) == 17
 
 
-@pytest.mark.parametrize("g", [Constant(1.0), GaussianBump((0.3, -0.2), 0.5)],
+@pytest.mark.parametrize("g,nodes", [(Constant(1.0), 129),
+                                     (GaussianBump((0.3, -0.2), 0.5), 65)],
                          ids=["constant", "bump"])
-def test_free_boundary_rung_cubes_take_the_v_cycle(monkeypatch, g):
+def test_free_boundary_rung_cubes_take_the_v_cycle(monkeypatch, g, nodes):
     # the n = 8 rung's 65^2 cubes pin only their crack, and their free
-    # blocks are above the V-cycle's coarse size
+    # blocks are above the V-cycle's coarse size.  A constant source
+    # folds each cube onto its mirror part, a 33^2 LU at 65 nodes, so it
+    # runs at 129 nodes, whose 65^2 part is above the coarse size
     params = ConstructionParams(n=8, epsilon=0.25)
     assert required_local_nodes(params) == 65
     direct = local_solve(params, g, config=SolverConfig(grad_tolerance=1e-12,
-                                                        prefer_direct=True))
+                                                        prefer_direct=True),
+                         local_nodes=nodes)
     reduced = []
     reduced_cg = quadratics._reduced_cg
 
@@ -135,7 +139,8 @@ def test_free_boundary_rung_cubes_take_the_v_cycle(monkeypatch, g):
 
     monkeypatch.setattr(quadratics, "_reduced_cg", spy)
     monkeypatch.setattr(quadratics, "PinnedFactor", no_factor)
-    lattice = local_solve(params, g, config=SolverConfig(grad_tolerance=1e-12))
+    lattice = local_solve(params, g, config=SolverConfig(grad_tolerance=1e-12),
+                          local_nodes=nodes)
     # the Schur-lattice path, whose two lattices are at or below the coarse
     # size and back-substitute every cube's column by their LU
     assert reduced == [1]
@@ -357,3 +362,63 @@ def test_connected_baseline_penalized_value():
         base.compliance_energy_form + 1.0, rel=1e-12)
     with pytest.raises(ValueError):
         connected_baseline(0.5, 2.0)
+
+
+def cube_source_norm(g, cube, p):
+    """int |g_bar|^p' over one cube, sampled on that cube alone."""
+    g_bar = cell_means(sample_on_grid(g, cube))
+    return cube.cell_volume * float(np.sum(np.abs(g_bar) ** (p / (p - 1.0))))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_constant_rung_solves_and_integrates_one_source(monkeypatch, p):
+    params = ConstructionParams(n=2, epsilon=0.4, p=p)
+    config = SolverConfig(grad_tolerance=1e-10)
+    batches = []
+
+    def recording(sources, *args, **kwargs):
+        batches.append(len(sources))
+        return solve_batch(sources, *args, **kwargs)
+
+    monkeypatch.setattr(construction, "solve_batch", recording)
+    results = local_solve(params, Constant(1.0), config, local_nodes=17)
+    assert batches == [1]
+    assert len(results) == params.cube_count
+    first = results[0]
+    assert not first.u.flags.writeable
+    # the full-box solve of the first cube, as every cube was solved before
+    monkeypatch.setattr(solver, "mirror_part", lambda *args: None)
+    grid = first.grid
+    mask = rasterize(CrackSet.of(centered_segment(params.crack_length, grid)), grid,
+                     include_boundary=False)
+    full_u, full = solve(np.ones(grid.shape), mask, p, config,
+                         crack_length=params.crack_length, require_boundary=False)
+    rel = 1e-12 if p == 2 else 1e-8
+    for result in results:
+        assert result.u is first.u and result.report is first.report
+        assert result.source_dual_pnorm == cube_source_norm(Constant(1.0),
+                                                            result.grid, p)
+    assert first.report.flux_pnorm == pytest.approx(full.flux_pnorm, rel=rel)
+    assert first.report.energy == pytest.approx(full.energy, rel=rel)
+    assert first.report.residual <= 1e-10
+    np.testing.assert_allclose(first.u, full_u, rtol=0, atol=rel * np.abs(full_u).max())
+
+
+def test_bump_rung_matches_one_batch_of_every_cube_bit_for_bit():
+    # a bump samples differently on every cube, so the rung is still one
+    # batch of all its cubes' sources, as it was before cubes were grouped
+    params = ConstructionParams(n=2, epsilon=0.4, p=3.0)
+    g = GaussianBump((0.3, -0.2), 0.5)
+    config = SolverConfig(grad_tolerance=1e-8)
+    results = local_solve(params, g, config, local_nodes=17)
+    grids = [r.grid for r in results]
+    mask = rasterize(CrackSet.of(centered_segment(params.crack_length, grids[0])),
+                     grids[0], include_boundary=False)
+    batch = solve_batch([sample_on_grid(g, cube) for cube in grids], mask, params.p,
+                        config, crack_length=params.crack_length,
+                        require_boundary=False)
+    for result, (u, report) in zip(results, batch):
+        assert result.u.tobytes() == u.tobytes()
+        assert result.u.flags.writeable
+        assert result.report == report
+        assert result.source_dual_pnorm == cube_source_norm(g, result.grid, params.p)

@@ -14,6 +14,7 @@ from pcompliance.geometry import (
     axis_segment,
     build_grid,
     load_segments,
+    mirror_part,
     rasterize,
     save_segments,
     total_length,
@@ -262,3 +263,50 @@ def test_spec_dual_exponent():
     assert ProblemSpec(p=2.0).dual_exponent == pytest.approx(2.0)
     assert ProblemSpec(p=3.0).dual_exponent == pytest.approx(1.5)
     assert ProblemSpec(p=1.5).dual_exponent == pytest.approx(3.0)
+
+
+def centered_crack_pins(nodes, dim=2, y=0.0):
+    grid = GridDiscretization(nodes, 1.0, dim)
+    crack = axis_segment((-0.5, y) + (0.0,) * (dim - 2), 0, 1.0)
+    return grid, rasterize(CrackSet.of(crack), grid).pinned
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mirror_part_of_a_symmetric_box(dim):
+    grid, pinned = centered_crack_pins(9, dim)
+    f = np.cos(grid.node_coordinates()).prod(axis=-1)
+    part = mirror_part(grid, pinned, f, f)
+    assert part.grid.shape == (5,) * dim
+    assert part.grid.h == grid.h
+    assert part.grid.center == (0.5,) * dim
+    assert np.array_equal(part.pinned, pinned[(slice(4, None),) * dim])
+    # the unfold index reflects every part slice back onto its full array
+    assert np.array_equal(part.pinned[part.unfold], pinned)
+    assert all(g[part.unfold].tobytes() == f.tobytes() for g in part.fields)
+    # a node on k of the planes (index 0 of the part) has gain 2^k
+    on_planes = sum(np.indices(part.grid.shape)[k] == 0 for k in range(dim))
+    assert np.array_equal(part.gain, 2.0 ** on_planes)
+    assert part.gain.dtype == float
+
+
+def test_mirror_part_needs_an_odd_grid_and_symmetry_bit_for_bit():
+    grid, pinned = centered_crack_pins(17)
+    f = np.ones(grid.shape)
+    assert mirror_part(grid, pinned, f) is not None
+    # an even grid has no node plane through its center
+    even, even_pins = centered_crack_pins(16)
+    assert np.array_equal(even_pins, np.flip(even_pins, 0))
+    assert mirror_part(even, even_pins, np.ones(even.shape)) is None
+    # pins asymmetric by one node
+    lopsided = pinned.copy()
+    assert lopsided[4, 8]  # the crack's first node
+    lopsided[4, 8] = False
+    assert mirror_part(grid, lopsided, f) is None
+    # a source asymmetric by one ulp, in any one of the fields
+    nudged = f.copy()
+    nudged[2, 5] = np.nextafter(1.0, 2.0)
+    assert mirror_part(grid, pinned, nudged) is None
+    assert mirror_part(grid, pinned, f, nudged) is None
+    # the single-solves crack at y = 0.2
+    grid, pinned = centered_crack_pins(129, y=0.2)
+    assert mirror_part(grid, pinned, np.ones(grid.shape)) is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from pcompliance import descent, quadratics
+from pcompliance import descent, quadratics, solver
 from pcompliance.errors import NonConvergence, UnpinnedMask
 from pcompliance.geometry import (
     ConstraintMask,
@@ -417,9 +417,10 @@ def test_energy_descent_factors_once_per_batch(monkeypatch):
         np.testing.assert_array_equal(u, alone)
 
 
-def crack_case(nodes, dim=2):
+def crack_case(nodes, dim=2, start=None):
     grid = GridDiscretization(nodes, 1.0, dim)
-    start = (-0.5, 0.2) if dim == 2 else (-0.5, 0.0, 0.0)
+    if start is None:
+        start = (-0.5, 0.2) if dim == 2 else (-0.5, 0.0, 0.0)
     mask = rasterize(CrackSet.of(axis_segment(start, 0, 1.0)), grid)
     return grid, mask, sample_on_grid(named_source("bump", dim, 1.0), grid)
 
@@ -540,8 +541,9 @@ def test_energy_descent_keeps_the_lu_of_k_where_the_size_rule_factors(case, p):
         config = SolverConfig(grad_tolerance=1e-8, prefer_direct=True)
     elif case == "3-d":
         # a 3-d block has no lattice, so H0 is an LU whatever prefer_direct
-        # says, while the p = 2 start runs CG
-        _, mask, f = crack_case(9, dim=3)
+        # says, while the p = 2 start runs CG.  The crack sits off the
+        # center plane y = 0, so the box does not fold onto a mirror part
+        _, mask, f = crack_case(9, dim=3, start=(-0.5, 0.25, 0.0))
         config = SolverConfig(grad_tolerance=1e-8, prefer_direct=False)
     else:
         # the pins of test_gauge_mask_p2_takes_descent: K is singular
@@ -794,3 +796,102 @@ def test_energy_solve_evaluates_its_objective_only_in_the_descent(monkeypatch, p
         [result] = results
         assert report.method == "descent"
         assert len(calls) == result.evaluations == report.evaluations
+
+
+def mirror_case(case):
+    """A mirror-symmetric energy problem: (mask, source, solve kwargs)."""
+    dim = 3 if case.endswith("3-d") else 2
+    grid = GridDiscretization(33 if dim == 2 else 9, 1.0, dim)
+    if case.startswith("dirichlet"):
+        crack = axis_segment((-0.5,) + (0.0,) * (dim - 1), 0, 1.0)
+        mask = rasterize(CrackSet.of(crack), grid)
+        return mask, sample_on_grid(named_source("bump", dim, 1.0), grid), {}
+    if dim == 2:
+        # a rung cube: only its centered crack pinned
+        crack = axis_segment((-0.25, 0.0), 0, 0.5)
+        mask = rasterize(CrackSet.of(crack), grid, include_boundary=False)
+    else:
+        # a centered crack alone leaves a 3-d cube an unbounded energy;
+        # the center plane x = 0 and the x axis leave K nonsingular
+        pinned = np.zeros(grid.shape, dtype=bool)
+        pinned[4] = True
+        pinned[:, 4, 4] = True
+        mask = ConstraintMask(grid, pinned)
+    return mask, np.ones(grid.shape), {"require_boundary": False}
+
+
+def unfolded(monkeypatch):
+    """Make `solve_batch` solve every problem on the full box."""
+    monkeypatch.setattr(solver, "mirror_part", lambda *args: None)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["dirichlet-2-d", "dirichlet-3-d",
+                                  "free-2-d", "free-3-d"])
+def test_folded_energy_solve_matches_the_full_box(monkeypatch, case, p):
+    mask, f, kwargs = mirror_case(case)
+    grid = mask.grid
+    config = SolverConfig(grad_tolerance=1e-10)
+    shapes = []
+    descend = solver.descend
+
+    def spy(objective, kacanov, loads, *args, **kwargs):
+        shapes.append(loads.shape[:-1])
+        return descend(objective, kacanov, loads, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "descend", spy)
+    u, report = solve(f, mask, p, config, **kwargs)
+    assert shapes == [((grid.nodes_per_side + 1) // 2,) * grid.dim]
+    unfolded(monkeypatch)
+    full_u, full = solve(f, mask, p, config, **kwargs)
+    assert shapes[1:] == [grid.shape]
+
+    assert u.shape == grid.shape
+    assert all(np.array_equal(u, np.flip(u, k)) for k in range(grid.dim))
+    assert report.method == full.method
+    assert report.residual <= config.grad_tolerance
+    # the report is the full box's, and so is the residual its stop read
+    eps = report.regularization_eps
+    assert eps == full.regularization_eps
+    residual = float(np.abs(energy_gradient(u, f, mask, p, eps)).max())
+    assert residual <= config.grad_tolerance * (1 + 1e-6)
+    assert report.energy == pytest.approx(energy(u, f, grid, p, eps), rel=1e-12)
+    assert report.flux_pnorm == gradient_pnorm(u, grid, p)
+    rel = 1e-12 if p == 2 else 1e-7
+    np.testing.assert_allclose(u, full_u, rtol=0, atol=rel * np.abs(full_u).max())
+    for name in ("energy", "compliance_energy_form", "compliance_work_form",
+                 "flux_pnorm", "penalized_objective"):
+        assert getattr(report, name) == pytest.approx(getattr(full, name), rel=rel)
+
+
+def test_folded_energy_nonconvergence_carries_the_full_box_field():
+    mask, f, _ = mirror_case("dirichlet-2-d")
+    config = SolverConfig(grad_tolerance=1e-12, max_iterations=1)
+    with pytest.raises(NonConvergence, match="iteration cap") as err:
+        solve(f, mask, 3.0, config)
+    u = err.value.field
+    assert u.shape == mask.grid.shape
+    assert np.array_equal(u, np.flip(u, 0)) and np.array_equal(u, np.flip(u, 1))
+    assert not u[mask.pinned].any()
+    report = err.value.report
+    assert report.iterations == 1
+    assert report.residual == pytest.approx(
+        float(np.abs(energy_gradient(u, f, mask, 3.0)).max()), rel=1e-9)
+    assert report.flux_pnorm == gradient_pnorm(u, mask.grid, 3.0)
+
+
+def test_a_source_asymmetric_by_one_ulp_solves_on_the_full_box(monkeypatch):
+    mask, f, _ = mirror_case("dirichlet-2-d")
+    nudged = f.copy()
+    nudged[3, 5] = np.nextafter(nudged[3, 5], 2.0)
+    shapes = []
+    stiffness = quadratics.stiffness_matrix
+
+    def spy(grid):
+        shapes.append(grid.shape)
+        return stiffness(grid)
+
+    monkeypatch.setattr(quadratics, "stiffness_matrix", spy)
+    solve_batch([f], mask, 2.0)
+    solve_batch([f, nudged], mask, 2.0)
+    assert shapes == [(17, 17), (33, 33)]
